@@ -46,7 +46,6 @@ from .weights import (
     fitch_scj,
     fitch_scj_labeling,
     load_weight_table,
-    max_weight_matching_labeling,
     write_weight_table,
 )
 from .dp import (
@@ -56,7 +55,7 @@ from .dp import (
     sample_component,
     solve_component,
 )
-from .ilp import BbSolution, IlpModel, build_model, export_lp, solve_bb
+from .ilp import BbSolution, IlpModel, build_model, solve_bb
 from .sim import Metrics, SimConfig, SimResult, evolve, score_labelings, simulate_tree
 from .formats import (
     parse_genomes,
@@ -103,13 +102,11 @@ __all__ = [
     "count_cooptimal",
     "dcj_distance",
     "evolve",
-    "export_lp",
     "extract_cars",
     "fitch_scj",
     "fitch_scj_labeling",
     "labeling_objective",
     "load_weight_table",
-    "max_weight_matching_labeling",
     "parse_genomes",
     "parse_labeling",
     "parse_newick",

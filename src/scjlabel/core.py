@@ -70,6 +70,30 @@ def as_alpha(value: object) -> Fraction:
     return alpha
 
 
+class ObjectiveUnits(NamedTuple):
+    """Integer units of the objective at one alpha.
+
+    Every objective value is an integer multiple of ``1 / scale``: one
+    adjacency change costs ``change_unit`` and one micro-unit of
+    discarded weight costs ``weight_unit``.
+    """
+
+    change_unit: int
+    weight_unit: int
+    scale: int
+
+    def scaled(self, scj_changes: int, discarded_micro: int) -> int:
+        """``scale`` times ``(1 - alpha) * scj + alpha * discarded weight``."""
+        return self.change_unit * scj_changes + self.weight_unit * discarded_micro
+
+
+def objective_units(alpha: object) -> ObjectiveUnits:
+    """The scaled-integer units of the objective for mixing factor ``alpha``."""
+    alpha = as_alpha(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    return ObjectiveUnits((den - num) * MICRO, num, den * MICRO)
+
+
 def quantize_weight(value: object) -> int:
     """Map a weight in [0, 1] to the integer grid 0..MICRO (round half up)."""
     w = exact_fraction(value)
@@ -264,19 +288,6 @@ def _left_extremity(signed: int) -> Extremity:
 
 def _right_extremity(signed: int) -> Extremity:
     return Extremity.head(signed) if signed > 0 else Extremity.tail(-signed)
-
-
-def car_adjacencies(car: Car) -> frozenset[Adjacency]:
-    """Adjacencies realized by a CAR (consecutive pairs, plus the closing
-    pair for circular runs)."""
-    seq = car.markers
-    pairs = [
-        Adjacency(_right_extremity(seq[i]), _left_extremity(seq[i + 1]))
-        for i in range(len(seq) - 1)
-    ]
-    if car.kind == "circular":
-        pairs.append(Adjacency(_right_extremity(seq[-1]), _left_extremity(seq[0])))
-    return frozenset(pairs)
 
 
 def chromosome_adjacencies(markers: Iterable[int], circular: bool = False) -> frozenset[Adjacency]:
@@ -593,9 +604,6 @@ class WeightTable:
     def micro_items(self) -> list[tuple[int, Adjacency, int]]:
         """All stored entries as (node id, adjacency, micro), sorted."""
         return [(v, a, w) for (v, a), w in sorted(self._micro.items())]
-
-    def node_micro(self, node_id: int) -> dict[Adjacency, int]:
-        return {a: w for (v, a), w in self._micro.items() if v == node_id}
 
     def __len__(self) -> int:
         return len(self._micro)

@@ -15,81 +15,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import (
-    MICRO,
-    Adjacency,
-    Extremity,
-    Phylogeny,
-    WeightTable,
-    as_alpha,
-)
+from .core import Adjacency, ObjectiveUnits, Phylogeny, WeightTable, objective_units
 from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .graph import Component
 
 #: Components are routed away from the DP when the square of their label
 #: space bound exceeds this (pairwise label comparisons dominate).
 DEFAULT_EXPLOSION_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class JointLabel:
-    """Per-extremity adjacency choice at one node of the phylogeny.
-
-    ``choices`` lists (extremity, chosen adjacency or None) for every
-    extremity of the component, sorted by extremity.  Invalid labels
-    (ends disagreeing about a chosen adjacency) are representable and
-    reported by :attr:`is_valid`; enumeration only ever produces valid
-    ones.
-    """
-
-    choices: tuple[tuple[Extremity, Adjacency | None], ...]
-
-    @classmethod
-    def from_choices(cls, mapping: Mapping[Extremity, Adjacency | None]) -> "JointLabel":
-        return cls(tuple(sorted(mapping.items())))
-
-    @classmethod
-    def from_matching(
-        cls, vertices: Iterable[Extremity], matching: Iterable[Adjacency]
-    ) -> "JointLabel":
-        choice: dict[Extremity, Adjacency | None] = {x: None for x in vertices}
-        for adjacency in matching:
-            for x in adjacency.extremities:
-                choice[x] = adjacency
-        return cls.from_choices(choice)
-
-    def choice(self, extremity: Extremity) -> Adjacency | None:
-        for x, adjacency in self.choices:
-            if x == extremity:
-                return adjacency
-        raise InputError(f"{extremity} is not covered by this label")
-
-    @property
-    def is_valid(self) -> bool:
-        lookup = dict(self.choices)
-        for x, adjacency in self.choices:
-            if adjacency is None:
-                continue
-            if x not in adjacency.extremities:
-                return False
-            other = adjacency.other(x)
-            if lookup.get(other) != adjacency:
-                return False
-        return True
-
-    @property
-    def adjacencies(self) -> frozenset[Adjacency]:
-        """Adjacencies chosen consistently at both of their ends."""
-        lookup = dict(self.choices)
-        chosen = set()
-        for x, adjacency in self.choices:
-            if adjacency is None or x not in adjacency.extremities:
-                continue
-            if lookup.get(adjacency.other(x)) == adjacency:
-                chosen.add(adjacency)
-        return frozenset(chosen)
 
 
 @dataclass(frozen=True)
@@ -120,8 +54,7 @@ class DpTable:
     component: Component
     tree: Phylogeny
     weights: WeightTable
-    alpha: Fraction
-    scale: int
+    units: ObjectiveUnits
     edge_order: tuple[Adjacency, ...]
     labels: dict[int, list[int]]
     cost: dict[int, list[int]]
@@ -154,62 +87,6 @@ def _matching_masks(edge_indices: Sequence[int], conflicts: Sequence[int]) -> li
     return masks
 
 
-def enumerate_labels(
-    component: Component,
-    tree: Phylogeny,
-    node_id: int,
-    *,
-    max_labels: int | None = None,
-) -> list[JointLabel]:
-    """Valid joint labels at an internal node, in deterministic order.
-
-    Only adjacencies annotated with ``node_id`` may be chosen; the rest
-    of the component is forced to the empty choice there.  The order
-    follows the ascending edge-subset encoding, so the all-empty label
-    always comes first.
-    """
-    if tree.is_leaf(node_id):
-        raise InputError(f"{tree.name_of(node_id)} is a leaf; its label is fixed")
-    edges = component.sorted_edges
-    conflicts = _conflict_masks(edges)
-    annotated = [i for i, e in enumerate(edges) if node_id in component.edges[e]]
-    if max_labels is not None and component.label_space_bound > max_labels:
-        raise CapacityExceeded(
-            f"label space bound {component.label_space_bound} exceeds limit {max_labels}"
-        )
-    vertices = component.vertices
-    labels = []
-    for mask in _matching_masks(annotated, conflicts):
-        chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        labels.append(JointLabel.from_matching(vertices, chosen))
-    return labels
-
-
-def branch_cost(
-    label_parent: JointLabel,
-    label_child: JointLabel,
-    weights: WeightTable,
-    alpha: object,
-    node_id: int,
-    candidates: Iterable[Adjacency],
-) -> Fraction | float:
-    """Cost contributed by one tree edge under two joint labels.
-
-    ``(1 - alpha)`` per adjacency changed between the labels, plus
-    ``alpha`` times the weight at ``node_id`` of every candidate the
-    child label discards.  Invalid labels cost infinity.
-    """
-    if not (label_parent.is_valid and label_child.is_valid):
-        return float("inf")
-    alpha = as_alpha(alpha)
-    child_set = label_child.adjacencies
-    changes = len(label_parent.adjacencies ^ child_set)
-    discarded = sum(
-        weights.get_micro(node_id, a) for a in candidates if a not in child_set
-    )
-    return (1 - alpha) * changes + alpha * Fraction(discarded, MICRO)
-
-
 def _leaf_mask(component: Component, tree: Phylogeny, leaf_id: int,
                edges: Sequence[Adjacency]) -> int:
     genome = tree.leaf_genomes[leaf_id]
@@ -234,7 +111,7 @@ def solve_component(
     exceeds ``explosion_cap``; such components belong to the
     branch-and-bound solver instead.
     """
-    alpha = as_alpha(alpha)
+    units = objective_units(alpha)
     bound = component.label_space_bound
     if bound * bound > explosion_cap:
         raise CapacityExceeded(
@@ -242,9 +119,8 @@ def solve_component(
         )
     if not tree.leaf_genomes:
         raise InputError("solve_component needs genomes attached to the tree")
-    num, den = alpha.numerator, alpha.denominator
-    unit = (den - num) * MICRO  # scaled cost of one adjacency change
-    scale = den * MICRO
+    unit = units.change_unit
+    wunit = units.weight_unit
 
     edges = component.sorted_edges
     conflicts = _conflict_masks(edges)
@@ -272,7 +148,7 @@ def solve_component(
         node_count = []
         for mask in node_labels:
             kept = sum(micro[i] for i in annotated[v] if mask >> i & 1)
-            c = num * (total_micro - kept)
+            c = wunit * (total_micro - kept)
             ways = 1
             for child in node.children:
                 child_labels = labels[child]
@@ -298,24 +174,22 @@ def solve_component(
         component=component,
         tree=tree,
         weights=weights,
-        alpha=alpha,
-        scale=scale,
+        units=units,
         edge_order=edges,
         labels=labels,
         cost=cost,
         count=count,
     )
-    solution = _backtrack_first(table)
-    return solution, table
+    chosen = _walk_down(table, lambda v, arg: arg[0])
+    return _finish_solution(table, chosen, count_cooptimal(table)), table
 
 
 def _mask_to_set(mask: int, edges: Sequence[Adjacency]) -> frozenset[Adjacency]:
     return frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
 
 
-def _child_argmin(table: DpTable, child: int, parent_mask: int) -> tuple[list[int], int]:
-    alpha = table.alpha
-    unit = (alpha.denominator - alpha.numerator) * MICRO
+def _child_argmin(table: DpTable, child: int, parent_mask: int) -> list[int]:
+    unit = table.units.change_unit
     best = None
     arg: list[int] = []
     for j, child_mask in enumerate(table.labels[child]):
@@ -325,14 +199,33 @@ def _child_argmin(table: DpTable, child: int, parent_mask: int) -> tuple[list[in
             arg = [j]
         elif t == best:
             arg.append(j)
-    return arg, best if best is not None else 0
+    return arg
+
+
+def _walk_down(
+    table: DpTable, pick: Callable[[int, list[int]], int]
+) -> dict[int, int]:
+    """Choose a label mask per internal node, root first, then down the
+    tree edges; ``pick(v, arg)`` selects one of the co-optimal label
+    indices ``arg`` at node ``v``."""
+    tree = table.tree
+    root_costs = table.cost[tree.root]
+    best = min(root_costs)
+    root_arg = [i for i, c in enumerate(root_costs) if c == best]
+    chosen = {tree.root: table.labels[tree.root][pick(tree.root, root_arg)]}
+    for u, v in tree.edges():
+        if tree.is_leaf(v):
+            continue
+        arg = _child_argmin(table, v, chosen[u])
+        chosen[v] = table.labels[v][pick(v, arg)]
+    return chosen
 
 
 def _finish_solution(
     table: DpTable,
     chosen_mask: dict[int, int],
+    cooptimal_count: int,
     *,
-    solver: str = "dp",
     sample_index: int | None = None,
     seed: int | None = None,
 ) -> ComponentSolution:
@@ -344,39 +237,22 @@ def _finish_solution(
     scj, discarded = evaluate_component_labeling(
         table.component, tree, table.weights, node_labels
     )
-    alpha = table.alpha
-    num, den = alpha.numerator, alpha.denominator
-    scaled = (den - num) * MICRO * scj + num * discarded
+    scaled = table.units.scaled(scj, discarded)
     if scaled != table.optimum_scaled:
         raise InternalInvariantError(
             f"labeling re-evaluates to {scaled}, table optimum is {table.optimum_scaled}"
         )
     return ComponentSolution(
         node_labels=node_labels,
-        objective=Fraction(scaled, table.scale),
+        objective=Fraction(scaled, table.units.scale),
         objective_scaled=scaled,
-        scale=table.scale,
+        scale=table.units.scale,
         scj_changes=scj,
         discarded_micro=discarded,
-        cooptimal_count=count_cooptimal(table),
-        solver=solver,
+        cooptimal_count=cooptimal_count,
         sample_index=sample_index,
         seed=seed,
     )
-
-
-def _backtrack_first(table: DpTable) -> ComponentSolution:
-    tree = table.tree
-    chosen: dict[int, int] = {}
-    root_costs = table.cost[tree.root]
-    best = min(root_costs)
-    chosen[tree.root] = table.labels[tree.root][root_costs.index(best)]
-    for u, v in tree.edges():
-        if tree.is_leaf(v):
-            continue
-        arg, _ = _child_argmin(table, v, chosen[u])
-        chosen[v] = table.labels[v][arg[0]]
-    return _finish_solution(table, chosen)
 
 
 def count_cooptimal(table: DpTable) -> int:
@@ -415,27 +291,18 @@ def sample_component(
             component, tree, weights, alpha, explosion_cap=explosion_cap
         )
     rng = random.Random(seed)
-    root = tree.root
-    root_costs = table.cost[root]
-    best = min(root_costs)
-    root_arg = [i for i, c in enumerate(root_costs) if c == best]
-    root_weights = [table.count[root][i] for i in root_arg]
-    samples: list[ComponentSolution] = []
-    for s in range(n_samples):
-        chosen: dict[int, int] = {}
-        pick = root_arg[_weighted_index(rng, root_weights)]
-        chosen[root] = table.labels[root][pick]
-        for u, v in tree.edges():
-            if tree.is_leaf(v):
-                continue
-            arg, _ = _child_argmin(table, v, chosen[u])
-            arg_weights = [table.count[v][j] for j in arg]
-            pick = arg[_weighted_index(rng, arg_weights)]
-            chosen[v] = table.labels[v][pick]
-        samples.append(
-            _finish_solution(table, chosen, sample_index=s, seed=seed)
+    count = table.count
+
+    def draw(v: int, arg: list[int]) -> int:
+        return arg[_weighted_index(rng, [count[v][j] for j in arg])]
+
+    cooptimal = count_cooptimal(table)
+    return [
+        _finish_solution(
+            table, _walk_down(table, draw), cooptimal, sample_index=s, seed=seed
         )
-    return samples
+        for s in range(n_samples)
+    ]
 
 
 def _weighted_index(rng: random.Random, weights: Sequence[int]) -> int:

@@ -55,10 +55,6 @@ class GlobalAdjacencyGraph:
             if not nodes:
                 raise InputError(f"edge {adjacency} has an empty annotation set")
 
-    @property
-    def vertices(self) -> frozenset[Extremity]:
-        return frozenset(x for a in self.edges for x in a.extremities)
-
 
 def build_global_graph(
     tree: Phylogeny,
@@ -160,8 +156,3 @@ def connected_components(graph: GlobalAdjacencyGraph) -> list[Component]:
         components.append(Component(member_edges))
     components.sort(key=lambda c: min(c.vertices))
     return components
-
-
-def is_conflict_free(component: Component) -> bool:
-    """True when the component is a single edge on two extremities."""
-    return len(component.edges) == 1 and component.n_extremities == 2

@@ -1,13 +1,12 @@
 """Integer-program view of a component plus a branch-and-bound solver.
 
 The model has one binary presence variable per (internal node,
-adjacency annotated there) and one binary change variable per tree edge
-and adjacency with at least one undetermined endpoint; determined
-endpoints (leaves, or nodes where the adjacency is not annotated) enter
-the change rows as constants.  Four inequalities pin each change
-variable to the absolute difference of its endpoints for every feasible
-point, and per-extremity packing rows keep every node's choice a
-matching, so the feasible points are exactly the consistent labelings.
+adjacency annotated there) and one change term per tree edge and
+adjacency with at least one undetermined endpoint, costing the absolute
+difference of its endpoints; determined endpoints (leaves, or nodes
+where the adjacency is not annotated) enter the terms as constants.
+Per-extremity packing groups keep every node's choice a matching, so
+the feasible points are exactly the consistent labelings.
 
 Branch and bound works on the presence variables only (change values
 follow from them), absence branch first, with conflicting variables
@@ -17,12 +16,18 @@ exact presence problem per adjacency on the tree.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, as_alpha
+from .core import (
+    Adjacency,
+    Extremity,
+    ObjectiveUnits,
+    Phylogeny,
+    WeightTable,
+    objective_units,
+)
 from .errors import InputError, InternalInvariantError
 from .graph import Component
 from .dp import evaluate_component_labeling
@@ -54,14 +59,6 @@ class EdgeTerm:
     child_var: int | None
     child_const: int
 
-    @property
-    def is_variable_pair(self) -> bool:
-        return self.parent_var is not None and self.child_var is not None
-
-    def cvar_name(self) -> str:
-        a, b = self.adjacency.extremities
-        return f"c_e{self.child_id}_{a}_{b}"
-
 
 @dataclass(frozen=True, eq=False)
 class IlpModel:
@@ -70,50 +67,40 @@ class IlpModel:
     component: Component
     tree: Phylogeny
     weights: WeightTable
-    alpha: Fraction
-    scale: int
+    units: ObjectiveUnits
     variables: tuple[PresenceVar, ...]
     edge_terms: tuple[EdgeTerm, ...]
     packing_groups: tuple[tuple[int, ...], ...]
 
     @property
     def change_unit(self) -> int:
-        return (self.alpha.denominator - self.alpha.numerator) * MICRO
+        return self.units.change_unit
 
     @property
     def weight_unit(self) -> int:
-        return self.alpha.numerator
+        return self.units.weight_unit
 
-    def index_of(self, name: str) -> int:
-        for i, var in enumerate(self.variables):
-            if var.name == name:
-                return i
-        raise InputError(f"unknown variable {name}")
-
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Scaled objective of a full presence assignment.
-
-        Rejects assignments that are not binary, miss a variable, or
-        pick two adjacencies sharing an extremity at the same node.
-        """
-        vector = []
-        for var in self.variables:
-            if var.name not in assignment:
-                raise InputError(f"assignment misses {var.name}")
-            value = assignment[var.name]
-            if value not in (0, 1):
-                raise InputError(f"{var.name} must be 0 or 1, got {value!r}")
-            vector.append(value)
-        return self.evaluate_vector(vector)
+    @property
+    def scale(self) -> int:
+        return self.units.scale
 
     def evaluate_vector(self, vector: Sequence[int]) -> int:
+        """Scaled objective of a full presence assignment, in variable order.
+
+        Rejects vectors of the wrong length, values other than 0 and 1,
+        and two adjacencies sharing an extremity at the same node.
+        """
         if len(vector) != len(self.variables):
             raise InputError(
                 f"expected {len(self.variables)} values, got {len(vector)}"
             )
         used: dict[tuple[int, Extremity], Adjacency] = {}
+        discarded = 0
         for var, value in zip(self.variables, vector):
+            if value not in (0, 1):
+                raise InputError(f"{var.name} must be 0 or 1, got {value!r}")
             if value == 0:
+                discarded += var.weight_micro
                 continue
             for x in var.adjacency.extremities:
                 key = (var.node_id, x)
@@ -123,16 +110,12 @@ class IlpModel:
                         f"{self.tree.name_of(var.node_id)}"
                     )
                 used[key] = var.adjacency
-        total = 0
-        for var, value in zip(self.variables, vector):
-            if value == 0:
-                total += self.weight_unit * var.weight_micro
-        unit = self.change_unit
+        changes = 0
         for term in self.edge_terms:
             pu = term.parent_const if term.parent_var is None else vector[term.parent_var]
             pv = term.child_const if term.child_var is None else vector[term.child_var]
-            total += unit * abs(pu - pv)
-        return total
+            changes += abs(pu - pv)
+        return self.units.scaled(changes, discarded)
 
     def node_labels(self, vector: Sequence[int]) -> dict[int, frozenset[Adjacency]]:
         labels: dict[int, set[Adjacency]] = {
@@ -170,7 +153,7 @@ def build_model(
     alpha: object,
 ) -> IlpModel:
     """Assemble the scaled-integer model for one component."""
-    alpha = as_alpha(alpha)
+    units = objective_units(alpha)
     if not tree.leaf_genomes:
         raise InputError("build_model needs genomes attached to the tree")
     depths = tree.depths()
@@ -238,127 +221,11 @@ def build_model(
         component=component,
         tree=tree,
         weights=weights,
-        alpha=alpha,
-        scale=alpha.denominator * MICRO,
+        units=units,
         variables=tuple(variables),
         edge_terms=tuple(terms),
         packing_groups=tuple(groups),
     )
-
-
-# ---------------------------------------------------------------------------
-# LP text export
-
-
-def _linear_terms(pairs: Sequence[tuple[int, str]], constant: int = 0) -> str:
-    parts: list[str] = []
-    for coeff, name in pairs:
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        magnitude = abs(coeff)
-        chunk = name if magnitude == 1 else f"{magnitude} {name}"
-        if not parts:
-            parts.append(chunk if coeff > 0 else f"- {chunk}")
-        else:
-            parts.append(f"{sign} {chunk}")
-    if constant:
-        sign = "-" if constant < 0 else "+"
-        if not parts:
-            parts.append(str(constant))
-        else:
-            parts.append(f"{sign} {abs(constant)}")
-    return " ".join(parts) if parts else "0"
-
-
-def export_lp(model: IlpModel, path) -> None:
-    """Write the model as LP text (objective constant included).
-
-    Coefficients are the scaled integers; the true objective is the
-    written one divided by the scale recorded in the header comment.
-    Change rows come in four families: for each change variable c on a
-    tree edge with child presence cv and parent presence cu,
-
-        c3: cv + cu + c <= 2      c5: cv - cu + c >= 0
-        c4: cv + cu - c >= 0      c6: -cv + cu + c >= 0
-
-    with determined endpoints moved to the right-hand side, and c7 rows
-    cap each extremity at one chosen adjacency per node.
-    """
-    unit = model.change_unit
-    coeff: dict[str, int] = {var.name: 0 for var in model.variables}
-    constant = 0
-    for var in model.variables:
-        constant += model.weight_unit * var.weight_micro
-        coeff[var.name] -= model.weight_unit * var.weight_micro
-    cvars: list[str] = []
-    rows: list[str] = []
-    for term in model.edge_terms:
-        if term.parent_var is None and term.child_var is None:
-            constant += unit  # surviving constant pairs always differ
-            continue
-        c = term.cvar_name()
-        cvars.append(c)
-        coeff[c] = unit
-        # child first, parent second, mirroring c3 as "pv + pu + c <= 2"
-        child: list[tuple[int, str]] = []
-        child_const = term.child_const
-        if term.child_var is not None:
-            child = [(1, model.variables[term.child_var].name)]
-            child_const = 0
-        parent: list[tuple[int, str]] = []
-        parent_const = term.parent_const
-        if term.parent_var is not None:
-            parent = [(1, model.variables[term.parent_var].name)]
-            parent_const = 0
-        flip = [(-k, n) for k, n in child]
-        flop = [(-k, n) for k, n in parent]
-        rows.append(_row(f"c3_{c}", child + parent + [(1, c)], "<=",
-                         2 - child_const - parent_const))
-        rows.append(_row(f"c4_{c}", child + parent + [(-1, c)], ">=",
-                         -child_const - parent_const))
-        rows.append(_row(f"c5_{c}", child + flop + [(1, c)], ">=",
-                         parent_const - child_const))
-        rows.append(_row(f"c6_{c}", flip + parent + [(1, c)], ">=",
-                         child_const - parent_const))
-    for group in model.packing_groups:
-        var = model.variables[group[0]]
-        shared = _shared_extremity(model, group)
-        name = f"c7_n{var.node_id}_{shared}"
-        terms = [(1, model.variables[i].name) for i in group]
-        rows.append(_row(name, terms, "<=", 1))
-
-    lines: list[str] = []
-    lines.append("\\ weighted adjacency labeling, one connected component")
-    lines.append(
-        f"\\ alpha = {model.alpha.numerator}/{model.alpha.denominator};"
-        f" objective is scaled by {model.scale}"
-    )
-    lines.append("Minimize")
-    order = [var.name for var in model.variables] + cvars
-    objective = _linear_terms([(coeff[n], n) for n in order], constant)
-    lines.append(f" obj: {objective}")
-    lines.append("Subject To")
-    lines.extend(rows)
-    lines.append("Binary")
-    for name in order:
-        lines.append(f" {name}")
-    lines.append("End")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _row(name: str, terms: Sequence[tuple[int, str]], sense: str, rhs: int) -> str:
-    return f" {name}: {_linear_terms(terms)} {sense} {rhs}"
-
-
-def _shared_extremity(model: IlpModel, group: tuple[int, ...]) -> Extremity:
-    first = set(model.variables[group[0]].adjacency.extremities)
-    second = set(model.variables[group[1]].adjacency.extremities)
-    common = first & second
-    if len(common) != 1:
-        raise InternalInvariantError("packing group without a common extremity")
-    return common.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +265,14 @@ def solve_bb(model: IlpModel) -> BbSolution:
     assignment and a conflict-repaired copy of the relaxed optimum.
     """
     n = len(model.variables)
+    # Two adjacencies at one node share at most one extremity, so every
+    # conflicting pair lies in exactly one packing group.
     conflicts: list[list[int]] = [[] for _ in range(n)]
-    for i, a in enumerate(model.variables):
-        ends_a = set(a.adjacency.extremities)
-        for j in range(i + 1, n):
-            b = model.variables[j]
-            if a.node_id == b.node_id and ends_a & set(b.adjacency.extremities):
-                conflicts[i].append(j)
-                conflicts[j].append(i)
+    for group in model.packing_groups:
+        for j in group:
+            conflicts[j].extend(k for k in group if k != j)
+    for row in conflicts:
+        row.sort()
 
     unit = model.change_unit
     wunit = model.weight_unit
@@ -537,31 +404,36 @@ def solve_bb(model: IlpModel) -> BbSolution:
         best, best_vector = repaired_value, repaired
     explored = 0
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
-    try:
-
-        def search(cursor: int) -> None:
-            nonlocal best, best_vector, explored
-            explored += 1
-            if future >= best:
-                return
-            while cursor < n and assignment[cursor] != -1:
-                cursor += 1
-            if cursor == n:
-                best = future
-                best_vector = list(assignment)
-                return
-            for value in (0, 1):
-                trail = settle(cursor, value)
-                if trail is None:
-                    continue
-                search(cursor + 1)
-                _undo(trail)
-
-        search(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Depth-first search over an explicit stack of ("visit", cursor),
+    # ("branch", cursor, value) and ("undo", trail) entries.  A visit
+    # pushes its presence branch under its absence branch, and a settled
+    # branch pushes its undo under the visit of the next cursor, so the
+    # visiting order is that of the plain recursive search.
+    stack: list[tuple] = [("visit", 0)]
+    while stack:
+        entry = stack.pop()
+        if entry[0] == "undo":
+            _undo(entry[1])
+            continue
+        if entry[0] == "branch":
+            _, cursor, value = entry
+            trail = settle(cursor, value)
+            if trail is not None:
+                stack.append(("undo", trail))
+                stack.append(("visit", cursor + 1))
+            continue
+        cursor = entry[1]
+        explored += 1
+        if future >= best:
+            continue
+        while cursor < n and assignment[cursor] != -1:
+            cursor += 1
+        if cursor == n:
+            best = future
+            best_vector = list(assignment)
+            continue
+        stack.append(("branch", cursor, 1))
+        stack.append(("branch", cursor, 0))
 
     scaled = model.evaluate_vector(best_vector)
     if scaled != best:
@@ -572,8 +444,7 @@ def solve_bb(model: IlpModel) -> BbSolution:
     scj, discarded = evaluate_component_labeling(
         model.component, model.tree, model.weights, labels
     )
-    check = (model.alpha.denominator - model.alpha.numerator) * MICRO * scj
-    check += model.alpha.numerator * discarded
+    check = model.units.scaled(scj, discarded)
     if check != scaled:
         raise InternalInvariantError(
             f"labeling re-evaluates to {check}, search found {scaled}"

@@ -32,6 +32,7 @@ from .core import (
     exact_fraction,
     extract_cars,
     labeling_objective,
+    objective_units,
 )
 from .dp import DEFAULT_EXPLOSION_CAP, sample_component, solve_component
 from .errors import CapacityExceeded, InputError, InternalInvariantError
@@ -228,7 +229,6 @@ def solve_instance(
             labeling[v] = labeling[v] | label
 
     alpha = config.alpha
-    num, den = alpha.numerator, alpha.denominator
     edge_set = set(graph.edges)
     unsupported = sum(
         len(tree.leaf_genomes[v].adjacencies - edge_set) for v in tree.leaves()
@@ -240,12 +240,10 @@ def solve_instance(
         if not tree.is_leaf(v) and (v, a) not in annotated
     )
 
+    units = objective_units(alpha)
     scaled_sum = sum(o.objective_scaled for o in outcomes)
-    scale = den * MICRO
-    total = (
-        Fraction(scaled_sum, scale)
-        + Fraction(den - num, den) * unsupported
-        + Fraction(num, den) * Fraction(filtered_micro, MICRO)
+    total = Fraction(
+        scaled_sum + units.scaled(unsupported, filtered_micro), units.scale
     )
     direct = labeling_objective(tree, labeling, weights, alpha)
     if direct.total != total:
@@ -423,14 +421,11 @@ def _write_frequency(path: Path, report: SolveReport, tree: Phylogeny) -> None:
 
 
 def _write_manifest(path: Path, config: RunConfig) -> None:
-    import networkx
-
     alpha = config.alpha
     payload = {
         "tool": "scjlabel",
         "version": __version__,
         "python": ".".join(str(p) for p in sys.version_info[:3]),
-        "networkx": networkx.__version__,
         "config": {
             "alpha": f"{alpha.numerator}/{alpha.denominator}",
             "threshold": f"{config.threshold_x.numerator}/{config.threshold_x.denominator}",

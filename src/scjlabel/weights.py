@@ -11,21 +11,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple
-
-import networkx as nx
+from typing import NamedTuple
 
 from .core import (
     MICRO,
     Adjacency,
     Extremity,
-    Genome,
     Phylogeny,
     WeightTable,
     check_consistency,
 )
 from .errors import InputError, InternalInvariantError
-from .graph import candidate_adjacencies, threshold_cutoff
+from .graph import candidate_adjacencies
 
 _INF = float("inf")
 
@@ -182,43 +179,6 @@ def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
     return table
 
 
-def max_weight_matching_labeling(
-    tree: Phylogeny,
-    weights: WeightTable,
-    threshold_x: object = 0,
-) -> dict[int, frozenset[Adjacency]]:
-    """Independently at each internal node, keep a maximum-weight
-    consistent subset of the candidates passing the threshold.
-
-    This is the exact optimum for alpha = 1, where rearrangement cost is
-    ignored and only discarded weight matters.  Matching is delegated to
-    networkx with doubled integer weights, which keeps its dual values
-    integral and the result exact on the micro grid.
-    """
-    cutoff = threshold_cutoff(threshold_x)
-    candidates = candidate_adjacencies(tree)
-    labeling: dict[int, frozenset[Adjacency]] = {}
-    for v in tree.internal_ids():
-        graph = nx.Graph()
-        for adjacency in sorted(candidates[v]):
-            micro = weights.get_micro(v, adjacency)
-            if micro >= cutoff:
-                graph.add_edge(adjacency.first, adjacency.second, weight=2 * micro)
-        matching = nx.max_weight_matching(graph, maxcardinality=False)
-        labeling[v] = frozenset(Adjacency(a, b) for a, b in matching)
-    return labeling
-
-
-def matching_kept_micro(tree: Phylogeny, labeling: dict[int, frozenset[Adjacency]],
-                        weights: WeightTable) -> int:
-    """Total micro weight kept by a per-node labeling."""
-    return sum(
-        weights.get_micro(v, adjacency)
-        for v, label in labeling.items()
-        for adjacency in label
-    )
-
-
 def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
     """Read a weight TSV: node name, extremity, extremity, weight in [0, 1].
 
@@ -230,7 +190,6 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
         raise InputError("load_weight_table needs genomes attached to the tree")
     universe = tree.markers
     table = WeightTable()
-    seen: set[tuple[int, Adjacency]] = set()
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -256,9 +215,8 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
-            if (node, adjacency) in seen:
+            if (node, adjacency) in table:
                 raise InputError(f"{path}:{lineno}: duplicate weight for {name} {adjacency}")
-            seen.add((node, adjacency))
             try:
                 table.set(node, adjacency, weight)
             except InputError as exc:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scjlabel
 from scjlabel.cli import main
 from scjlabel.formats import parse_genomes, parse_labeling, parse_tree
 from scjlabel.weights import load_weight_table
@@ -28,6 +33,21 @@ def instance(tmp_path):
     genomes = tmp_path / "genomes.tsv"
     genomes.write_text("\n".join(GENOME_ROWS) + "\n", encoding="utf-8")
     return str(tree), str(genomes)
+
+
+class TestImports:
+    def test_cli_imports_no_third_party_solver_packages(self):
+        src = str(Path(scjlabel.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, scjlabel.cli\n"
+            "print(sorted(m for m in ('networkx', 'numpy', 'scipy') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestParsing:

@@ -16,13 +16,13 @@ from scjlabel.core import (
     Genome,
     WeightTable,
     as_alpha,
-    car_adjacencies,
     check_consistency,
     chromosome_adjacencies,
     dcj_distance,
     exact_fraction,
     extract_cars,
     labeling_objective,
+    objective_units,
     quantize_weight,
     scj_distance,
 )
@@ -83,6 +83,18 @@ class TestExactNumbers:
             quantize_weight("1.0000001")
         with pytest.raises(InputError):
             quantize_weight(-0.5)
+
+    def test_objective_units_mix_changes_and_discarded_weight(self):
+        units = objective_units("1/2")
+        assert units == (MICRO, 1, 2 * MICRO)
+        # one change and nothing discarded; no change and 0.8 discarded
+        assert Fraction(units.scaled(1, 0), units.scale) == Fraction(1, 2)
+        assert Fraction(units.scaled(0, 800_000), units.scale) == Fraction(2, 5)
+        units = objective_units(0)
+        assert Fraction(units.scaled(1, 800_000), units.scale) == 1
+        assert objective_units("3/4") == (MICRO, 3, 4 * MICRO)
+        with pytest.raises(InputError):
+            objective_units("3/2")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,9 @@ class TestExtractCars:
             genome = random_genome(rng, frozenset(range(1, n + 1)))
             rebuilt = set()
             for car in genome.cars():
-                rebuilt |= car_adjacencies(car)
+                rebuilt |= chromosome_adjacencies(
+                    car.markers, car.kind == "circular"
+                )
             assert rebuilt == set(genome.adjacencies)
 
     def test_inconsistent_input_is_rejected(self):

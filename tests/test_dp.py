@@ -17,10 +17,7 @@ from oracles import (
 )
 from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
 from scjlabel.dp import (
-    JointLabel,
-    branch_cost,
     count_cooptimal,
-    enumerate_labels,
     evaluate_component_labeling,
     sample_component,
     solve_component,
@@ -55,31 +52,13 @@ def three_leaf_instance():
     })
 
 
-# ---------------------------------------------------------------------------
-# Joint labels
-
-
-class TestJointLabel:
-    def test_from_matching_round_trips(self):
-        a = Adjacency.of("1h", "2t")
-        b = Adjacency.of("3h", "4t")
-        vertices = [x for adj in (a, b) for x in adj.extremities]
-        label = JointLabel.from_matching(vertices, [a])
-        assert label.is_valid
-        assert label.adjacencies == frozenset({a})
-        assert label.choice(a.first) == a
-        assert label.choice(b.first) is None
-
-    def test_one_sided_choices_are_invalid(self):
-        a = Adjacency.of("1h", "2t")
-        label = JointLabel.from_choices({a.first: a, a.second: None})
-        assert not label.is_valid
-        assert label.adjacencies == frozenset()
-
-    def test_unknown_extremity_is_rejected(self):
-        label = JointLabel.from_choices({Adjacency.of("1h", "2t").first: None})
-        with pytest.raises(InputError):
-            label.choice(Adjacency.of("5h", "6t").first)
+def label_sets(table, node_id):
+    """The DP's labels at one node, as adjacency sets in table order."""
+    edges = table.edge_order
+    return [
+        frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+        for mask in table.labels[node_id]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +66,13 @@ class TestJointLabel:
 
 
 class TestEnumerateLabels:
+    """The label lists the DP enumerates per node (``DpTable.labels``)."""
+
     def test_empty_label_comes_first(self):
         tree = three_leaf_instance()
         component = components_of(tree)[0]
-        labels = enumerate_labels(component, tree, tree.id_of("anc2"))
-        assert labels[0].adjacencies == frozenset()
-        assert [l.adjacencies for l in labels] == [
+        _, table = solve_component(component, tree, WeightTable(), "1/2")
+        assert label_sets(table, tree.id_of("anc2")) == [
             frozenset(), frozenset({Adjacency.of("1h", "2t")}),
         ]
 
@@ -103,10 +83,9 @@ class TestEnumerateLabels:
         weights = WeightTable()
         weights.set(anc2, a, "0.9")
         component = components_of(tree, weights, "0.5")[0]
-        assert [l.adjacencies for l in enumerate_labels(component, tree, anc1)] == [
-            frozenset(),
-        ]
-        assert len(enumerate_labels(component, tree, anc2)) == 2
+        _, table = solve_component(component, tree, weights, "1/2")
+        assert label_sets(table, anc1) == [frozenset()]
+        assert len(label_sets(table, anc2)) == 2
 
     def test_labels_are_exactly_the_matchings(self):
         rng = random.Random(53)
@@ -115,53 +94,37 @@ class TestEnumerateLabels:
                 rng, n_leaves=rng.randint(2, 4), n_markers=4
             )
             for component in components_of(tree):
+                _, table = solve_component(
+                    component, tree, WeightTable(), "1/2", explosion_cap=10**12
+                )
                 for v in tree.internal_ids():
-                    got = {
-                        l.adjacencies for l in enumerate_labels(component, tree, v)
-                    }
+                    got = label_sets(table, v)
+                    assert got[0] == frozenset()
                     annotated = [
                         a for a in component.sorted_edges
                         if v in component.edges[a]
                     ]
-                    assert got == set(consistent_subsets(annotated))
+                    want = consistent_subsets(annotated)
+                    assert len(got) == len(want)
+                    assert set(got) == set(want)
 
     def test_leaves_have_no_label_space(self):
         tree = three_leaf_instance()
         component = components_of(tree)[0]
-        with pytest.raises(InputError):
-            enumerate_labels(component, tree, tree.id_of("s1"))
+        _, table = solve_component(component, tree, WeightTable(), "1/2")
+        a = Adjacency.of("1h", "2t")
+        assert label_sets(table, tree.id_of("s1")) == [frozenset({a})]
+        assert label_sets(table, tree.id_of("s3")) == [frozenset()]
 
     def test_max_labels_bounds_the_space(self):
         tree = three_leaf_instance()
         component = components_of(tree)[0]
+        assert component.label_space_bound == 4
+        solve_component(component, tree, WeightTable(), "1/2", explosion_cap=16)
         with pytest.raises(CapacityExceeded):
-            enumerate_labels(component, tree, tree.id_of("anc2"), max_labels=1)
-
-
-# ---------------------------------------------------------------------------
-# Branch costs
-
-
-class TestBranchCost:
-    def test_mixes_changes_and_discarded_weight(self):
-        tree = three_leaf_instance()
-        anc2 = tree.id_of("anc2")
-        a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc2, a, "0.8")
-        component = components_of(tree, weights)[0]
-        empty, full = enumerate_labels(component, tree, anc2)
-        # child keeps a: no discard; one change against an empty parent
-        assert branch_cost(empty, full, weights, "1/2", anc2, [a]) == Fraction(1, 2)
-        # child drops a: discard 0.8, no change
-        assert branch_cost(empty, empty, weights, "1/2", anc2, [a]) == Fraction(2, 5)
-        assert branch_cost(full, empty, weights, 0, anc2, [a]) == 1
-
-    def test_invalid_labels_cost_infinity(self):
-        a = Adjacency.of("1h", "2t")
-        good = JointLabel.from_matching(a.extremities, [a])
-        bad = JointLabel.from_choices({a.first: a, a.second: None})
-        assert branch_cost(good, bad, WeightTable(), "1/2", 0, [a]) == float("inf")
+            solve_component(
+                component, tree, WeightTable(), "1/2", explosion_cap=15
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from scjlabel.graph import (
     build_global_graph,
     candidate_adjacencies,
     connected_components,
-    is_conflict_free,
     threshold_cutoff,
 )
 
@@ -168,12 +167,6 @@ class TestComponents:
         assert first.max_degree == 2
         # 1h has degree 2, the two tails degree 1: (1+2)(1+1)(1+1)
         assert first.label_space_bound == 12
-        assert not is_conflict_free(first)
-
-    def test_single_edge_component_is_conflict_free(self):
-        anc = frozenset({0})
-        component = Component({Adjacency.of("1h", "2t"): anc})
-        assert is_conflict_free(component)
 
     def test_components_partition_the_edges(self):
         rng = random.Random(17)

@@ -1,9 +1,10 @@
-"""Integer-program model, LP text export, and branch-and-bound solver."""
+"""Integer-program model and branch-and-bound solver."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from scjlabel.dp import evaluate_component_labeling, solve_component
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
-from scjlabel.ilp import build_model, export_lp, solve_bb
+from scjlabel.ilp import build_model, solve_bb
 
 
 def genome_of(markers, *chromosomes):
@@ -85,7 +86,7 @@ class TestBuildModel:
         by_child = {t.child_id: t for t in model.edge_terms}
         assert set(by_child) == {1, 2, 3, 4}
         internal = by_child[1]
-        assert internal.is_variable_pair
+        assert (internal.parent_var, internal.child_var) == (0, 1)
         leaf_present = by_child[2]
         assert leaf_present.child_var is None
         assert leaf_present.child_const == 1
@@ -105,19 +106,15 @@ class TestBuildModel:
 class TestEvaluate:
     def test_hand_values(self):
         model = three_leaf_model()
-        keep_both = {"p_n0_1h_2t": 1, "p_n1_1h_2t": 1}
-        assert model.evaluate(keep_both) == MICRO
-        drop_both = {"p_n0_1h_2t": 0, "p_n1_1h_2t": 0}
-        assert model.evaluate(drop_both) == 3_200_000
+        assert model.evaluate_vector([1, 1]) == MICRO
+        assert model.evaluate_vector([0, 0]) == 3_200_000
 
     def test_rejects_bad_assignments(self):
         model = three_leaf_model()
         with pytest.raises(InputError):
-            model.evaluate({"p_n0_1h_2t": 1})
-        with pytest.raises(InputError):
-            model.evaluate({"p_n0_1h_2t": 2, "p_n1_1h_2t": 0})
-        with pytest.raises(InputError):
             model.evaluate_vector([1])
+        with pytest.raises(InputError):
+            model.evaluate_vector([2, 0])
 
     def test_conflicting_choices_are_rejected(self):
         model = fork_model()
@@ -134,133 +131,6 @@ class TestEvaluate:
                 model.node_labels(list(vector)),
             )
             assert scaled == unit * scj + model.weight_unit * discarded
-
-
-# ---------------------------------------------------------------------------
-# LP text export
-
-
-def parse_lp(text):
-    lines = text.splitlines()
-    objective = lines[lines.index("Minimize") + 1].split(": ", 1)[1]
-    rows = []
-    for line in lines[lines.index("Subject To") + 1 : lines.index("Binary")]:
-        name, rest = line.strip().split(": ", 1)
-        for sense in ("<=", ">="):
-            if f" {sense} " in rest:
-                expr, rhs = rest.rsplit(f" {sense} ", 1)
-                rows.append((name, expr, sense, int(rhs)))
-                break
-    binary = lines[lines.index("Binary") + 1 : lines.index("End")]
-    return objective, rows, [b.strip() for b in binary]
-
-
-def eval_expr(expr, values):
-    total = 0
-    sign, coeff = 1, None
-    for token in expr.split():
-        if token == "+":
-            sign, coeff = 1, None
-        elif token == "-":
-            sign, coeff = -1, None
-        elif token.isdigit():
-            coeff = int(token)
-        else:
-            total += sign * (1 if coeff is None else coeff) * values[token]
-            sign, coeff = 1, None
-    if coeff is not None:
-        total += sign * coeff
-    return total
-
-
-def row_holds(row, values):
-    _, expr, sense, rhs = row
-    value = eval_expr(expr, values)
-    return value <= rhs if sense == "<=" else value >= rhs
-
-
-class TestExportLp:
-    def test_structure_and_header(self, tmp_path):
-        model = three_leaf_model()
-        path = tmp_path / "model.lp"
-        export_lp(model, path)
-        text = path.read_text(encoding="utf-8")
-        assert "\\ alpha = 1/2; objective is scaled by 2000000" in text
-        for section in ("Minimize", "Subject To", "Binary", "End"):
-            assert f"\n{section}\n" in text or text.startswith(section)
-        _, rows, binary = parse_lp(text)
-        # four rows per change variable, one change variable per term
-        assert len(rows) == 4 * len(model.edge_terms)
-        assert set(binary) == {
-            "p_n0_1h_2t", "p_n1_1h_2t",
-            "c_e1_1h_2t", "c_e2_1h_2t", "c_e3_1h_2t", "c_e4_1h_2t",
-        }
-
-    def test_known_rows_with_folded_leaf_constants(self, tmp_path):
-        model = three_leaf_model()
-        path = tmp_path / "model.lp"
-        export_lp(model, path)
-        text = path.read_text(encoding="utf-8")
-        # internal edge: both presences are variables
-        assert " c3_c_e1_1h_2t: p_n1_1h_2t + p_n0_1h_2t + c_e1_1h_2t <= 2" in text
-        # edge to a leaf that carries the adjacency: the constant 1 moved
-        # to the right-hand side
-        assert " c3_c_e2_1h_2t: p_n1_1h_2t + c_e2_1h_2t <= 1" in text
-        assert " c4_c_e2_1h_2t: p_n1_1h_2t - c_e2_1h_2t >= -1" in text
-        assert " c6_c_e2_1h_2t: p_n1_1h_2t + c_e2_1h_2t >= 1" in text
-
-    def test_packing_rows(self, tmp_path):
-        model = fork_model()
-        path = tmp_path / "model.lp"
-        export_lp(model, path)
-        _, rows, _ = parse_lp(path.read_text(encoding="utf-8"))
-        packing = [r for r in rows if r[0].startswith("c7_")]
-        assert len(packing) == 1
-        name, expr, sense, rhs = packing[0]
-        assert name == "c7_n0_1h"
-        assert (sense, rhs) == ("<=", 1)
-        assert eval_expr(expr, {"p_n0_1h_2t": 1, "p_n0_1h_3t": 1}) == 2
-
-    def test_rows_pin_the_change_variables(self, tmp_path):
-        rng = random.Random(71)
-        for _ in range(6):
-            tree = random_instance(rng, n_leaves=3, n_markers=3)
-            weights = random_weights(rng, tree)
-            for component in components_of(tree, weights):
-                model = build_model(component, tree, weights, "1/4")
-                path = tmp_path / "model.lp"
-                export_lp(model, path)
-                objective, rows, _ = parse_lp(path.read_text(encoding="utf-8"))
-                n = len(model.variables)
-                if n > 8:
-                    continue
-                for bits in itertools.product((0, 1), repeat=n):
-                    try:
-                        scaled = model.evaluate_vector(list(bits))
-                    except InputError:
-                        continue
-                    values = {
-                        var.name: bit
-                        for var, bit in zip(model.variables, bits)
-                    }
-                    for term in model.edge_terms:
-                        if term.parent_var is None and term.child_var is None:
-                            continue
-                        pu = (term.parent_const if term.parent_var is None
-                              else bits[term.parent_var])
-                        pv = (term.child_const if term.child_var is None
-                              else bits[term.child_var])
-                        values[term.cvar_name()] = abs(pu - pv)
-                    assert all(row_holds(row, values) for row in rows)
-                    assert eval_expr(objective, values) == scaled
-                    # flipping any single change variable must break a row
-                    for term in model.edge_terms:
-                        if term.parent_var is None and term.child_var is None:
-                            continue
-                        name = term.cvar_name()
-                        flipped = dict(values)
-                        flipped[name] = 1 - values[name]
-                        assert not all(row_holds(row, flipped) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +184,10 @@ class TestSolveBb:
         second = solve_bb(fork_model())
         assert first.assignment == second.assignment
         assert first.nodes_explored == second.nodes_explored
+
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("solve_bb changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert solve_bb(fork_model()).objective == 1

@@ -304,6 +304,7 @@ class TestOutputFiles:
         assert payload["config"]["seed"] == 9
         assert payload["config"]["weights"] == "none"
         assert "threads" not in payload["config"]
+        assert "networkx" not in payload
         blob = json.dumps(payload)
         assert "out_dir" not in blob and str(out) not in blob
 

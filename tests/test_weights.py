@@ -16,14 +16,13 @@ from oracles import (
 from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
+from scjlabel.pipeline import RunConfig, solve_instance
 from scjlabel.weights import (
     boltzmann_weight_table,
     boltzmann_weights,
     fitch_scj,
     fitch_scj_labeling,
     load_weight_table,
-    matching_kept_micro,
-    max_weight_matching_labeling,
     write_weight_table,
 )
 
@@ -158,7 +157,15 @@ class TestBoltzmann:
 # Maximum-weight matchings
 
 
+def alpha_one_labeling(tree, weights, threshold=0):
+    config = RunConfig(alpha=1, threshold_x=threshold)
+    return solve_instance(tree, weights, config).labeling
+
+
 class TestMatching:
+    """At alpha 1 only discarded weight counts, so the solver keeps a
+    maximum-weight matching of the admitted candidates at every node."""
+
     def build(self):
         tree = parse_newick("(s1,s2)anc1;")
         markers = {1, 2, 3, 4}
@@ -175,11 +182,11 @@ class TestMatching:
         weights.set(anc1, Adjacency.of("1h", "3t"), "0.9")
         weights.set(anc1, Adjacency.of("2h", "4t"), "0.3")
         weights.set(anc1, Adjacency.of("3h", "4t"), "0.35")
-        labeling = max_weight_matching_labeling(tree, weights)
+        labeling = alpha_one_labeling(tree, weights)
         assert labeling[anc1] == frozenset({
             Adjacency.of("1h", "3t"), Adjacency.of("3h", "4t"),
         })
-        assert matching_kept_micro(tree, labeling, weights) == 1_250_000
+        assert sum(weights.get_micro(anc1, a) for a in labeling[anc1]) == 1_250_000
 
     def test_threshold_excludes_weak_candidates(self):
         tree = self.build()
@@ -187,7 +194,7 @@ class TestMatching:
         weights = WeightTable()
         weights.set(anc1, Adjacency.of("1h", "2t"), "0.6")
         weights.set(anc1, Adjacency.of("1h", "3t"), "0.9")
-        labeling = max_weight_matching_labeling(tree, weights, "0.7")
+        labeling = alpha_one_labeling(tree, weights, "0.7")
         assert labeling[anc1] == frozenset({Adjacency.of("1h", "3t")})
 
     def test_kept_weight_is_maximal(self):
@@ -200,7 +207,7 @@ class TestMatching:
             union = set()
             for leaf in tree.leaves():
                 union |= tree.leaf_genomes[leaf].adjacencies
-            labeling = max_weight_matching_labeling(tree, weights)
+            labeling = alpha_one_labeling(tree, weights)
             for v in tree.internal_ids():
                 kept = sum(weights.get_micro(v, a) for a in labeling[v])
                 want = brute_max_weight_micro(
