@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, ItemsView, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -601,6 +601,10 @@ class WeightTable:
     def get(self, node_id: int, adjacency: Adjacency) -> float:
         return self.get_micro(node_id, adjacency) / MICRO
 
+    def items(self) -> ItemsView[tuple[int, Adjacency], int]:
+        """All stored entries as ((node id, adjacency), micro), unsorted."""
+        return self._micro.items()
+
     def micro_items(self) -> list[tuple[int, Adjacency, int]]:
         """All stored entries as (node id, adjacency, micro), sorted."""
         return [(v, a, w) for (v, a), w in sorted(self._micro.items())]
@@ -659,7 +663,7 @@ def labeling_objective(
     for u, v in tree.edges():
         scj += len(set(labels[u]) ^ set(labels[v]))
     discarded_micro = 0
-    for v, adjacency, micro in weights.micro_items():
+    for (v, adjacency), micro in weights.items():
         if tree.is_leaf(v):
             continue
         if adjacency not in labels[v]:

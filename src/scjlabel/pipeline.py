@@ -236,7 +236,7 @@ def solve_instance(
     annotated = {(v, a) for a, nodes in graph.edges.items() for v in nodes}
     filtered_micro = sum(
         micro
-        for v, a, micro in weights.micro_items()
+        for (v, a), micro in weights.items()
         if not tree.is_leaf(v) and (v, a) not in annotated
     )
 

@@ -20,6 +20,7 @@ from .core import (
     Phylogeny,
     WeightTable,
     check_consistency,
+    quantize_weight,
 )
 from .errors import InputError, InternalInvariantError
 from .graph import candidate_adjacencies
@@ -120,18 +121,27 @@ def boltzmann_weights(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[
     Computed in log space by an inside-outside sweep, so tiny ``kt``
     does not underflow.
     """
+    _check_boltzmann_inputs(tree, kt)
+    present = {v: adjacency in tree.leaf_genomes[v].adjacencies for v in tree.leaves()}
+    return _boltzmann_sweep(tree, present, kt)
+
+
+def _check_boltzmann_inputs(tree: Phylogeny, kt: float) -> None:
     if not (isinstance(kt, (int, float)) and kt > 0):
         raise InputError(f"kt must be a positive number, got {kt!r}")
     if not tree.leaf_genomes:
-        raise InputError("boltzmann_weights needs genomes attached to the tree")
+        raise InputError("Boltzmann weights need genomes attached to the tree")
+
+
+def _boltzmann_sweep(tree: Phylogeny, present: dict[int, bool], kt: float) -> dict[int, float]:
+    """Inside-outside sweep of ``boltzmann_weights`` for one leaf presence."""
     penalty = 1.0 / float(kt)
 
     up: dict[int, tuple[float, float]] = {}
     for v in tree.postorder():
         node = tree.nodes[v]
         if node.is_leaf:
-            present = adjacency in tree.leaf_genomes[v].adjacencies
-            up[v] = (-_INF, 0.0) if present else (0.0, -_INF)
+            up[v] = (-_INF, 0.0) if present[v] else (0.0, -_INF)
         else:
             totals = [0.0, 0.0]
             for c in node.children:
@@ -170,12 +180,21 @@ def boltzmann_weights(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[
 
 
 def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
-    """Boltzmann weights for every candidate adjacency at every internal node."""
+    """Boltzmann weights of every candidate at every internal node, one sweep per leaf pattern."""
+    _check_boltzmann_inputs(tree, kt)
     table = WeightTable()
+    leaves = tree.leaves()
+    genomes = [tree.leaf_genomes[v].adjacencies for v in leaves]
+    memo: dict[tuple[bool, ...], list[tuple[int, int]]] = {}
     candidates = sorted(next(iter(candidate_adjacencies(tree).values()), frozenset()))
     for adjacency in candidates:
-        for v, w in sorted(boltzmann_weights(tree, adjacency, kt).items()):
-            table.set(v, adjacency, w)
+        pattern = tuple(adjacency in genome for genome in genomes)
+        entries = memo.get(pattern)
+        if entries is None:
+            weights = _boltzmann_sweep(tree, dict(zip(leaves, pattern)), kt)
+            entries = memo[pattern] = [(v, quantize_weight(w)) for v, w in sorted(weights.items())]
+        for v, micro in entries:
+            table.set_micro(v, adjacency, micro)
     return table
 
 
@@ -190,6 +209,7 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
         raise InputError("load_weight_table needs genomes attached to the tree")
     universe = tree.markers
     table = WeightTable()
+    micro_of: dict[str, int] = {}  # weight text -> micro, each distinct text quantized once
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -210,17 +230,21 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
                     if x.marker not in universe:
                         raise InputError(f"unknown marker {x.marker}")
                 adjacency = Adjacency(a, b)
-                weight = Fraction(weight_text)
+                micro = micro_of.get(weight_text)
+                if micro is None:
+                    weight = Fraction(weight_text)
             except InputError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
             if (node, adjacency) in table:
                 raise InputError(f"{path}:{lineno}: duplicate weight for {name} {adjacency}")
-            try:
-                table.set(node, adjacency, weight)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+            if micro is None:
+                try:
+                    micro = micro_of[weight_text] = quantize_weight(weight)
+                except InputError as exc:
+                    raise InputError(f"{path}:{lineno}: {exc}") from None
+            table.set_micro(node, adjacency, micro)
     return table
 
 

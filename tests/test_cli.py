@@ -84,6 +84,27 @@ class TestSolve:
         assert (out / "stats.tsv").is_file()
         assert json.loads((out / "manifest.json").read_text())["tool"] == "scjlabel"
 
+    def test_no_weight_source_weighs_every_candidate_zero(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main([
+            "simulate", "--markers", "20", "--leaves", "4",
+            "--seed", "3", "--out", str(sim),
+        ]) == 0
+        out = tmp_path / "run"
+        code = main([
+            "solve", "--tree", str(sim / "tree.nwk"),
+            "--genomes", str(sim / "genomes.tsv"), "--alpha", "1", "--out", str(out),
+        ])
+        assert code == 0
+        stats = dict(
+            line[2:].split("\t", 1)
+            for line in (out / "stats.tsv").read_text(encoding="utf-8").splitlines()
+            if line.startswith("# ")
+        )
+        assert stats["objective_exact"] == "0/1"
+        assert stats["discarded_weight"] == "0.000000"
+        assert int(stats["scj_total"]) > 0
+
     def test_missing_tree_file(self, instance, tmp_path, capsys):
         _, genomes = instance
         code = main([

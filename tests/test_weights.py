@@ -13,10 +13,20 @@ from oracles import (
     random_instance,
     random_weights,
 )
-from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
+from scjlabel import weights as weights_module
+from scjlabel.core import (
+    Adjacency,
+    Genome,
+    WeightTable,
+    chromosome_adjacencies,
+    labeling_objective,
+    quantize_weight,
+)
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
+from scjlabel.graph import candidate_adjacencies
 from scjlabel.pipeline import RunConfig, solve_instance
+from scjlabel.sim import SimConfig, evolve
 from scjlabel.weights import (
     boltzmann_weight_table,
     boltzmann_weights,
@@ -151,6 +161,74 @@ class TestBoltzmann:
         for v in tree.internal_ids():
             assert (v, a) in table
             assert 0 <= table.get_micro(v, a) <= 10**6
+
+    def test_table_checks_its_inputs_before_weighing(self):
+        bare = parse_newick("(s1,s2)anc1;")
+        with pytest.raises(InputError, match="genomes"):
+            boltzmann_weight_table(bare, 0.1)
+        no_adjacencies = bare.with_genomes({
+            "s1": genome_of({1, 2}, (1,), (2,)),
+            "s2": genome_of({1, 2}, (1,), (2,)),
+        })
+        with pytest.raises(InputError, match="kt"):
+            boltzmann_weight_table(no_adjacencies, 0)
+
+
+def sorted_candidates(tree):
+    return sorted(next(iter(candidate_adjacencies(tree).values())))
+
+
+class TestBoltzmannTable:
+    def test_entries_match_the_per_adjacency_weights(self):
+        tree = evolve(SimConfig(n_markers=200, n_leaves=8, seed=0)).tree
+        kt = 0.1
+        table = boltzmann_weight_table(tree, kt)
+        candidates = sorted_candidates(tree)
+        internal = sorted(tree.internal_ids())
+        for a in candidates:
+            weights = boltzmann_weights(tree, a, kt)
+            for v in internal:
+                assert table.get_micro(v, a) == quantize_weight(weights[v])
+        assert [key for key, _ in table.items()] == [
+            (v, a) for a in candidates for v in internal
+        ]
+        keys = [(v, a) for v, a, _ in table.micro_items()]
+        assert keys == sorted(keys)
+
+    def test_sweeps_once_per_leaf_pattern(self, monkeypatch):
+        tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
+        sweep = weights_module._boltzmann_sweep
+        calls = []
+
+        def counting_sweep(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(weights_module, "_boltzmann_sweep", counting_sweep)
+        boltzmann_weight_table(tree, 0.1)
+        candidates = sorted_candidates(tree)
+        genomes = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        patterns = {tuple(a in genome for genome in genomes) for a in candidates}
+        assert len(candidates) == 420
+        assert len(calls) == len(patterns) == 27
+
+    def test_insertion_order_does_not_change_the_solution(self):
+        tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
+        forward = boltzmann_weight_table(tree, 0.1)
+        backward = WeightTable()
+        for (v, a), micro in reversed(list(forward.items())):
+            backward.set_micro(v, a, micro)
+        assert [key for key, _ in backward.items()] != [key for key, _ in forward.items()]
+        config = RunConfig(alpha="1/2", threshold_x="0.6")
+        want = solve_instance(tree, forward, config)
+        got = solve_instance(tree, backward, config)
+        assert want.filtered_weight_micro > 0
+        assert got.objective == want.objective
+        assert got.filtered_weight_micro == want.filtered_weight_micro
+        assert got.labeling == want.labeling
+        assert labeling_objective(tree, want.labeling, backward, config.alpha) == (
+            labeling_objective(tree, want.labeling, forward, config.alpha)
+        )
 
 
 # ---------------------------------------------------------------------------
