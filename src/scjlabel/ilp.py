@@ -9,9 +9,11 @@ Per-extremity packing groups keep every node's choice a matching, so
 the feasible points are exactly the consistent labelings.
 
 Branch and bound works on the presence variables only (change values
-follow from them), absence branch first, with conflicting variables
-fixed eagerly; its bound drops the matching constraints and solves one
-exact presence problem per adjacency on the tree.
+follow from them).  Its bound drops the matching constraints and solves
+one exact presence problem per adjacency on the tree.  The search
+branches only inside packing groups that can still be violated,
+absence branch first, with conflicting variables fixed eagerly; where
+no group can be, the bound is exact.
 """
 
 from __future__ import annotations
@@ -251,18 +253,27 @@ def _repair_conflicts(
 def solve_bb(model: IlpModel) -> BbSolution:
     """Exact minimization by depth-first branch and bound.
 
-    Variables are branched in model order (shallow nodes first), the
-    absence branch before the presence branch; fixing a presence
-    eagerly zeroes everything it conflicts with.
-
     The admissible bound relaxes the one-adjacency-per-extremity
     constraints, under which the component splits into one independent
     presence/absence problem per adjacency; each is solved exactly on
     the tree by a two-state scan that honors the variables fixed so
-    far.  Fixing a variable therefore re-solves only its own adjacency,
-    and once every variable is fixed the bound equals the objective
-    itself.  The incumbent starts from the better of the all-absent
-    assignment and a conflict-repaired copy of the relaxed optimum.
+    far.  Fixing a variable therefore re-solves only its own adjacency.
+
+    A packing group is open while two or more of its variables are not
+    fixed absent.  Each visit branches on the first unfixed variable of
+    the first open group, in ``packing_groups`` order, the absence
+    branch before the presence branch; fixing a presence eagerly zeroes
+    everything it conflicts with.  A visit with no open group is a leaf:
+    every completion of its unfixed variables is feasible, so the bound
+    is its exact value, reached by setting each unfixed variable to its
+    adjacency's relaxed arg-min state (absence on ties).
+
+    The incumbent starts from the better of the all-absent assignment
+    and a conflict-repaired copy of the relaxed optimum, all-absent on a
+    tie, and a leaf replaces it only when strictly better.  Among
+    co-optimal labelings the result is therefore the first one this
+    search order reaches, which is deterministic but need not be the
+    first in model order.
     """
     n = len(model.variables)
     # Two adjacencies at one node share at most one extremity, so every
@@ -392,11 +403,27 @@ def solve_bb(model: IlpModel) -> BbSolution:
                 future += previous - bounds[ai]
                 bounds[ai] = previous
 
-    relaxed = [0] * n
-    for ai in range(len(adjacencies)):
-        for j, s in relaxed_states(ai).items():
-            relaxed[j] = s
-    repaired = _repair_conflicts(model, conflicts, relaxed)
+    def relaxed_completion() -> list[int]:
+        """The fixed values, with every unfixed variable set to its
+        adjacency's relaxed arg-min state."""
+        vector = list(assignment)
+        for ai in range(len(adjacencies)):
+            for j, s in relaxed_states(ai).items():
+                if vector[j] == -1:
+                    vector[j] = s
+        return vector
+
+    def open_variable() -> int | None:
+        """First unfixed variable of the first packing group with two or
+        more variables not fixed absent; None when no group is open."""
+        for group in model.packing_groups:
+            live = [j for j in group if assignment[j] != 0]
+            if len(live) >= 2:
+                # A present variable has zeroed the rest of its group.
+                return live[0]
+        return None
+
+    repaired = _repair_conflicts(model, conflicts, relaxed_completion())
     best_vector = [0] * n
     best = model.evaluate_vector(best_vector)
     repaired_value = model.evaluate_vector(repaired)
@@ -404,36 +431,36 @@ def solve_bb(model: IlpModel) -> BbSolution:
         best, best_vector = repaired_value, repaired
     explored = 0
 
-    # Depth-first search over an explicit stack of ("visit", cursor),
-    # ("branch", cursor, value) and ("undo", trail) entries.  A visit
-    # pushes its presence branch under its absence branch, and a settled
-    # branch pushes its undo under the visit of the next cursor, so the
-    # visiting order is that of the plain recursive search.
-    stack: list[tuple] = [("visit", 0)]
+    # Depth-first search over an explicit stack of ("visit",),
+    # ("branch", j, value) and ("undo", trail) entries.  A visit pushes
+    # its presence branch under its absence branch, and a settled branch
+    # pushes its undo under the next visit, so the visiting order is
+    # that of the plain recursive search.
+    stack: list[tuple] = [("visit",)]
     while stack:
         entry = stack.pop()
         if entry[0] == "undo":
             _undo(entry[1])
             continue
         if entry[0] == "branch":
-            _, cursor, value = entry
-            trail = settle(cursor, value)
+            _, j, value = entry
+            trail = settle(j, value)
             if trail is not None:
                 stack.append(("undo", trail))
-                stack.append(("visit", cursor + 1))
+                stack.append(("visit",))
             continue
-        cursor = entry[1]
         explored += 1
         if future >= best:
             continue
-        while cursor < n and assignment[cursor] != -1:
-            cursor += 1
-        if cursor == n:
+        j = open_variable()
+        if j is None:
+            # No group is open, so every completion is feasible and the
+            # relaxed optimum of each adjacency is exact.
             best = future
-            best_vector = list(assignment)
+            best_vector = relaxed_completion()
             continue
-        stack.append(("branch", cursor, 1))
-        stack.append(("branch", cursor, 0))
+        stack.append(("branch", j, 1))
+        stack.append(("branch", j, 0))
 
     scaled = model.evaluate_vector(best_vector)
     if scaled != best:

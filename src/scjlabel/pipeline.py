@@ -99,6 +99,7 @@ class ComponentReport:
     scj_changes: int
     discarded_micro: int
     cooptimal_count: int | None
+    bb_nodes: int | None  # branch-and-bound visits; None on the dp route
     seconds: float  # wall clock; kept out of all written outputs
 
 
@@ -137,6 +138,7 @@ class _ComponentOutcome:
     scj_changes: int
     discarded_micro: int
     cooptimal_count: int | None
+    bb_nodes: int | None
     solver: str
     seconds: float
     sample_labels: tuple[Labeling, ...] = ()
@@ -176,6 +178,7 @@ def _solve_one(
             scj_changes=solution.scj_changes,
             discarded_micro=solution.discarded_micro,
             cooptimal_count=solution.cooptimal_count,
+            bb_nodes=None,
             solver="dp",
             seconds=time.perf_counter() - started,
             sample_labels=samples,
@@ -193,6 +196,7 @@ def _solve_one(
         scj_changes=solution.scj_changes,
         discarded_micro=solution.discarded_micro,
         cooptimal_count=None,
+        bb_nodes=solution.nodes_explored,
         solver="ilp",
         seconds=time.perf_counter() - started,
         sample_labels=(),
@@ -308,6 +312,7 @@ def solve_instance(
                 scj_changes=outcome.scj_changes,
                 discarded_micro=outcome.discarded_micro,
                 cooptimal_count=outcome.cooptimal_count,
+                bb_nodes=outcome.bb_nodes,
                 seconds=outcome.seconds,
             )
             for i, (component, outcome) in enumerate(zip(components, outcomes))

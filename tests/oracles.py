@@ -126,6 +126,68 @@ def brute_component_optimum(
 
 
 # ---------------------------------------------------------------------------
+# Component optimum by an outside MILP solver
+
+
+def milp_optimum(model) -> int:
+    """Scaled optimum of an ``IlpModel`` as HiGHS finds it.
+
+    The program is rebuilt here from the model's variables, change terms
+    and packing groups: one binary per presence, one continuous change
+    variable per term with two rows ``c >= +-(parent - child)``, and one
+    row per packing group.  HiGHS's vector is rounded and re-evaluated
+    exactly by ``model.evaluate_vector``, so its floats only pick the
+    point.
+    """
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    n = len(model.variables)
+    cost = [-model.weight_unit * var.weight_micro for var in model.variables]
+    rows, cols, vals, lower, upper = [], [], [], [], []
+
+    def row(terms, lo, hi):
+        for j, value in terms:
+            rows.append(len(lower))
+            cols.append(j)
+            vals.append(value)
+        lower.append(lo)
+        upper.append(hi)
+
+    for term in model.edge_terms:
+        c = len(cost)
+        cost.append(model.change_unit)
+        # parent - child = sum(linear) + constant
+        linear, constant = [], 0
+        if term.parent_var is None:
+            constant += term.parent_const
+        else:
+            linear.append((term.parent_var, 1))
+        if term.child_var is None:
+            constant -= term.child_const
+        else:
+            linear.append((term.child_var, -1))
+        row([(c, 1)] + [(j, -s) for j, s in linear], constant, np.inf)
+        row([(c, 1)] + linear, -constant, np.inf)
+    for group in model.packing_groups:
+        row([(j, 1) for j in group], -np.inf, 1)
+
+    matrix = coo_matrix(
+        (vals, (rows, cols)), shape=(len(lower), len(cost))
+    ).tocsr()
+    result = milp(
+        np.array(cost, dtype=float),
+        integrality=np.array([1] * n + [0] * (len(cost) - n)),
+        bounds=(0, 1),
+        constraints=LinearConstraint(matrix, lower, upper),
+        options={"mip_rel_gap": 0},
+    )
+    assert result.status == 0, f"HiGHS proved no optimum: {result.message}"
+    return model.evaluate_vector([int(round(x)) for x in result.x[:n]])
+
+
+# ---------------------------------------------------------------------------
 # Whole-instance objective by full enumeration
 
 

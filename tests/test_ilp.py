@@ -12,16 +12,26 @@ import pytest
 from oracles import (
     component_profile,
     joint_assignment_count,
+    milp_optimum,
     profile_optimum,
     random_instance,
     random_weights,
 )
-from scjlabel.core import MICRO, Adjacency, Genome, WeightTable, chromosome_adjacencies
-from scjlabel.dp import evaluate_component_labeling, solve_component
+from scjlabel.core import (
+    MICRO,
+    Adjacency,
+    Genome,
+    WeightTable,
+    chromosome_adjacencies,
+    objective_units,
+)
+from scjlabel.dp import DEFAULT_EXPLOSION_CAP, evaluate_component_labeling, solve_component
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel.ilp import build_model, solve_bb
+from scjlabel.sim import SimConfig, evolve
+from scjlabel.weights import boltzmann_weight_table
 
 
 def genome_of(markers, *chromosomes):
@@ -37,6 +47,14 @@ def components_of(tree, weights=None, threshold=0):
         tree, candidate_adjacencies(tree), weights, threshold
     )
     return connected_components(graph)
+
+
+def simulated_instance(n_markers, n_leaves, seed):
+    """Tree and Boltzmann weights of a fast-evolving simulated instance."""
+    tree = evolve(SimConfig(
+        n_markers=n_markers, n_leaves=n_leaves, diameter_factor=0.5, seed=seed
+    )).tree
+    return tree, boltzmann_weight_table(tree, 0.1)
 
 
 def three_leaf_model(alpha="1/2"):
@@ -191,3 +209,37 @@ class TestSolveBb:
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert solve_bb(fork_model()).objective == 1
+
+    def test_branches_only_where_a_packing_group_is_open(self):
+        # Its largest component has 617 presences, 40 of them in packing
+        # groups; branching on every presence explored 236,239 nodes.
+        tree, weights = simulated_instance(200, 12, seed=1)
+        model = max(
+            (build_model(c, tree, weights, "1/2")
+             for c in components_of(tree, weights, "1/3")),
+            key=lambda m: len(m.variables),
+        )
+        assert len(model.variables) == 617
+        solution = solve_bb(model)
+        assert solution.nodes_explored <= 10_000
+        scj, discarded = evaluate_component_labeling(
+            model.component, tree, weights, solution.node_labels
+        )
+        assert solution.objective_scaled == objective_units("1/2").scaled(
+            scj, discarded
+        )
+
+    def test_matches_an_outside_milp_solver(self):
+        pytest.importorskip("scipy")
+        checked = 0
+        for size in ((80, 10, 3), (200, 12, 1)):
+            tree, weights = simulated_instance(*size)
+            for threshold in ("0.2", "1/3", "1/2"):
+                for component in components_of(tree, weights, threshold):
+                    if component.label_space_bound ** 2 <= DEFAULT_EXPLOSION_CAP:
+                        continue  # the pipeline sends it to the DP
+                    for alpha in ("0", "1/2", "3/4"):
+                        model = build_model(component, tree, weights, alpha)
+                        assert solve_bb(model).objective_scaled == milp_optimum(model)
+                        checked += 1
+        assert checked == 3 * 3 * (6 + 7)

@@ -135,10 +135,12 @@ class TestSolveInstance:
         tree = two_component_instance()
         auto = solve_instance(tree, WeightTable(), RunConfig())
         assert [c.solver for c in auto.components] == ["dp", "dp"]
+        assert [c.bb_nodes for c in auto.components] == [None, None]
         forced = solve_instance(
             tree, WeightTable(), RunConfig(solver="ilp")
         )
         assert [c.solver for c in forced.components] == ["ilp", "ilp"]
+        assert all(c.bb_nodes >= 1 for c in forced.components)
         assert forced.cooptimal_count is None
         assert forced.objective == auto.objective
         squeezed = solve_instance(
