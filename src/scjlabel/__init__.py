@@ -55,7 +55,7 @@ from .dp import (
     sample_component,
     solve_component,
 )
-from .ilp import BbSolution, IlpModel, build_model, solve_bb
+from .ilp import IlpModel, build_model, solve_bb
 from .sim import Metrics, SimConfig, SimResult, evolve, score_labelings, simulate_tree
 from .formats import (
     parse_genomes,
@@ -70,7 +70,6 @@ from .pipeline import RunConfig, SolveReport, run_solve, solve_instance
 
 __all__ = [
     "Adjacency",
-    "BbSolution",
     "CapacityExceeded",
     "Car",
     "Component",

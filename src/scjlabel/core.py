@@ -223,9 +223,6 @@ class Genome:
     def empty(cls, markers: Iterable[int]) -> "Genome":
         return cls(frozenset(), frozenset(markers))
 
-    def cars(self) -> "list[Car]":
-        return extract_cars(self.adjacencies, self.markers)
-
 
 def _orient_key(seq: Iterable[int]) -> tuple[tuple[int, int], ...]:
     # positive orientation of a marker sorts before negative

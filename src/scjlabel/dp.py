@@ -28,7 +28,11 @@ DEFAULT_EXPLOSION_CAP = 10**7
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    """One optimal (or sampled co-optimal) labeling of a component."""
+    """One optimal (or sampled co-optimal) labeling of a component.
+
+    Both exact routes return it: the DP fills ``cooptimal_count`` and
+    leaves ``nodes_explored`` None, branch and bound does the reverse.
+    """
 
     node_labels: dict[int, frozenset[Adjacency]]
     objective: Fraction
@@ -36,10 +40,8 @@ class ComponentSolution:
     scale: int
     scj_changes: int
     discarded_micro: int
-    cooptimal_count: int
-    solver: str = "dp"
-    sample_index: int | None = None
-    seed: int | None = None
+    cooptimal_count: int | None
+    nodes_explored: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +227,6 @@ def _finish_solution(
     table: DpTable,
     chosen_mask: dict[int, int],
     cooptimal_count: int,
-    *,
-    sample_index: int | None = None,
-    seed: int | None = None,
 ) -> ComponentSolution:
     tree = table.tree
     edges = table.edge_order
@@ -250,8 +249,7 @@ def _finish_solution(
         scj_changes=scj,
         discarded_micro=discarded,
         cooptimal_count=cooptimal_count,
-        sample_index=sample_index,
-        seed=seed,
+        nodes_explored=None,
     )
 
 
@@ -267,17 +265,9 @@ def count_cooptimal(table: DpTable) -> int:
 
 
 def sample_component(
-    component: Component,
-    tree: Phylogeny,
-    weights: WeightTable,
-    alpha: object,
-    n_samples: int,
-    seed: int,
-    *,
-    table: DpTable | None = None,
-    explosion_cap: int = DEFAULT_EXPLOSION_CAP,
+    table: DpTable, n_samples: int, seed: int
 ) -> list[ComponentSolution]:
-    """Draw labelings uniformly from the component's co-optimal set.
+    """Draw labelings uniformly from the co-optimal set of a solved component.
 
     Sampling is top-down: the root label is drawn with probability
     proportional to its subtree co-optimum count, then each child's
@@ -286,10 +276,6 @@ def sample_component(
     """
     if n_samples < 0:
         raise InputError(f"n_samples must be non-negative, got {n_samples}")
-    if table is None:
-        _, table = solve_component(
-            component, tree, weights, alpha, explosion_cap=explosion_cap
-        )
     rng = random.Random(seed)
     count = table.count
 
@@ -298,10 +284,8 @@ def sample_component(
 
     cooptimal = count_cooptimal(table)
     return [
-        _finish_solution(
-            table, _walk_down(table, draw), cooptimal, sample_index=s, seed=seed
-        )
-        for s in range(n_samples)
+        _finish_solution(table, _walk_down(table, draw), cooptimal)
+        for _ in range(n_samples)
     ]
 
 

@@ -24,19 +24,18 @@ def threshold_cutoff(threshold_x: object) -> int:
     return -((-x.numerator * MICRO) // x.denominator)
 
 
-def candidate_adjacencies(tree: Phylogeny) -> dict[int, frozenset[Adjacency]]:
-    """Candidate set per internal node: adjacencies seen in any leaf.
+def candidate_adjacencies(tree: Phylogeny) -> frozenset[Adjacency]:
+    """The candidates every internal node shares: adjacencies seen in any leaf.
 
-    Every internal node shares the same candidate set; ancestral labels
-    never invent adjacencies absent from all extant genomes.
+    Ancestral labels never invent adjacencies absent from all extant
+    genomes.
     """
     if not tree.leaf_genomes:
         raise InputError("cannot derive candidates: tree has no genomes attached")
     union: set[Adjacency] = set()
     for leaf in tree.leaves():
         union |= tree.leaf_genomes[leaf].adjacencies
-    candidates = frozenset(union)
-    return {v: candidates for v in tree.internal_ids()}
+    return frozenset(union)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +57,7 @@ class GlobalAdjacencyGraph:
 
 def build_global_graph(
     tree: Phylogeny,
-    candidates: Mapping[int, frozenset[Adjacency]],
+    candidates: frozenset[Adjacency],
     weights: WeightTable,
     threshold_x: object = 0,
 ) -> GlobalAdjacencyGraph:
@@ -69,15 +68,11 @@ def build_global_graph(
     Candidates below the threshold everywhere are dropped entirely.
     """
     cutoff = threshold_cutoff(threshold_x)
+    internal = tree.internal_ids()
     edges: dict[Adjacency, frozenset[int]] = {}
-    all_candidates = set()
-    for per_node in candidates.values():
-        all_candidates |= per_node
-    for adjacency in sorted(all_candidates):
+    for adjacency in sorted(candidates):
         annotated = frozenset(
-            v
-            for v in candidates
-            if adjacency in candidates[v] and weights.get_micro(v, adjacency) >= cutoff
+            v for v in internal if weights.get_micro(v, adjacency) >= cutoff
         )
         if annotated:
             edges[adjacency] = annotated

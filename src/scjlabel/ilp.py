@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import InputError, InternalInvariantError
 from .graph import Component
-from .dp import evaluate_component_labeling
+from .dp import ComponentSolution, evaluate_component_labeling
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,6 @@ class IlpModel:
             if value:
                 labels[var.node_id].add(var.adjacency)
         return {v: frozenset(s) for v, s in labels.items()}
-
-
-@dataclass(frozen=True)
-class BbSolution:
-    """Outcome of the branch-and-bound search on one model."""
-
-    assignment: dict[str, int]
-    node_labels: dict[int, frozenset[Adjacency]]
-    objective: Fraction
-    objective_scaled: int
-    scale: int
-    scj_changes: int
-    discarded_micro: int
-    nodes_explored: int
 
 
 def _var_name(node_id: int, adjacency: Adjacency) -> str:
@@ -250,7 +236,7 @@ def _repair_conflicts(
     return chosen
 
 
-def solve_bb(model: IlpModel) -> BbSolution:
+def solve_bb(model: IlpModel) -> ComponentSolution:
     """Exact minimization by depth-first branch and bound.
 
     The admissible bound relaxes the one-adjacency-per-extremity
@@ -476,13 +462,13 @@ def solve_bb(model: IlpModel) -> BbSolution:
         raise InternalInvariantError(
             f"labeling re-evaluates to {check}, search found {scaled}"
         )
-    return BbSolution(
-        assignment={var.name: best_vector[i] for i, var in enumerate(model.variables)},
+    return ComponentSolution(
         node_labels=labels,
         objective=Fraction(scaled, model.scale),
         objective_scaled=scaled,
         scale=model.scale,
         scj_changes=scj,
         discarded_micro=discarded,
+        cooptimal_count=None,
         nodes_explored=explored,
     )

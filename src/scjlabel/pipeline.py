@@ -34,7 +34,12 @@ from .core import (
     labeling_objective,
     objective_units,
 )
-from .dp import DEFAULT_EXPLOSION_CAP, sample_component, solve_component
+from .dp import (
+    DEFAULT_EXPLOSION_CAP,
+    ComponentSolution,
+    sample_component,
+    solve_component,
+)
 from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .formats import parse_genomes, parse_tree, write_labeling
 from .graph import Component, build_global_graph, candidate_adjacencies, connected_components
@@ -131,26 +136,14 @@ class SolveReport:
         return Fraction(self.discarded_micro, MICRO)
 
 
-@dataclass(frozen=True)
-class _ComponentOutcome:
-    labels: Labeling
-    objective_scaled: int
-    scj_changes: int
-    discarded_micro: int
-    cooptimal_count: int | None
-    bb_nodes: int | None
-    solver: str
-    seconds: float
-    sample_labels: tuple[Labeling, ...] = ()
-
-
 def _solve_one(
     component: Component,
     tree: Phylogeny,
     weights: WeightTable,
     config: RunConfig,
     index: int,
-) -> _ComponentOutcome:
+) -> tuple[str, ComponentSolution, tuple[Labeling, ...], float]:
+    """Route, solution, sample labelings and wall-clock seconds of one component."""
     bound = component.label_space_bound
     use_dp = config.solver == "dp" or (
         config.solver == "auto" and bound * bound <= config.explosion_cap
@@ -163,44 +156,17 @@ def _solve_one(
         samples = ()
         if config.n_samples > 0:
             drawn = sample_component(
-                component,
-                tree,
-                weights,
-                config.alpha,
-                config.n_samples,
-                derive_seed(config.seed, "component", index),
-                table=table,
+                table, config.n_samples, derive_seed(config.seed, "component", index)
             )
             samples = tuple(s.node_labels for s in drawn)
-        return _ComponentOutcome(
-            labels=solution.node_labels,
-            objective_scaled=solution.objective_scaled,
-            scj_changes=solution.scj_changes,
-            discarded_micro=solution.discarded_micro,
-            cooptimal_count=solution.cooptimal_count,
-            bb_nodes=None,
-            solver="dp",
-            seconds=time.perf_counter() - started,
-            sample_labels=samples,
-        )
+        return "dp", solution, samples, time.perf_counter() - started
     if config.n_samples > 0:
         raise CapacityExceeded(
             f"component {index} needs the ilp route (label bound {bound}),"
             " which cannot sample; raise --cap or drop --samples"
         )
-    model = build_model(component, tree, weights, config.alpha)
-    solution = solve_bb(model)
-    return _ComponentOutcome(
-        labels=solution.node_labels,
-        objective_scaled=solution.objective_scaled,
-        scj_changes=solution.scj_changes,
-        discarded_micro=solution.discarded_micro,
-        cooptimal_count=None,
-        bb_nodes=solution.nodes_explored,
-        solver="ilp",
-        seconds=time.perf_counter() - started,
-        sample_labels=(),
-    )
+    solution = solve_bb(build_model(component, tree, weights, config.alpha))
+    return "ilp", solution, (), time.perf_counter() - started
 
 
 def solve_instance(
@@ -226,16 +192,20 @@ def solve_instance(
             ]
             outcomes = [f.result() for f in futures]
 
+    solutions = [solution for _, solution, _, _ in outcomes]
     internal = tree.internal_ids()
     labeling: Labeling = {v: frozenset() for v in internal}
-    for outcome in outcomes:
-        for v, label in outcome.labels.items():
+    for solution in solutions:
+        for v, label in solution.node_labels.items():
             labeling[v] = labeling[v] | label
 
     alpha = config.alpha
     edge_set = set(graph.edges)
+    # Each leaf adjacency outside the graph is absent at the leaf's parent.
     unsupported = sum(
-        len(tree.leaf_genomes[v].adjacencies - edge_set) for v in tree.leaves()
+        len(tree.leaf_genomes[v].adjacencies - edge_set)
+        for _, v in tree.edges()
+        if tree.is_leaf(v)
     )
     annotated = {(v, a) for a, nodes in graph.edges.items() for v in nodes}
     filtered_micro = sum(
@@ -245,7 +215,7 @@ def solve_instance(
     )
 
     units = objective_units(alpha)
-    scaled_sum = sum(o.objective_scaled for o in outcomes)
+    scaled_sum = sum(sol.objective_scaled for sol in solutions)
     total = Fraction(
         scaled_sum + units.scaled(unsupported, filtered_micro), units.scale
     )
@@ -256,13 +226,12 @@ def solve_instance(
             f"{direct.total}"
         )
 
-    counts = [o.cooptimal_count for o in outcomes]
     cooptimal: int | None = 1
-    for c in counts:
-        if c is None:
+    for solution in solutions:
+        if solution.cooptimal_count is None:
             cooptimal = None
             break
-        cooptimal *= c
+        cooptimal *= solution.cooptimal_count
 
     samples: tuple[Labeling, ...] = ()
     frequencies: dict[tuple[int, Adjacency], Fraction] = {}
@@ -270,8 +239,8 @@ def solve_instance(
         assembled = []
         for s in range(config.n_samples):
             merged: Labeling = {v: frozenset() for v in internal}
-            for outcome in outcomes:
-                for v, label in outcome.sample_labels[s].items():
+            for _, _, sample_labels, _ in outcomes:
+                for v, label in sample_labels[s].items():
                     merged[v] = merged[v] | label
             assembled.append(merged)
         samples = tuple(assembled)
@@ -296,7 +265,7 @@ def solve_instance(
         max_degree=max((c.max_degree for c in components), default=0),
         objective=direct.total,
         scj_total=direct.scj_changes,
-        discarded_micro=sum(o.discarded_micro for o in outcomes) + filtered_micro,
+        discarded_micro=sum(sol.discarded_micro for sol in solutions) + filtered_micro,
         cooptimal_count=cooptimal,
         unsupported_leaf_scj=unsupported,
         filtered_weight_micro=filtered_micro,
@@ -307,15 +276,17 @@ def solve_instance(
                 n_extremities=component.n_extremities,
                 max_degree=component.max_degree,
                 label_space_bound=component.label_space_bound,
-                solver=outcome.solver,
-                objective_scaled=outcome.objective_scaled,
-                scj_changes=outcome.scj_changes,
-                discarded_micro=outcome.discarded_micro,
-                cooptimal_count=outcome.cooptimal_count,
-                bb_nodes=outcome.bb_nodes,
-                seconds=outcome.seconds,
+                solver=route,
+                objective_scaled=solution.objective_scaled,
+                scj_changes=solution.scj_changes,
+                discarded_micro=solution.discarded_micro,
+                cooptimal_count=solution.cooptimal_count,
+                bb_nodes=solution.nodes_explored,
+                seconds=seconds,
             )
-            for i, (component, outcome) in enumerate(zip(components, outcomes))
+            for i, (component, (route, solution, _, seconds)) in enumerate(
+                zip(components, outcomes)
+            )
         ),
         labeling=labeling,
         samples=samples,

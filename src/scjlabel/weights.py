@@ -83,7 +83,7 @@ def fitch_scj_labeling(tree: Phylogeny) -> tuple[dict[int, frozenset[Adjacency]]
     """
     labeling: dict[int, set[Adjacency]] = {v: set() for v in tree.internal_ids()}
     total = 0
-    candidates = sorted(next(iter(candidate_adjacencies(tree).values()), frozenset()))
+    candidates = sorted(candidate_adjacencies(tree))
     for adjacency in candidates:
         history = fitch_scj(tree, adjacency)
         total += history.changes
@@ -186,7 +186,7 @@ def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
     leaves = tree.leaves()
     genomes = [tree.leaf_genomes[v].adjacencies for v in leaves]
     memo: dict[tuple[bool, ...], list[tuple[int, int]]] = {}
-    candidates = sorted(next(iter(candidate_adjacencies(tree).values()), frozenset()))
+    candidates = sorted(candidate_adjacencies(tree))
     for adjacency in candidates:
         pattern = tuple(adjacency in genome for genome in genomes)
         entries = memo.get(pattern)

@@ -149,6 +149,8 @@ class TestSolveComponent:
             anc1: frozenset({a}), anc2: frozenset({a}),
         }
         assert count_cooptimal(table) == 1
+        assert solution.cooptimal_count == 1
+        assert solution.nodes_explored is None
         assert solution.objective_scaled == 10**6
         assert solution.scale == 2 * 10**6
 
@@ -222,6 +224,12 @@ def cherry_gadget():
     })
 
 
+def solved_table(tree):
+    """DP table of the single component of a zero-weight gadget."""
+    component = components_of(tree)[0]
+    return solve_component(component, tree, WeightTable(), "1/2")[1]
+
+
 def fork_gadget():
     """Two candidates sharing an extremity: three co-optimal labels."""
     tree = parse_newick("(s1,s2)anc1;")
@@ -257,9 +265,7 @@ class TestCountingAndSampling:
                 solution, table = solve_component(
                     component, tree, weights, "1/2"
                 )
-                for sample in sample_component(
-                    component, tree, weights, "1/2", 10, seed=3, table=table
-                ):
+                for sample in sample_component(table, 10, seed=3):
                     scj, discarded = evaluate_component_labeling(
                         component, tree, weights, sample.node_labels
                     )
@@ -268,12 +274,9 @@ class TestCountingAndSampling:
 
     def test_sampling_is_fair_on_the_fork(self):
         tree = fork_gadget()
-        component = components_of(tree)[0]
         anc1 = tree.id_of("anc1")
         n = 3000
-        samples = sample_component(
-            component, tree, WeightTable(), "1/2", n, seed=11
-        )
+        samples = sample_component(solved_table(tree), n, seed=11)
         tallies: dict[frozenset, int] = {}
         for sample in samples:
             key = sample.node_labels[anc1]
@@ -283,25 +286,37 @@ class TestCountingAndSampling:
             assert abs(count / n - 1 / 3) < 0.05
 
     def test_same_seed_same_samples(self):
-        tree = fork_gadget()
-        component = components_of(tree)[0]
-        first = sample_component(component, tree, WeightTable(), "1/2", 20, seed=9)
-        second = sample_component(component, tree, WeightTable(), "1/2", 20, seed=9)
+        table = solved_table(fork_gadget())
+        first = sample_component(table, 20, seed=9)
+        second = sample_component(table, 20, seed=9)
         assert [s.node_labels for s in first] == [s.node_labels for s in second]
-        other = sample_component(component, tree, WeightTable(), "1/2", 20, seed=10)
+        other = sample_component(table, 20, seed=10)
         assert [s.node_labels for s in first] != [s.node_labels for s in other]
 
+    def test_draw_order_is_pinned(self):
+        # Recorded from the sampler; any change to the order or number
+        # of RNG draws changes this sequence.
+        tree = fork_gadget()
+        anc1 = tree.id_of("anc1")
+        none = frozenset()
+        a = frozenset({Adjacency.of("1h", "2t")})
+        b = frozenset({Adjacency.of("1h", "3t")})
+        want = [
+            a, b, a, a, none, none, b, none, a, b,
+            a, b, none, a, b, b, b, none, b, a,
+        ]
+        samples = sample_component(solved_table(tree), 20, seed=9)
+        assert [s.node_labels[anc1] for s in samples] == want
+
     def test_sample_bookkeeping(self):
-        tree = cherry_gadget()
-        component = components_of(tree)[0]
-        samples = sample_component(component, tree, WeightTable(), "1/2", 5, seed=1)
-        assert [s.sample_index for s in samples] == list(range(5))
-        assert all(s.seed == 1 for s in samples)
-        assert sample_component(
-            component, tree, WeightTable(), "1/2", 0, seed=1
-        ) == []
+        table = solved_table(cherry_gadget())
+        samples = sample_component(table, 5, seed=1)
+        assert len(samples) == 5
+        assert all(s.cooptimal_count == 2 for s in samples)
+        assert all(s.nodes_explored is None for s in samples)
+        assert sample_component(table, 0, seed=1) == []
         with pytest.raises(InputError):
-            sample_component(component, tree, WeightTable(), "1/2", -1, seed=1)
+            sample_component(table, -1, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from scjlabel.graph import (
     connected_components,
     threshold_cutoff,
 )
+from scjlabel.weights import boltzmann_weight_table, fitch_scj_labeling
 
 
 def genome_of(markers, *chromosomes):
@@ -83,18 +84,30 @@ class TestThreshold:
 class TestCandidates:
     def test_every_internal_node_sees_the_leaf_union(self):
         tree = random_instance(random.Random(1), n_leaves=4, n_markers=4)
-        candidates = candidate_adjacencies(tree)
         union = set()
         for leaf in tree.leaves():
             union |= tree.leaf_genomes[leaf].adjacencies
-        assert set(candidates) == set(tree.internal_ids())
-        for per_node in candidates.values():
-            assert per_node == frozenset(union)
+        assert candidate_adjacencies(tree) == frozenset(union)
+        graph = build_global_graph(
+            tree, candidate_adjacencies(tree), WeightTable(), 0
+        )
+        assert set(graph.edges) == union
+        internal = frozenset(tree.internal_ids())
+        assert all(nodes == internal for nodes in graph.edges.values())
 
     def test_genomes_are_required(self):
         tree = parse_newick("(s1,s2)anc1;")
         with pytest.raises(InputError):
             candidate_adjacencies(tree)
+
+    def test_a_tree_without_internal_nodes(self):
+        tree = parse_newick("s1;").with_genomes({"s1": genome_of({1, 2, 3}, (1, 2, 3))})
+        candidates = candidate_adjacencies(tree)
+        assert candidates == tree.leaf_genomes[tree.root].adjacencies
+        assert len(candidates) == 2
+        assert build_global_graph(tree, candidates, WeightTable(), 0).edges == {}
+        assert len(boltzmann_weight_table(tree, 0.1)) == 0
+        assert fitch_scj_labeling(tree) == ({}, 0)
 
 
 class TestGlobalGraph:

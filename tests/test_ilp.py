@@ -25,7 +25,12 @@ from scjlabel.core import (
     chromosome_adjacencies,
     objective_units,
 )
-from scjlabel.dp import DEFAULT_EXPLOSION_CAP, evaluate_component_labeling, solve_component
+from scjlabel.dp import (
+    DEFAULT_EXPLOSION_CAP,
+    ComponentSolution,
+    evaluate_component_labeling,
+    solve_component,
+)
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
@@ -157,12 +162,27 @@ class TestEvaluate:
 
 class TestSolveBb:
     def test_hand_instance(self):
-        solution = solve_bb(three_leaf_model())
+        model = three_leaf_model()
+        solution = solve_bb(model)
         assert solution.objective == Fraction(1, 2)
         assert solution.scj_changes == 1
         assert solution.discarded_micro == 0
-        assert solution.assignment == {"p_n0_1h_2t": 1, "p_n1_1h_2t": 1}
+        a = frozenset({Adjacency.of("1h", "2t")})
+        tree = model.tree
+        assert solution.node_labels == {tree.id_of("anc1"): a, tree.id_of("anc2"): a}
         assert solution.nodes_explored >= 1
+
+    def test_returns_the_dp_result_type(self):
+        model = three_leaf_model()
+        bb = solve_bb(model)
+        dp, _ = solve_component(model.component, model.tree, model.weights, "1/2")
+        assert type(bb) is type(dp) is ComponentSolution
+        assert bb.cooptimal_count is None
+        assert bb.nodes_explored >= 1
+        assert dp.cooptimal_count == 1
+        assert dp.nodes_explored is None
+        assert bb.node_labels == dp.node_labels
+        assert bb.objective_scaled == dp.objective_scaled
 
     def test_matches_full_enumeration(self):
         rng = random.Random(73)
@@ -200,7 +220,7 @@ class TestSolveBb:
     def test_deterministic_outcome(self):
         first = solve_bb(fork_model())
         second = solve_bb(fork_model())
-        assert first.assignment == second.assignment
+        assert first.node_labels == second.node_labels
         assert first.nodes_explored == second.nodes_explored
 
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from scjlabel.core import Genome, WeightTable, chromosome_adjacencies, labeling_
 from scjlabel.errors import CapacityExceeded, InputError
 from scjlabel.formats import parse_labeling, parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
+from scjlabel import pipeline
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance, write_outputs
 
 
@@ -131,6 +134,15 @@ class TestSolveInstance:
         with pytest.raises(InputError, match="no genomes"):
             solve_instance(tree, WeightTable(), RunConfig())
 
+    def test_a_tree_without_internal_nodes(self):
+        # A lone leaf has no tree edge, so its adjacencies cost nothing.
+        tree = parse_newick("s1;").with_genomes({"s1": genome_of({1, 2, 3}, (1, 2, 3))})
+        report = solve_instance(tree, WeightTable(), RunConfig())
+        assert report.objective == 0
+        assert report.unsupported_leaf_scj == 0
+        assert report.labeling == {}
+        assert report.components == ()
+
     def test_solver_routing(self):
         tree = two_component_instance()
         auto = solve_instance(tree, WeightTable(), RunConfig())
@@ -189,6 +201,49 @@ class TestSampling:
         first = solve_instance(tree, WeightTable(), RunConfig(n_samples=6, seed=3))
         second = solve_instance(tree, WeightTable(), RunConfig(n_samples=6, seed=3))
         assert first.samples == second.samples
+
+
+# ---------------------------------------------------------------------------
+# Trace contract
+
+
+def load_spans():
+    """The benchmark's tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceContract:
+    """The traced benchmark run wraps names in ``scjlabel.pipeline`` and
+    counts work from what they return; these runs read every solver
+    result the way it does."""
+
+    def traced_counts(self, config):
+        tracer = load_spans().Tracer(pipeline)
+        tracer.install()
+        try:
+            pipeline.solve_instance(two_component_instance(), WeightTable(), config)
+        finally:
+            tracer.remove()
+        return tracer.take()[1]
+
+    def test_branch_and_bound_counts(self):
+        counts = self.traced_counts(RunConfig(solver="ilp"))
+        assert counts["graph.components"] == 2
+        assert counts["ilp.components"] == 2
+        assert counts["ilp.vars"] > 0
+        assert counts["ilp.bb_nodes"] > 0
+        assert counts["dp.components"] == 0
+
+    def test_sample_counts(self):
+        counts = self.traced_counts(RunConfig(n_samples=4, seed=1))
+        assert counts["dp.components"] == 2
+        assert counts["dp.label_pairs"] > 0
+        assert counts["dp.component_samples"] == 2 * 4
+        assert counts["ilp.components"] == 0
 
 
 # ---------------------------------------------------------------------------
