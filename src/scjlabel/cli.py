@@ -154,8 +154,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
-    if args.kt <= 0:
-        raise InputError(f"kT must be positive, got {args.kt}")
     tree = parse_tree(args.tree).with_genomes(parse_genomes(args.genomes))
     table = boltzmann_weight_table(tree, args.kt)
     write_weight_table(args.out, tree, table)

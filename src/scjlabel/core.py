@@ -102,22 +102,24 @@ def quantize_weight(value: object) -> int:
     return (2 * w.numerator * MICRO + w.denominator) // (2 * w.denominator)
 
 
-@dataclass(frozen=True, order=True)
-class Extremity:
+# Both classes extend a functional NamedTuple base because the class
+# syntax does not allow overriding ``__new__``, where they validate.
+class Extremity(NamedTuple("_ExtremityFields", [("marker", int), ("end", int)])):
     """One end of an oriented marker: its tail (t) or its head (h).
 
-    Ordering is (marker, end) with tail before head, which fixes the
-    canonical orientation used everywhere else.
+    A plain ``(marker, end)`` tuple: ordering is (marker, end) with tail
+    before head, which fixes the canonical orientation used everywhere
+    else.
     """
 
-    marker: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.marker, int) or self.marker < 1:
-            raise InputError(f"marker ids are positive integers, got {self.marker!r}")
-        if self.end not in (TAIL, HEAD):
-            raise InputError(f"extremity end must be TAIL(0) or HEAD(1), got {self.end!r}")
+    def __new__(cls, marker: int, end: int) -> "Extremity":
+        if not isinstance(marker, int) or marker < 1:
+            raise InputError(f"marker ids are positive integers, got {marker!r}")
+        if end not in (TAIL, HEAD):
+            raise InputError(f"extremity end must be TAIL(0) or HEAD(1), got {end!r}")
+        return tuple.__new__(cls, (marker, end))
 
     @classmethod
     def tail(cls, marker: int) -> "Extremity":
@@ -139,25 +141,20 @@ class Extremity:
         return f"{self.marker}{'h' if self.end == HEAD else 't'}"
 
 
-@dataclass(frozen=True, order=True)
-class Adjacency:
+class Adjacency(NamedTuple("_AdjacencyFields", [("first", Extremity), ("second", Extremity)])):
     """An unordered pair of extremities of two distinct markers.
 
-    The constructor normalizes the pair so that ``first < second``; two
+    A plain ``(first, second)`` tuple with ``first < second``; two
     adjacencies over the same extremities always compare equal.  Pairing
     the two ends of one marker (a single-marker circle) is rejected.
     """
 
-    first: Extremity
-    second: Extremity
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b = self.first, self.second
-        if a.marker == b.marker:
-            raise InputError(f"adjacency may not join two extremities of marker {a.marker}")
-        if b < a:
-            object.__setattr__(self, "first", b)
-            object.__setattr__(self, "second", a)
+    def __new__(cls, first: Extremity, second: Extremity) -> "Adjacency":
+        if first.marker == second.marker:
+            raise InputError(f"adjacency may not join two extremities of marker {first.marker}")
+        return tuple.__new__(cls, (first, second) if first < second else (second, first))
 
     @classmethod
     def of(cls, a: "Extremity | str", b: "Extremity | str") -> "Adjacency":
@@ -167,20 +164,6 @@ class Adjacency:
         if isinstance(b, str):
             b = Extremity.parse(b)
         return cls(a, b)
-
-    @property
-    def extremities(self) -> tuple[Extremity, Extremity]:
-        return (self.first, self.second)
-
-    def other(self, x: Extremity) -> Extremity:
-        if x == self.first:
-            return self.second
-        if x == self.second:
-            return self.first
-        raise ValueError(f"{x} is not an end of {self}")
-
-    def __contains__(self, x: object) -> bool:
-        return x == self.first or x == self.second
 
     def __str__(self) -> str:
         return f"{self.first}-{self.second}"
@@ -193,9 +176,9 @@ def check_consistency(adjacencies: Iterable[Adjacency]) -> tuple[bool, list[Extr
     offenders)`` with the reused extremities in canonical order.
     """
     seen: Counter[Extremity] = Counter()
-    for adj in adjacencies:
-        seen[adj.first] += 1
-        seen[adj.second] += 1
+    for a, b in adjacencies:
+        seen[a] += 1
+        seen[b] += 1
     offenders = sorted(x for x, n in seen.items() if n > 1)
     return (not offenders, offenders)
 
@@ -211,17 +194,13 @@ class Genome:
         object.__setattr__(self, "adjacencies", frozenset(self.adjacencies))
         object.__setattr__(self, "markers", frozenset(self.markers))
         for adj in self.adjacencies:
-            for x in adj.extremities:
+            for x in adj:
                 if x.marker not in self.markers:
                     raise InputError(f"adjacency {adj} uses marker {x.marker} outside the universe")
         ok, offenders = check_consistency(self.adjacencies)
         if not ok:
             listed = ", ".join(str(x) for x in offenders)
             raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
-
-    @classmethod
-    def empty(cls, markers: Iterable[int]) -> "Genome":
-        return cls(frozenset(), frozenset(markers))
 
 
 def _orient_key(seq: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -316,11 +295,12 @@ def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> li
     universe = set(markers)
     link: dict[Extremity, Extremity] = {}
     for adj in adjs:
-        for x in adj.extremities:
+        a, b = adj
+        for x in adj:
             if x.marker not in universe:
                 raise InputError(f"adjacency {adj} uses marker {x.marker} outside the universe")
-        link[adj.first] = adj.second
-        link[adj.second] = adj.first
+        link[a] = b
+        link[b] = a
 
     def walk(start: Extremity) -> tuple[list[int], bool]:
         # Enter the start marker at ``start``; follow internal marker
@@ -390,8 +370,9 @@ def dcj_distance(a: Genome, b: Genome) -> int:
     def containers(genome: Genome, side: str) -> dict[Extremity, tuple]:
         where: dict[Extremity, tuple] = {}
         for adj in genome.adjacencies:
-            where[adj.first] = (side, adj)
-            where[adj.second] = (side, adj)
+            a, b = adj
+            where[a] = (side, adj)
+            where[b] = (side, adj)
         return where
 
     where_a = containers(a, "A")

@@ -72,7 +72,7 @@ def _conflict_masks(edges: Sequence[Adjacency]) -> list[int]:
     for i, e in enumerate(edges):
         for j in range(i + 1, len(edges)):
             f = edges[j]
-            if set(e.extremities) & set(f.extremities):
+            if set(e) & set(f):
                 conflicts[i] |= 1 << j
                 conflicts[j] |= 1 << i
     return conflicts

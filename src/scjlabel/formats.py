@@ -307,7 +307,7 @@ def write_genomes(path: str | Path, genomes: Mapping[str, Genome]) -> None:
     for name in sorted(genomes):
         genome = genomes[name]
         lines.extend(_car_rows(name, genome.adjacencies, genome.markers))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_labeling(
@@ -318,10 +318,11 @@ def write_labeling(
     lines = []
     for v in tree.internal_ids():
         lines.extend(_car_rows(tree.name_of(v), labeling[v], tree.markers))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write ``lines`` as UTF-8 text, each ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in lines:
             handle.write(line + "\n")

@@ -96,12 +96,12 @@ class Component:
 
     @property
     def vertices(self) -> frozenset[Extremity]:
-        return frozenset(x for a in self.edges for x in a.extremities)
+        return frozenset(x for a in self.edges for x in a)
 
     def degrees(self) -> dict[Extremity, int]:
         deg: dict[Extremity, int] = {}
         for adjacency in self.edges:
-            for x in adjacency.extremities:
+            for x in adjacency:
                 deg[x] = deg.get(x, 0) + 1
         return deg
 
@@ -130,7 +130,7 @@ def connected_components(graph: GlobalAdjacencyGraph) -> list[Component]:
     """Split the graph into components, ordered by smallest extremity."""
     incident: dict[Extremity, list[Adjacency]] = {}
     for adjacency in graph.edges:
-        for x in adjacency.extremities:
+        for x in adjacency:
             incident.setdefault(x, []).append(adjacency)
     seen: set[Extremity] = set()
     components: list[Component] = []
@@ -144,7 +144,7 @@ def connected_components(graph: GlobalAdjacencyGraph) -> list[Component]:
             x = queue.pop()
             for adjacency in incident[x]:
                 member_edges[adjacency] = graph.edges[adjacency]
-                for y in adjacency.extremities:
+                for y in adjacency:
                     if y not in seen:
                         seen.add(y)
                         queue.append(y)

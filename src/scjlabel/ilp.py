@@ -104,7 +104,7 @@ class IlpModel:
             if value == 0:
                 discarded += var.weight_micro
                 continue
-            for x in var.adjacency.extremities:
+            for x in var.adjacency:
                 key = (var.node_id, x)
                 if key in used:
                     raise InputError(
@@ -130,7 +130,7 @@ class IlpModel:
 
 
 def _var_name(node_id: int, adjacency: Adjacency) -> str:
-    a, b = adjacency.extremities
+    a, b = adjacency
     return f"p_n{node_id}_{a}_{b}"
 
 
@@ -199,7 +199,7 @@ def build_model(
     for v in sorted(annotated, key=lambda v: (depths[v], v)):
         incident: dict[Extremity, list[int]] = {}
         for adjacency in annotated[v]:
-            for x in adjacency.extremities:
+            for x in adjacency:
                 incident.setdefault(x, []).append(index[(v, adjacency)])
         for x in sorted(incident):
             if len(incident[x]) >= 2:

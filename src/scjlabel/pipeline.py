@@ -41,11 +41,11 @@ from .dp import (
     solve_component,
 )
 from .errors import CapacityExceeded, InputError, InternalInvariantError
-from .formats import parse_genomes, parse_tree, write_labeling
+from .formats import parse_genomes, parse_tree, write_labeling, write_lines
 from .graph import Component, build_global_graph, candidate_adjacencies, connected_components
 from .ilp import build_model, solve_bb
 from .rng import derive_seed
-from .weights import boltzmann_weight_table, load_weight_table
+from .weights import boltzmann_weight_table, check_kt, load_weight_table
 
 Labeling = dict[int, frozenset[Adjacency]]
 
@@ -74,8 +74,7 @@ class RunConfig:
         if not 0 <= x <= 1:
             raise InputError(f"threshold must lie in [0, 1], got {self.threshold_x}")
         object.__setattr__(self, "threshold_x", x)
-        if self.kt <= 0:
-            raise InputError(f"kT must be positive, got {self.kt}")
+        check_kt(self.kt)
         if self.n_samples < 0:
             raise InputError(f"sample count must be non-negative, got {self.n_samples}")
         if self.explosion_cap < 1:
@@ -379,7 +378,7 @@ def _write_stats(path: Path, report: SolveReport, tree: Phylogeny) -> None:
         lines.append(
             f"{tree.name_of(v)}\t{len(cars)}\t{len(label)}\t{up}\t{leaf_scj}"
         )
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def _write_frequency(path: Path, report: SolveReport, tree: Phylogeny) -> None:
@@ -391,9 +390,9 @@ def _write_frequency(path: Path, report: SolveReport, tree: Phylogeny) -> None:
             if node_id == v
         )
         for a, fraction in rows:
-            x, y = a.extremities
+            x, y = a
             lines.append(f"{tree.name_of(v)}\t{x}\t{y}\t{_fmt(fraction)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def _write_manifest(path: Path, config: RunConfig) -> None:
@@ -420,9 +419,3 @@ def _write_manifest(path: Path, config: RunConfig) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _write_text(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")

@@ -48,10 +48,6 @@ class SimConfig:
         if self.diameter_factor <= 0:
             raise InputError("diameter factor must be positive")
 
-    @property
-    def p_translocation(self) -> float:
-        return 1.0 - self.p_inversion
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -442,11 +438,3 @@ def score_reconstruction(
 ) -> Metrics:
     """Score a reconstruction against the simulation's hidden states."""
     return score_labelings(truth.truth, predicted)
-
-
-def pool_metrics(parts: list[Metrics]) -> Metrics:
-    """Combine runs by summing their confusion counts."""
-    tp = sum(m.tp for m in parts)
-    fp = sum(m.fp for m in parts)
-    fn = sum(m.fn for m in parts)
-    return Metrics.from_counts(tp, fp, fn)

@@ -126,9 +126,14 @@ def boltzmann_weights(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[
     return _boltzmann_sweep(tree, present, kt)
 
 
+def check_kt(kt: object) -> None:
+    """Reject a Boltzmann temperature that is not a finite positive number."""
+    if not (isinstance(kt, (int, float)) and 0 < kt < _INF):
+        raise InputError(f"temperature kT (--kt) must be a finite positive number, got {kt!r}")
+
+
 def _check_boltzmann_inputs(tree: Phylogeny, kt: float) -> None:
-    if not (isinstance(kt, (int, float)) and kt > 0):
-        raise InputError(f"kt must be a positive number, got {kt!r}")
+    check_kt(kt)
     if not tree.leaf_genomes:
         raise InputError("Boltzmann weights need genomes attached to the tree")
 

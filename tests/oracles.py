@@ -38,7 +38,7 @@ def consistent_subsets(adjacencies) -> list[frozenset[Adjacency]]:
     out = []
     for r in range(len(adjs) + 1):
         for combo in itertools.combinations(adjs, r):
-            ends = [x for a in combo for x in a.extremities]
+            ends = [x for a in combo for x in a]
             if len(set(ends)) == len(ends):
                 out.append(frozenset(combo))
     return out
@@ -293,7 +293,7 @@ def brute_boltzmann(
 
 
 def _dcj_neighbors(state: frozenset[Adjacency], markers) -> list[frozenset[Adjacency]]:
-    used = {x for a in state for x in a.extremities}
+    used = {x for a in state for x in a}
     free = [
         Extremity(m, end)
         for m in sorted(markers)
@@ -320,15 +320,15 @@ def _dcj_neighbors(state: frozenset[Adjacency], markers) -> list[frozenset[Adjac
             out.append(state | {a})
     # excise from one adjacency and rejoin with a telomere
     for a in adjacencies:
-        for keep in a.extremities:
+        for keep in a:
             for x in free:
                 b = join(keep, x)
                 if b is not None:
                     out.append((state - {a}) | {b})
     # reassort the four extremities of two adjacencies
     for a, b in itertools.combinations(adjacencies, 2):
-        p, q = a.extremities
-        r, s = b.extremities
+        p, q = a
+        r, s = b
         for pairing in (((p, r), (q, s)), ((p, s), (q, r))):
             new = [join(x, y) for x, y in pairing]
             if all(n is not None for n in new):

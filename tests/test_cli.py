@@ -105,6 +105,17 @@ class TestSolve:
         assert stats["discarded_weight"] == "0.000000"
         assert int(stats["scj_total"]) > 0
 
+    def test_nan_temperature_is_an_input_error(self, instance, tmp_path, capsys):
+        tree, genomes = instance
+        out = tmp_path / "run"
+        code = main([
+            "solve", "--tree", tree, "--genomes", genomes,
+            "--kt", "nan", "--out", str(out),
+        ])
+        assert code == 1
+        assert "kT" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_missing_tree_file(self, instance, tmp_path, capsys):
         _, genomes = instance
         code = main([

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -132,13 +133,25 @@ class TestAdjacency:
         with pytest.raises(InputError):
             Adjacency.of("1t", "1h")
 
-    def test_other_and_contains(self):
+    def test_contains_its_extremities(self):
         a = Adjacency.of("1h", "2t")
-        assert a.other(Extremity.head(1)) == Extremity.tail(2)
         assert Extremity.tail(2) in a
         assert Extremity.head(9) not in a
-        with pytest.raises(ValueError):
-            a.other(Extremity.head(9))
+
+    def test_is_a_plain_tuple(self):
+        adj = Adjacency.of("2h", "1t")
+        assert isinstance(adj, tuple)
+        assert adj == ((1, 0), (2, 1))
+        assert hash(adj) == hash(((1, 0), (2, 1)))
+        a, b = adj
+        assert (a, b) == (Extremity.tail(1), Extremity.head(2))
+        adjs = [Adjacency.of("3t", "4h"), Adjacency.of("1h", "5t"), Adjacency.of("1h", "2t")]
+        assert sorted(adjs) == sorted(tuple(tuple(x) for x in a) for a in adjs)
+        back = pickle.loads(pickle.dumps(adj))
+        assert back == adj and type(back) is Adjacency
+        assert type(back.first) is Extremity
+        with pytest.raises(InputError):
+            Adjacency(Extremity.head(3), Extremity.tail(3))
 
     def test_consistency_reports_offenders_sorted(self):
         adjs = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t"),
@@ -164,7 +177,7 @@ class TestGenome:
             Genome(frozenset(bad), frozenset({1, 2, 3}))
 
     def test_empty_genome(self):
-        g = Genome.empty([1, 2, 3])
+        g = Genome(frozenset(), frozenset({1, 2, 3}))
         assert g.adjacencies == frozenset()
         cars = extract_cars(g.adjacencies, g.markers)
         assert [c.markers for c in cars] == [(1,), (2,), (3,)]

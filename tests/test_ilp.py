@@ -121,8 +121,8 @@ class TestBuildModel:
         model = fork_model()
         assert len(model.packing_groups) == 1
         group = model.packing_groups[0]
-        shared = set(model.variables[group[0]].adjacency.extremities)
-        shared &= set(model.variables[group[1]].adjacency.extremities)
+        shared = set(model.variables[group[0]].adjacency)
+        shared &= set(model.variables[group[1]].adjacency)
         assert shared == {Adjacency.of("1h", "2t").first}
 
 

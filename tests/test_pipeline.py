@@ -66,6 +66,10 @@ class TestRunConfig:
             RunConfig(threshold_x="1.5")
         with pytest.raises(InputError, match="kT"):
             RunConfig(kt=0.0)
+        with pytest.raises(InputError, match="kT"):
+            RunConfig(kt=float("nan"))
+        with pytest.raises(InputError, match="kT"):
+            RunConfig(kt=float("inf"))
         with pytest.raises(InputError, match="sample count"):
             RunConfig(n_samples=-1)
         with pytest.raises(InputError, match="capacity"):

@@ -14,7 +14,6 @@ from scjlabel.sim import (
     apply_inversion,
     apply_translocation,
     evolve,
-    pool_metrics,
     score_labelings,
     score_reconstruction,
     simulate_tree,
@@ -92,7 +91,6 @@ class TestSimConfig:
         assert config.n_markers == 100
         assert config.n_leaves == 6
         assert config.p_inversion == 0.9
-        assert config.p_translocation == pytest.approx(0.1)
         assert config.seed == 0
 
     def test_validation(self):
@@ -261,12 +259,3 @@ class TestScoring:
         assert metrics.sensitivity == 1.0
         assert metrics.precision == 1.0
         assert metrics.fp == 0 and metrics.fn == 0
-
-    def test_pool_metrics_sums_confusions(self):
-        parts = [
-            Metrics.from_counts(tp=3, fp=1, fn=2),
-            Metrics.from_counts(tp=1, fp=0, fn=1),
-        ]
-        pooled = pool_metrics(parts)
-        assert (pooled.tp, pooled.fp, pooled.fn) == (4, 1, 3)
-        assert pooled.sensitivity == pytest.approx(4 / 7)
