@@ -273,20 +273,33 @@ def sample_component(
     proportional to its subtree co-optimum count, then each child's
     argmin label likewise.  Given the same seed the byte sequence of
     samples is identical across runs and platforms.
+
+    Each distinct labeling is re-checked once, and the samples that
+    drew it share one :class:`ComponentSolution` object.  A component
+    with a single co-optimum makes no draws at all.
     """
     if n_samples < 0:
         raise InputError(f"n_samples must be non-negative, got {n_samples}")
+    cooptimal = count_cooptimal(table)
+    if cooptimal == 1:
+        only = _walk_down(table, lambda v, arg: arg[0])
+        return [_finish_solution(table, only, cooptimal)] * n_samples
     rng = random.Random(seed)
     count = table.count
 
     def draw(v: int, arg: list[int]) -> int:
         return arg[_weighted_index(rng, [count[v][j] for j in arg])]
 
-    cooptimal = count_cooptimal(table)
-    return [
-        _finish_solution(table, _walk_down(table, draw), cooptimal)
-        for _ in range(n_samples)
-    ]
+    finished: dict[tuple[int, ...], ComponentSolution] = {}
+    samples = []
+    for _ in range(n_samples):
+        chosen = _walk_down(table, draw)
+        key = tuple(chosen.values())
+        solution = finished.get(key)
+        if solution is None:
+            solution = finished[key] = _finish_solution(table, chosen, cooptimal)
+        samples.append(solution)
+    return samples
 
 
 def _weighted_index(rng: random.Random, weights: Sequence[int]) -> int:

@@ -310,15 +310,34 @@ def write_genomes(path: str | Path, genomes: Mapping[str, Genome]) -> None:
     write_lines(path, lines)
 
 
+def labeling_rows(
+    tree: Phylogeny,
+    labeling: Mapping[int, frozenset[Adjacency]],
+    cache: dict[tuple[int, frozenset[Adjacency]], list[str]] | None = None,
+) -> list[str]:
+    """Internal-node labels as CAR rows (genome format, node name first);
+    nodes appear in postorder.
+
+    ``cache`` maps (node, label) to that node's rows and is filled as
+    rows are built; pass one dict to calls on many labelings so each
+    distinct (node, label) has its CARs extracted once.
+    """
+    cache = {} if cache is None else cache
+    lines = []
+    for v in tree.internal_ids():
+        key = (v, labeling[v])
+        rows = cache.get(key)
+        if rows is None:
+            rows = cache[key] = _car_rows(tree.name_of(v), labeling[v], tree.markers)
+        lines.extend(rows)
+    return lines
+
+
 def write_labeling(
     path: str | Path, tree: Phylogeny, labeling: Mapping[int, frozenset[Adjacency]]
 ) -> None:
-    """Write internal-node labels as CAR rows (genome format, node name
-    first); nodes appear in postorder."""
-    lines = []
-    for v in tree.internal_ids():
-        lines.extend(_car_rows(tree.name_of(v), labeling[v], tree.markers))
-    write_lines(path, lines)
+    """Write :func:`labeling_rows` of ``labeling`` to ``path``."""
+    write_lines(path, labeling_rows(tree, labeling))
 
 
 def write_lines(path: str | Path, lines: list[str]) -> None:

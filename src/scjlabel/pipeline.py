@@ -30,7 +30,6 @@ from .core import (
     WeightTable,
     as_alpha,
     exact_fraction,
-    extract_cars,
     labeling_objective,
     objective_units,
 )
@@ -41,7 +40,7 @@ from .dp import (
     solve_component,
 )
 from .errors import CapacityExceeded, InputError, InternalInvariantError
-from .formats import parse_genomes, parse_tree, write_labeling, write_lines
+from .formats import labeling_rows, parse_genomes, parse_tree, write_lines
 from .graph import Component, build_global_graph, candidate_adjacencies, connected_components
 from .ilp import build_model, solve_bb
 from .rng import derive_seed
@@ -141,8 +140,8 @@ def _solve_one(
     weights: WeightTable,
     config: RunConfig,
     index: int,
-) -> tuple[str, ComponentSolution, tuple[Labeling, ...], float]:
-    """Route, solution, sample labelings and wall-clock seconds of one component."""
+) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
+    """Route, solution, samples and wall-clock seconds of one component."""
     bound = component.label_space_bound
     use_dp = config.solver == "dp" or (
         config.solver == "auto" and bound * bound <= config.explosion_cap
@@ -152,12 +151,11 @@ def _solve_one(
         solution, table = solve_component(
             component, tree, weights, config.alpha, explosion_cap=config.explosion_cap
         )
-        samples = ()
+        samples = []
         if config.n_samples > 0:
-            drawn = sample_component(
+            samples = sample_component(
                 table, config.n_samples, derive_seed(config.seed, "component", index)
             )
-            samples = tuple(s.node_labels for s in drawn)
         return "dp", solution, samples, time.perf_counter() - started
     if config.n_samples > 0:
         raise CapacityExceeded(
@@ -165,7 +163,16 @@ def _solve_one(
             " which cannot sample; raise --cap or drop --samples"
         )
     solution = solve_bb(build_model(component, tree, weights, config.alpha))
-    return "ilp", solution, (), time.perf_counter() - started
+    return "ilp", solution, [], time.perf_counter() - started
+
+
+def _assemble(internal: list[int], solutions: list[ComponentSolution]) -> Labeling:
+    """Union of the component labels at every internal node."""
+    labeling: Labeling = {v: frozenset() for v in internal}
+    for solution in solutions:
+        for v, label in solution.node_labels.items():
+            labeling[v] = labeling[v] | label
+    return labeling
 
 
 def solve_instance(
@@ -193,10 +200,7 @@ def solve_instance(
 
     solutions = [solution for _, solution, _, _ in outcomes]
     internal = tree.internal_ids()
-    labeling: Labeling = {v: frozenset() for v in internal}
-    for solution in solutions:
-        for v, label in solution.node_labels.items():
-            labeling[v] = labeling[v] | label
+    labeling = _assemble(internal, solutions)
 
     alpha = config.alpha
     edge_set = set(graph.edges)
@@ -235,19 +239,25 @@ def solve_instance(
     samples: tuple[Labeling, ...] = ()
     frequencies: dict[tuple[int, Adjacency], Fraction] = {}
     if config.n_samples > 0:
-        assembled = []
+        # Samples that drew the same solution of every component share
+        # one assembled labeling; the sampler shares the solution objects.
+        assembled: dict[tuple[int, ...], Labeling] = {}
+        drawn: dict[tuple[int, ...], int] = {}
+        per_component = [sampled for _, _, sampled, _ in outcomes]
+        picked = []
         for s in range(config.n_samples):
-            merged: Labeling = {v: frozenset() for v in internal}
-            for _, _, sample_labels, _ in outcomes:
-                for v, label in sample_labels[s].items():
-                    merged[v] = merged[v] | label
-            assembled.append(merged)
-        samples = tuple(assembled)
+            picks = [sampled[s] for sampled in per_component]
+            key = tuple(map(id, picks))
+            if key not in assembled:
+                assembled[key] = _assemble(internal, picks)
+            drawn[key] = drawn.get(key, 0) + 1
+            picked.append(assembled[key])
+        samples = tuple(picked)
         tally: dict[tuple[int, Adjacency], int] = {}
-        for merged in samples:
+        for key, merged in assembled.items():
             for v in internal:
                 for a in merged[v]:
-                    tally[(v, a)] = tally.get((v, a), 0) + 1
+                    tally[(v, a)] = tally.get((v, a), 0) + drawn[key]
         frequencies = {
             key: Fraction(count, config.n_samples)
             for key, count in tally.items()
@@ -333,18 +343,31 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
     """
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    write_labeling(out / "cars.tsv", tree, report.labeling)
-    _write_stats(out / "stats.tsv", report, tree)
+    # One cache of CAR rows per (node, label) serves every file below.
+    rows: dict[tuple[int, frozenset[Adjacency]], list[str]] = {}
+    write_lines(out / "cars.tsv", labeling_rows(tree, report.labeling, rows))
+    _write_stats(out / "stats.tsv", report, tree, rows)
     if report.samples:
         _write_frequency(out / "frequency.tsv", report, tree)
         samples_dir = out / "samples"
         samples_dir.mkdir(exist_ok=True)
+        # solve_instance shares one labeling object among equal samples.
+        texts: dict[int, list[str]] = {}
         for i, sample in enumerate(report.samples):
-            write_labeling(samples_dir / f"sample_{i:04d}.tsv", tree, sample)
+            lines = texts.get(id(sample))
+            if lines is None:
+                lines = texts[id(sample)] = labeling_rows(tree, sample, rows)
+            write_lines(samples_dir / f"sample_{i:04d}.tsv", lines)
     _write_manifest(out / "manifest.json", config)
 
 
-def _write_stats(path: Path, report: SolveReport, tree: Phylogeny) -> None:
+def _write_stats(
+    path: Path,
+    report: SolveReport,
+    tree: Phylogeny,
+    rows: dict[tuple[int, frozenset[Adjacency]], list[str]],
+) -> None:
+    """``rows`` holds the CAR rows of every node of ``report.labeling``."""
     lines = [
         f"# objective\t{_fmt(report.objective)}",
         f"# objective_exact\t{report.objective.numerator}/{report.objective.denominator}",
@@ -364,7 +387,7 @@ def _write_stats(path: Path, report: SolveReport, tree: Phylogeny) -> None:
     labels = report.labeling
     for v in tree.internal_ids():
         label = labels[v]
-        cars = extract_cars(label, tree.markers)
+        n_cars = len(rows[(v, label)])
         node = tree.nodes[v]
         if node.parent is None:
             up = ""
@@ -376,20 +399,18 @@ def _write_stats(path: Path, report: SolveReport, tree: Phylogeny) -> None:
             if tree.is_leaf(c)
         )
         lines.append(
-            f"{tree.name_of(v)}\t{len(cars)}\t{len(label)}\t{up}\t{leaf_scj}"
+            f"{tree.name_of(v)}\t{n_cars}\t{len(label)}\t{up}\t{leaf_scj}"
         )
     write_lines(path, lines)
 
 
 def _write_frequency(path: Path, report: SolveReport, tree: Phylogeny) -> None:
+    by_node: dict[int, list[tuple[Adjacency, Fraction]]] = {}
+    for (v, a), fraction in report.sample_frequencies.items():
+        by_node.setdefault(v, []).append((a, fraction))
     lines = ["node\textremity_a\textremity_b\tfrequency"]
     for v in tree.internal_ids():
-        rows = sorted(
-            (a, fraction)
-            for (node_id, a), fraction in report.sample_frequencies.items()
-            if node_id == v
-        )
-        for a, fraction in rows:
+        for a, fraction in sorted(by_node.get(v, ())):
             x, y = a
             lines.append(f"{tree.name_of(v)}\t{x}\t{y}\t{_fmt(fraction)}")
     write_lines(path, lines)

@@ -15,6 +15,7 @@ from oracles import (
     random_instance,
     random_weights,
 )
+from scjlabel import dp
 from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
 from scjlabel.dp import (
     count_cooptimal,
@@ -240,6 +241,19 @@ def fork_gadget():
     })
 
 
+def count_rechecks(monkeypatch) -> list:
+    """Arguments of every exact re-evaluation the DP runs from now on."""
+    calls = []
+    original = dp.evaluate_component_labeling
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dp, "evaluate_component_labeling", counted)
+    return calls
+
+
 class TestCountingAndSampling:
     def test_cherry_has_two_cooptima(self):
         tree = cherry_gadget()
@@ -307,6 +321,33 @@ class TestCountingAndSampling:
         ]
         samples = sample_component(solved_table(tree), 20, seed=9)
         assert [s.node_labels[anc1] for s in samples] == want
+
+    def test_single_cooptimum_is_finished_once(self, monkeypatch):
+        markers = {1, 2}
+        tree = parse_newick("(s1,s2)anc1;").with_genomes({
+            "s1": genome_of(markers, (1, 2)),
+            "s2": genome_of(markers, (1, 2)),
+        })
+        table = solved_table(tree)
+        assert count_cooptimal(table) == 1
+        calls = count_rechecks(monkeypatch)
+        samples = sample_component(table, 7, seed=1)
+        assert len(samples) == 7
+        assert all(s is samples[0] for s in samples)
+        assert samples[0].node_labels == {
+            tree.id_of("anc1"): frozenset({Adjacency.of("1h", "2t")})
+        }
+        assert len(calls) == 1
+
+    def test_each_distinct_sample_is_rechecked_once(self, monkeypatch):
+        table = solved_table(fork_gadget())
+        calls = count_rechecks(monkeypatch)
+        samples = sample_component(table, 200, seed=5)
+        assert len(samples) == 200
+        assert len(calls) <= 3
+        # equal labelings share one solution object, and only those do
+        distinct = {frozenset(s.node_labels.items()) for s in samples}
+        assert len({id(s) for s in samples}) == len(distinct) == len(calls)
 
     def test_sample_bookkeeping(self):
         table = solved_table(cherry_gadget())

@@ -16,9 +16,15 @@ from oracles import (
     random_instance,
     random_weights,
 )
-from scjlabel.core import Genome, WeightTable, chromosome_adjacencies, labeling_objective
+from scjlabel.core import (
+    Genome,
+    WeightTable,
+    chromosome_adjacencies,
+    extract_cars,
+    labeling_objective,
+)
 from scjlabel.errors import CapacityExceeded, InputError
-from scjlabel.formats import parse_labeling, parse_newick
+from scjlabel.formats import parse_labeling, parse_newick, write_labeling
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel import pipeline
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance, write_outputs
@@ -39,6 +45,15 @@ def two_component_instance():
         "s2": genome_of(markers, (1, 2), (3,)),
         "s3": genome_of(markers, (1,), (2, 3)),
     })
+
+
+def two_fork_instance():
+    """Two components with three co-optima each, over three internal nodes."""
+    markers = set(range(1, 7))
+    left = genome_of(markers, (1, 2), (3,), (4, 5), (6,))
+    right = genome_of(markers, (1, 3), (2,), (4, 6), (5,))
+    tree = parse_newick("((s1,s2)anc2,(s3,s4)anc3)anc1;")
+    return tree.with_genomes({"s1": left, "s2": right, "s3": left, "s4": right})
 
 
 def enumerable(tree, weights, threshold):
@@ -395,3 +410,49 @@ class TestOutputFiles:
                     files[str(path.relative_to(base))] = path.read_bytes()
             runs.append(files)
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestSharedRendering:
+    """Files written from shared samples and cached CAR rows equal what
+    the plain one-labeling writer and a plain tally give."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_files_match_the_plain_writer(self, tmp_path, threads):
+        tree = two_fork_instance()
+        n = 60
+        out = tmp_path / "out"
+        config = RunConfig(n_samples=n, seed=1, threads=threads, out_dir=str(out))
+        report = solve_instance(tree, WeightTable(), config)
+        assert [c.cooptimal_count for c in report.components] == [3, 3]
+        write_outputs(report, tree, config)
+        plain = tmp_path / "plain.tsv"
+
+        def plain_bytes(labeling):
+            write_labeling(plain, tree, labeling)
+            return plain.read_bytes()
+
+        assert (out / "cars.tsv").read_bytes() == plain_bytes(report.labeling)
+        files = sorted((out / "samples").iterdir())
+        assert len(files) == n
+        for path, sample in zip(files, report.samples):
+            assert path.read_bytes() == plain_bytes(sample)
+
+        internal = tree.internal_ids()
+        tally = {}
+        for sample in report.samples:
+            for v in internal:
+                for a in sample[v]:
+                    tally[(v, a)] = tally.get((v, a), 0) + 1
+        want = ["node\textremity_a\textremity_b\tfrequency"]
+        for v in internal:
+            for a in sorted(a for node, a in tally if node == v):
+                x, y = a
+                want.append(f"{tree.name_of(v)}\t{x}\t{y}\t{tally[(v, a)] / n:.6f}")
+        assert (out / "frequency.tsv").read_text(encoding="utf-8").splitlines() == want
+
+        stats = (out / "stats.tsv").read_text(encoding="utf-8").splitlines()
+        n_cars = {line.split("\t")[0]: line.split("\t")[1] for line in stats[14:]}
+        assert n_cars == {
+            tree.name_of(v): str(len(extract_cars(report.labeling[v], tree.markers)))
+            for v in internal
+        }
