@@ -182,7 +182,7 @@ def solve_component(
         cost=cost,
         count=count,
     )
-    chosen = _walk_down(table, lambda v, arg: arg[0])
+    chosen = _walker(table)(lambda v, arg: arg[0])
     return _finish_solution(table, chosen, count_cooptimal(table)), table
 
 
@@ -204,23 +204,34 @@ def _child_argmin(table: DpTable, child: int, parent_mask: int) -> list[int]:
     return arg
 
 
-def _walk_down(
-    table: DpTable, pick: Callable[[int, list[int]], int]
-) -> dict[int, int]:
-    """Choose a label mask per internal node, root first, then down the
-    tree edges; ``pick(v, arg)`` selects one of the co-optimal label
-    indices ``arg`` at node ``v``."""
+def _walker(
+    table: DpTable,
+) -> Callable[[Callable[[int, list[int]], int]], dict[int, int]]:
+    """A function ``walk(pick)`` that chooses a label mask per internal
+    node, root first, then down the tree edges; ``pick(v, arg)`` selects
+    one of the co-optimal label indices ``arg`` at node ``v``.  The walks
+    of one walker share their argmin lists, each computed at its first
+    (node, parent label)."""
     tree = table.tree
-    root_costs = table.cost[tree.root]
+    root = tree.root
+    labels = table.labels
+    root_costs = table.cost[root]
     best = min(root_costs)
     root_arg = [i for i, c in enumerate(root_costs) if c == best]
-    chosen = {tree.root: table.labels[tree.root][pick(tree.root, root_arg)]}
-    for u, v in tree.edges():
-        if tree.is_leaf(v):
-            continue
-        arg = _child_argmin(table, v, chosen[u])
-        chosen[v] = table.labels[v][pick(v, arg)]
-    return chosen
+    steps = [(u, v) for u, v in tree.edges() if not tree.is_leaf(v)]
+    argmins: dict[tuple[int, int], list[int]] = {}
+
+    def walk(pick: Callable[[int, list[int]], int]) -> dict[int, int]:
+        chosen = {root: labels[root][pick(root, root_arg)]}
+        for u, v in steps:
+            key = (v, chosen[u])
+            arg = argmins.get(key)
+            if arg is None:
+                arg = argmins[key] = _child_argmin(table, v, chosen[u])
+            chosen[v] = labels[v][pick(v, arg)]
+        return chosen
+
+    return walk
 
 
 def _finish_solution(
@@ -275,25 +286,27 @@ def sample_component(
     samples is identical across runs and platforms.
 
     Each distinct labeling is re-checked once, and the samples that
-    drew it share one :class:`ComponentSolution` object.  A component
-    with a single co-optimum makes no draws at all.
+    drew it share one :class:`ComponentSolution` object; do not mutate
+    it.  A component with a single co-optimum makes no draws at all,
+    since every choice it meets has one option.
     """
     if n_samples < 0:
         raise InputError(f"n_samples must be non-negative, got {n_samples}")
     cooptimal = count_cooptimal(table)
-    if cooptimal == 1:
-        only = _walk_down(table, lambda v, arg: arg[0])
-        return [_finish_solution(table, only, cooptimal)] * n_samples
     rng = random.Random(seed)
     count = table.count
 
     def draw(v: int, arg: list[int]) -> int:
+        # A single option is taken without touching the RNG.
+        if len(arg) == 1:
+            return arg[0]
         return arg[_weighted_index(rng, [count[v][j] for j in arg])]
 
+    walk = _walker(table)
     finished: dict[tuple[int, ...], ComponentSolution] = {}
     samples = []
     for _ in range(n_samples):
-        chosen = _walk_down(table, draw)
+        chosen = walk(draw)
         key = tuple(chosen.values())
         solution = finished.get(key)
         if solution is None:
@@ -304,8 +317,6 @@ def sample_component(
 
 def _weighted_index(rng: random.Random, weights: Sequence[int]) -> int:
     """Index drawn proportionally to exact integer weights."""
-    if len(weights) == 1:
-        return 0
     total = sum(weights)
     r = rng.randrange(total)
     acc = 0

@@ -325,12 +325,22 @@ def labeling_rows(
     cache = {} if cache is None else cache
     lines = []
     for v in tree.internal_ids():
-        key = (v, labeling[v])
-        rows = cache.get(key)
-        if rows is None:
-            rows = cache[key] = _car_rows(tree.name_of(v), labeling[v], tree.markers)
-        lines.extend(rows)
+        lines.extend(node_rows(tree, v, labeling[v], cache))
     return lines
+
+
+def node_rows(
+    tree: Phylogeny,
+    v: int,
+    label: frozenset[Adjacency],
+    cache: dict[tuple[int, frozenset[Adjacency]], list[str]],
+) -> list[str]:
+    """CAR rows of internal node ``v`` labeled ``label``, built once per
+    (node, label) through ``cache``."""
+    rows = cache.get((v, label))
+    if rows is None:
+        rows = cache[(v, label)] = _car_rows(tree.name_of(v), label, tree.markers)
+    return rows
 
 
 def write_labeling(

@@ -40,7 +40,7 @@ from .dp import (
     solve_component,
 )
 from .errors import CapacityExceeded, InputError, InternalInvariantError
-from .formats import labeling_rows, parse_genomes, parse_tree, write_lines
+from .formats import labeling_rows, node_rows, parse_genomes, parse_tree, write_lines
 from .graph import Component, build_global_graph, candidate_adjacencies, connected_components
 from .ilp import build_model, solve_bb
 from .rng import derive_seed
@@ -124,6 +124,7 @@ class SolveReport:
     filtered_weight_micro: int
     components: tuple[ComponentReport, ...]
     labeling: Labeling
+    # Equal samples are one shared labeling object; do not mutate them.
     samples: tuple[Labeling, ...] = ()
     sample_frequencies: dict[tuple[int, Adjacency], Fraction] = field(
         default_factory=dict
@@ -351,13 +352,10 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
         _write_frequency(out / "frequency.tsv", report, tree)
         samples_dir = out / "samples"
         samples_dir.mkdir(exist_ok=True)
-        # solve_instance shares one labeling object among equal samples.
-        texts: dict[int, list[str]] = {}
         for i, sample in enumerate(report.samples):
-            lines = texts.get(id(sample))
-            if lines is None:
-                lines = texts[id(sample)] = labeling_rows(tree, sample, rows)
-            write_lines(samples_dir / f"sample_{i:04d}.tsv", lines)
+            write_lines(
+                samples_dir / f"sample_{i:04d}.tsv", labeling_rows(tree, sample, rows)
+            )
     _write_manifest(out / "manifest.json", config)
 
 
@@ -367,7 +365,6 @@ def _write_stats(
     tree: Phylogeny,
     rows: dict[tuple[int, frozenset[Adjacency]], list[str]],
 ) -> None:
-    """``rows`` holds the CAR rows of every node of ``report.labeling``."""
     lines = [
         f"# objective\t{_fmt(report.objective)}",
         f"# objective_exact\t{report.objective.numerator}/{report.objective.denominator}",
@@ -387,7 +384,7 @@ def _write_stats(
     labels = report.labeling
     for v in tree.internal_ids():
         label = labels[v]
-        n_cars = len(rows[(v, label)])
+        n_cars = len(node_rows(tree, v, label, rows))
         node = tree.nodes[v]
         if node.parent is None:
             up = ""

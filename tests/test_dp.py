@@ -331,6 +331,12 @@ class TestCountingAndSampling:
         table = solved_table(tree)
         assert count_cooptimal(table) == 1
         calls = count_rechecks(monkeypatch)
+
+        class NoDraws(random.Random):
+            def randrange(self, *args):
+                raise AssertionError("a single co-optimum needs no draw")
+
+        monkeypatch.setattr(dp.random, "Random", NoDraws)
         samples = sample_component(table, 7, seed=1)
         assert len(samples) == 7
         assert all(s is samples[0] for s in samples)
