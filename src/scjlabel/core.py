@@ -35,6 +35,7 @@ def exact_fraction(value: object) -> Fraction:
     Floats are read through their shortest decimal representation
     (``str(value)``), so ``0.25`` means exactly 1/4 and ``0.1`` exactly
     1/10.  Strings accept both decimal ("0.5") and ratio ("1/3") forms.
+    NaN, infinities and other non-numbers raise :class:`InputError`.
     """
     if isinstance(value, Fraction):
         return value
@@ -42,13 +43,11 @@ def exact_fraction(value: object) -> Fraction:
         raise InputError(f"expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            return Fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a number: {value!r}") from exc
+            raise InputError(f"not a finite number: {value!r}") from exc
     raise InputError(f"expected a number, got {type(value).__name__}")
 
 

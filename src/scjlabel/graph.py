@@ -10,6 +10,7 @@ the Cartesian product of the per-component sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction
@@ -81,7 +82,11 @@ def build_global_graph(
 
 @dataclass(frozen=True, eq=False)
 class Component:
-    """One connected component of the global adjacency graph."""
+    """One connected component of the global adjacency graph.
+
+    The derived properties are computed at first use and kept; treat
+    ``degrees`` as read-only.
+    """
 
     edges: Mapping[Adjacency, frozenset[int]]
 
@@ -90,14 +95,11 @@ class Component:
         if not self.edges:
             raise InputError("a component needs at least one edge")
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[Adjacency, ...]:
         return tuple(sorted(self.edges))
 
-    @property
-    def vertices(self) -> frozenset[Extremity]:
-        return frozenset(x for a in self.edges for x in a)
-
+    @cached_property
     def degrees(self) -> dict[Extremity, int]:
         deg: dict[Extremity, int] = {}
         for adjacency in self.edges:
@@ -105,15 +107,19 @@ class Component:
                 deg[x] = deg.get(x, 0) + 1
         return deg
 
+    @cached_property
+    def vertices(self) -> frozenset[Extremity]:
+        return frozenset(self.degrees)
+
     @property
     def n_extremities(self) -> int:
-        return len(self.vertices)
+        return len(self.degrees)
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees().values())
+        return max(self.degrees.values())
 
-    @property
+    @cached_property
     def label_space_bound(self) -> int:
         """Product of (1 + degree) over extremities.
 
@@ -121,7 +127,7 @@ class Component:
         extremity picks one incident edge or nothing.
         """
         bound = 1
-        for d in self.degrees().values():
+        for d in self.degrees.values():
             bound *= 1 + d
         return bound
 

@@ -1,19 +1,17 @@
-"""Integer-program view of a component plus a branch-and-bound solver.
+"""Per-adjacency presence model of a component plus a branch-and-bound solver.
 
 The model has one binary presence variable per (internal node,
-adjacency annotated there) and one change term per tree edge and
-adjacency with at least one undetermined endpoint, costing the absolute
-difference of its endpoints; determined endpoints (leaves, or nodes
-where the adjacency is not annotated) enter the terms as constants.
-Per-extremity packing groups keep every node's choice a matching, so
-the feasible points are exactly the consistent labelings.
+adjacency annotated there), indexed by adjacency: the nodes that hold a
+variable for it and the leaves that hold it fixed.  Per-extremity
+packing groups keep every node's choice a matching, so the feasible
+points are exactly the consistent labelings, valued by the component
+objective of :func:`scjlabel.dp.evaluate_component_labeling`.
 
-Branch and bound works on the presence variables only (change values
-follow from them).  Its bound drops the matching constraints and solves
-one exact presence problem per adjacency on the tree.  The search
-branches only inside packing groups that can still be violated,
-absence branch first, with conflicting variables fixed eagerly; where
-no group can be, the bound is exact.
+Branch and bound works on the presence variables only.  Its bound drops
+the matching constraints and solves one exact presence problem per
+adjacency on the tree.  The search branches only inside packing groups
+that can still be violated, absence branch first, with conflicting
+variables fixed eagerly; where no group can be, the bound is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .core import (
     ObjectiveUnits,
     Phylogeny,
     WeightTable,
+    check_consistency,
     objective_units,
 )
 from .errors import InputError, InternalInvariantError
@@ -39,85 +38,32 @@ from .dp import ComponentSolution, evaluate_component_labeling
 class PresenceVar:
     """Binary variable: adjacency kept at an internal node."""
 
-    name: str
     node_id: int
     adjacency: Adjacency
     weight_micro: int
 
 
-@dataclass(frozen=True)
-class EdgeTerm:
-    """Change cost of one adjacency along one tree edge.
-
-    Either endpoint is a presence variable (index into the model's
-    variable tuple) or a constant 0/1; both-constant terms survive only
-    when the constants differ.
-    """
-
-    child_id: int
-    adjacency: Adjacency
-    parent_var: int | None
-    parent_const: int
-    child_var: int | None
-    child_const: int
-
-
 @dataclass(frozen=True, eq=False)
 class IlpModel:
-    """Scaled-integer model of one component at a fixed alpha."""
+    """Scaled-integer presence model of one component at a fixed alpha.
+
+    ``adjacencies`` are the component's edges in sorted order.  For the
+    adjacency at index ``ai``, ``var_at[ai]`` maps each internal node
+    where it is annotated to its variable's index, and
+    ``leaf_states[ai]`` maps each leaf to 1 if the leaf holds it, else
+    0.  Variable ``j`` belongs to adjacency ``adjacency_of_var[j]``.
+    """
 
     component: Component
     tree: Phylogeny
     weights: WeightTable
     units: ObjectiveUnits
     variables: tuple[PresenceVar, ...]
-    edge_terms: tuple[EdgeTerm, ...]
     packing_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def change_unit(self) -> int:
-        return self.units.change_unit
-
-    @property
-    def weight_unit(self) -> int:
-        return self.units.weight_unit
-
-    @property
-    def scale(self) -> int:
-        return self.units.scale
-
-    def evaluate_vector(self, vector: Sequence[int]) -> int:
-        """Scaled objective of a full presence assignment, in variable order.
-
-        Rejects vectors of the wrong length, values other than 0 and 1,
-        and two adjacencies sharing an extremity at the same node.
-        """
-        if len(vector) != len(self.variables):
-            raise InputError(
-                f"expected {len(self.variables)} values, got {len(vector)}"
-            )
-        used: dict[tuple[int, Extremity], Adjacency] = {}
-        discarded = 0
-        for var, value in zip(self.variables, vector):
-            if value not in (0, 1):
-                raise InputError(f"{var.name} must be 0 or 1, got {value!r}")
-            if value == 0:
-                discarded += var.weight_micro
-                continue
-            for x in var.adjacency:
-                key = (var.node_id, x)
-                if key in used:
-                    raise InputError(
-                        f"{var.adjacency} and {used[key]} share {x} at node "
-                        f"{self.tree.name_of(var.node_id)}"
-                    )
-                used[key] = var.adjacency
-        changes = 0
-        for term in self.edge_terms:
-            pu = term.parent_const if term.parent_var is None else vector[term.parent_var]
-            pv = term.child_const if term.child_var is None else vector[term.child_var]
-            changes += abs(pu - pv)
-        return self.units.scaled(changes, discarded)
+    adjacencies: tuple[Adjacency, ...]
+    var_at: tuple[dict[int, int], ...]
+    leaf_states: tuple[dict[int, int], ...]
+    adjacency_of_var: tuple[int, ...]
 
     def node_labels(self, vector: Sequence[int]) -> dict[int, frozenset[Adjacency]]:
         labels: dict[int, set[Adjacency]] = {
@@ -129,90 +75,59 @@ class IlpModel:
         return {v: frozenset(s) for v, s in labels.items()}
 
 
-def _var_name(node_id: int, adjacency: Adjacency) -> str:
-    a, b = adjacency
-    return f"p_n{node_id}_{a}_{b}"
-
-
 def build_model(
     component: Component,
     tree: Phylogeny,
     weights: WeightTable,
     alpha: object,
 ) -> IlpModel:
-    """Assemble the scaled-integer model for one component."""
+    """Assemble the presence model of one component.
+
+    Variables go by (depth, node id), then by adjacency; packing groups
+    go by node in the same order, then by extremity.
+    """
     units = objective_units(alpha)
     if not tree.leaf_genomes:
         raise InputError("build_model needs genomes attached to the tree")
     depths = tree.depths()
-    annotated: dict[int, list[Adjacency]] = {v: [] for v in tree.internal_ids()}
-    for adjacency in component.sorted_edges:
+    adjacencies = component.sorted_edges
+    annotated: dict[int, list[int]] = {v: [] for v in tree.internal_ids()}
+    for ai, adjacency in enumerate(adjacencies):
         for v in component.edges[adjacency]:
-            annotated[v].append(adjacency)
+            annotated[v].append(ai)
 
     variables: list[PresenceVar] = []
-    index: dict[tuple[int, Adjacency], int] = {}
-    for v in sorted(annotated, key=lambda v: (depths[v], v)):
-        for adjacency in annotated[v]:
-            index[(v, adjacency)] = len(variables)
-            variables.append(
-                PresenceVar(
-                    name=_var_name(v, adjacency),
-                    node_id=v,
-                    adjacency=adjacency,
-                    weight_micro=weights.get_micro(v, adjacency),
-                )
-            )
-
-    edge_set = set(component.edges)
-    terms: list[EdgeTerm] = []
-    for u, v in tree.edges():
-        if tree.is_leaf(v):
-            child_present = tree.leaf_genomes[v].adjacencies & edge_set
-            relevant = sorted(set(annotated[u]) | child_present)
-        else:
-            relevant = sorted(set(annotated[u]) | set(annotated[v]))
-        for adjacency in relevant:
-            parent_var = index.get((u, adjacency))
-            child_var = None if tree.is_leaf(v) else index.get((v, adjacency))
-            parent_const = 0
-            child_const = (
-                int(adjacency in tree.leaf_genomes[v].adjacencies)
-                if tree.is_leaf(v)
-                else 0
-            )
-            if parent_var is None and child_var is None:
-                if parent_const == child_const:
-                    continue
-            terms.append(
-                EdgeTerm(
-                    child_id=v,
-                    adjacency=adjacency,
-                    parent_var=parent_var,
-                    parent_const=parent_const,
-                    child_var=child_var,
-                    child_const=child_const,
-                )
-            )
-
+    var_at: list[dict[int, int]] = [{} for _ in adjacencies]
+    adjacency_of_var: list[int] = []
     groups: list[tuple[int, ...]] = []
     for v in sorted(annotated, key=lambda v: (depths[v], v)):
         incident: dict[Extremity, list[int]] = {}
-        for adjacency in annotated[v]:
+        for ai in annotated[v]:
+            adjacency = adjacencies[ai]
+            j = len(variables)
+            variables.append(PresenceVar(v, adjacency, weights.get_micro(v, adjacency)))
+            var_at[ai][v] = j
+            adjacency_of_var.append(ai)
             for x in adjacency:
-                incident.setdefault(x, []).append(index[(v, adjacency)])
-        for x in sorted(incident):
-            if len(incident[x]) >= 2:
-                groups.append(tuple(incident[x]))
+                incident.setdefault(x, []).append(j)
+        groups.extend(
+            tuple(incident[x]) for x in sorted(incident) if len(incident[x]) >= 2
+        )
 
+    leaves = [(v, tree.leaf_genomes[v].adjacencies) for v in tree.leaves()]
     return IlpModel(
         component=component,
         tree=tree,
         weights=weights,
         units=units,
         variables=tuple(variables),
-        edge_terms=tuple(terms),
         packing_groups=tuple(groups),
+        adjacencies=adjacencies,
+        var_at=tuple(var_at),
+        leaf_states=tuple(
+            {v: int(a in held) for v, held in leaves} for a in adjacencies
+        ),
+        adjacency_of_var=tuple(adjacency_of_var),
     )
 
 
@@ -271,29 +186,18 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     for row in conflicts:
         row.sort()
 
-    unit = model.change_unit
-    wunit = model.weight_unit
-    weight_cost = [wunit * var.weight_micro for var in model.variables]
+    units = model.units
+    unit = units.change_unit
+    weight_cost = [units.weight_unit * var.weight_micro for var in model.variables]
     assignment = [-1] * n
 
     tree = model.tree
     postorder = list(tree.postorder())
     node_children = [tree.nodes[v].children for v in range(len(tree.nodes))]
-    adjacencies = model.component.sorted_edges
-    adjacency_index = {a: i for i, a in enumerate(adjacencies)}
-    var_at: list[dict[int, int]] = [{} for _ in adjacencies]
-    adjacency_of_var = []
-    for j, var in enumerate(model.variables):
-        ai = adjacency_index[var.adjacency]
-        var_at[ai][var.node_id] = j
-        adjacency_of_var.append(ai)
-    leaf_state = [
-        {
-            v: int(a in tree.leaf_genomes[v].adjacencies)
-            for v in tree.leaves()
-        }
-        for a in adjacencies
-    ]
+    n_adjacencies = len(model.adjacencies)
+    var_at = model.var_at
+    leaf_states = model.leaf_states
+    adjacency_of_var = model.adjacency_of_var
 
     BIG = 1 << 62
     down0 = [0] * len(tree.nodes)
@@ -303,7 +207,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         """Cheapest presence history of one adjacency given the fixed
         variables; absent everywhere scores 0 plus leaf mismatches."""
         vars_here = var_at[ai]
-        states = leaf_state[ai]
+        states = leaf_states[ai]
         for v in postorder:
             children = node_children[v]
             if not children:
@@ -345,7 +249,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                 chosen[var_at[ai][v]] = state[v]
         return chosen
 
-    bounds = [adjacency_bound(ai) for ai in range(len(adjacencies))]
+    bounds = [adjacency_bound(ai) for ai in range(n_adjacencies)]
     future = sum(bounds)
 
     def settle(i: int, value: int):
@@ -393,7 +297,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         """The fixed values, with every unfixed variable set to its
         adjacency's relaxed arg-min state."""
         vector = list(assignment)
-        for ai in range(len(adjacencies)):
+        for ai in range(n_adjacencies):
             for j, s in relaxed_states(ai).items():
                 if vector[j] == -1:
                     vector[j] = s
@@ -409,10 +313,15 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                 return live[0]
         return None
 
+    def objective(vector: list[int]) -> int:
+        return units.scaled(*evaluate_component_labeling(
+            model.component, tree, model.weights, model.node_labels(vector)
+        ))
+
     repaired = _repair_conflicts(model, conflicts, relaxed_completion())
     best_vector = [0] * n
-    best = model.evaluate_vector(best_vector)
-    repaired_value = model.evaluate_vector(repaired)
+    best = objective(best_vector)
+    repaired_value = objective(repaired)
     if repaired_value < best:
         best, best_vector = repaired_value, repaired
     explored = 0
@@ -448,25 +357,27 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         stack.append(("branch", j, 1))
         stack.append(("branch", j, 0))
 
-    scaled = model.evaluate_vector(best_vector)
+    labels = model.node_labels(best_vector)
+    for v, label in labels.items():
+        ok, reused = check_consistency(label)
+        if not ok:
+            raise InternalInvariantError(
+                f"search result reuses {', '.join(map(str, reused))} at node "
+                f"{tree.name_of(v)}"
+            )
+    scj, discarded = evaluate_component_labeling(
+        model.component, tree, model.weights, labels
+    )
+    scaled = units.scaled(scj, discarded)
     if scaled != best:
         raise InternalInvariantError(
             f"bound bookkeeping drifted: search found {best}, re-evaluation {scaled}"
         )
-    labels = model.node_labels(best_vector)
-    scj, discarded = evaluate_component_labeling(
-        model.component, model.tree, model.weights, labels
-    )
-    check = model.units.scaled(scj, discarded)
-    if check != scaled:
-        raise InternalInvariantError(
-            f"labeling re-evaluates to {check}, search found {scaled}"
-        )
     return ComponentSolution(
         node_labels=labels,
-        objective=Fraction(scaled, model.scale),
+        objective=Fraction(scaled, units.scale),
         objective_scaled=scaled,
-        scale=model.scale,
+        scale=units.scale,
         scj_changes=scj,
         discarded_micro=discarded,
         cooptimal_count=None,

@@ -3,7 +3,9 @@
 Nothing in this module shares logic with the package: label spaces are
 listed outright, the DCJ distance comes from breadth-first search over
 whole adjacency sets, and Boltzmann marginals from summing every
-scenario.  Guards assert that inputs stay small enough for that to be
+scenario.  The one exception is ``milp_optimum``, which values the point
+HiGHS picks with the package's component evaluator; the enumeration
+oracles here pin that evaluator.  Guards assert that inputs stay small enough for that to be
 instant, so an oversized test input fails loudly instead of hanging.
 """
 
@@ -25,6 +27,7 @@ from scjlabel.core import (
     chromosome_adjacencies,
     exact_fraction,
 )
+from scjlabel.dp import evaluate_component_labeling
 from scjlabel.graph import Component
 
 # ---------------------------------------------------------------------------
@@ -130,21 +133,25 @@ def brute_component_optimum(
 
 
 def milp_optimum(model) -> int:
-    """Scaled optimum of an ``IlpModel`` as HiGHS finds it.
+    """Scaled optimum of an ``IlpModel``'s component as HiGHS finds it.
 
-    The program is rebuilt here from the model's variables, change terms
-    and packing groups: one binary per presence, one continuous change
-    variable per term with two rows ``c >= +-(parent - child)``, and one
-    row per packing group.  HiGHS's vector is rounded and re-evaluated
-    exactly by ``model.evaluate_vector``, so its floats only pick the
-    point.
+    The program is built here from the component and the tree; of the
+    model it takes only the variable order and the packing groups.  It
+    has one binary per presence, one continuous change variable per tree
+    edge and component adjacency whose two ends can differ, with two rows
+    ``c >= +-(parent - child)``, and one row per packing group.  HiGHS's
+    vector is rounded, a point that reuses an extremity at a node is
+    rejected, and the value is certified exactly by the package's
+    ``evaluate_component_labeling``, so the floats only pick the point.
     """
     import numpy as np
     from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import coo_matrix
 
-    n = len(model.variables)
-    cost = [-model.weight_unit * var.weight_micro for var in model.variables]
+    tree, units = model.tree, model.units
+    index = {(var.node_id, var.adjacency): j for j, var in enumerate(model.variables)}
+    n = len(index)
+    cost = [-units.weight_unit * var.weight_micro for var in model.variables]
     rows, cols, vals, lower, upper = [], [], [], [], []
 
     def row(terms, lo, hi):
@@ -155,21 +162,24 @@ def milp_optimum(model) -> int:
         lower.append(lo)
         upper.append(hi)
 
-    for term in model.edge_terms:
-        c = len(cost)
-        cost.append(model.change_unit)
-        # parent - child = sum(linear) + constant
-        linear, constant = [], 0
-        if term.parent_var is None:
-            constant += term.parent_const
-        else:
-            linear.append((term.parent_var, 1))
-        if term.child_var is None:
-            constant -= term.child_const
-        else:
-            linear.append((term.child_var, -1))
-        row([(c, 1)] + [(j, -s) for j, s in linear], constant, np.inf)
-        row([(c, 1)] + linear, -constant, np.inf)
+    def end(v, adjacency):
+        """(variable index or None, constant presence) at one node."""
+        if tree.is_leaf(v):
+            return None, int(adjacency in tree.leaf_genomes[v].adjacencies)
+        return index.get((v, adjacency)), 0
+
+    for u, v in tree.edges():
+        for adjacency in model.component.sorted_edges:
+            (pu, cu), (pv, cv) = end(u, adjacency), end(v, adjacency)
+            if pu is None and pv is None and cu == cv:
+                continue
+            c = len(cost)
+            cost.append(units.change_unit)
+            # parent - child = sum(linear) + constant
+            linear = [(j, s) for j, s in ((pu, 1), (pv, -1)) if j is not None]
+            constant = cu - cv
+            row([(c, 1)] + [(j, -s) for j, s in linear], constant, np.inf)
+            row([(c, 1)] + linear, -constant, np.inf)
     for group in model.packing_groups:
         row([(j, 1) for j in group], -np.inf, 1)
 
@@ -184,7 +194,18 @@ def milp_optimum(model) -> int:
         options={"mip_rel_gap": 0},
     )
     assert result.status == 0, f"HiGHS proved no optimum: {result.message}"
-    return model.evaluate_vector([int(round(x)) for x in result.x[:n]])
+    labels = {v: set() for v in tree.internal_ids()}
+    for var, x in zip(model.variables, result.x[:n]):
+        if round(x):
+            labels[var.node_id].add(var.adjacency)
+    for v, label in labels.items():
+        ends = [x for adjacency in label for x in adjacency]
+        assert len(set(ends)) == len(ends), f"HiGHS reused an extremity at node {v}"
+    scj, discarded = evaluate_component_labeling(
+        model.component, tree, model.weights,
+        {v: frozenset(label) for v, label in labels.items()},
+    )
+    return units.scaled(scj, discarded)
 
 
 # ---------------------------------------------------------------------------

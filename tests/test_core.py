@@ -56,6 +56,11 @@ class TestExactNumbers:
             exact_fraction(True)
         with pytest.raises(InputError):
             exact_fraction(None)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError, match="not a finite number"):
+                exact_fraction(value)
+        with pytest.raises(InputError, match="not a finite number"):
+            WeightTable().set(0, Adjacency.of("1h", "2t"), float("nan"))
 
     def test_alpha_bounds(self):
         assert as_alpha("1/2") == Fraction(1, 2)

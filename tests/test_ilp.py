@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +16,7 @@ from oracles import (
     random_instance,
     random_weights,
 )
+from scjlabel import ilp
 from scjlabel.core import (
     MICRO,
     Adjacency,
@@ -31,7 +31,7 @@ from scjlabel.dp import (
     evaluate_component_labeling,
     solve_component,
 )
-from scjlabel.errors import InputError
+from scjlabel.errors import InternalInvariantError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel.ilp import build_model, solve_bb
@@ -78,15 +78,21 @@ def three_leaf_model(alpha="1/2"):
     return build_model(component, tree, weights, alpha)
 
 
-def fork_model():
+def fork_model(weight=None):
+    """Two adjacencies sharing 1h at the root, each held by one leaf;
+    ``weight``, if given, is both adjacencies' weight at the root."""
     tree = parse_newick("(s1,s2)anc1;")
     markers = {1, 2, 3}
     tree = tree.with_genomes({
         "s1": genome_of(markers, (1, 2), (3,)),
         "s2": genome_of(markers, (1, 3), (2,)),
     })
-    component = components_of(tree)[0]
-    return build_model(component, tree, WeightTable(), "1/2")
+    weights = WeightTable()
+    if weight is not None:
+        for a in (Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")):
+            weights.set(tree.id_of("anc1"), a, weight)
+    component = components_of(tree, weights)[0]
+    return build_model(component, tree, weights, "1/2")
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +102,25 @@ def fork_model():
 class TestBuildModel:
     def test_variable_inventory_and_order(self):
         model = three_leaf_model()
-        assert [v.name for v in model.variables] == [
-            "p_n0_1h_2t", "p_n1_1h_2t",
+        a = Adjacency.of("1h", "2t")
+        tree = model.tree
+        assert [(v.node_id, v.adjacency) for v in model.variables] == [
+            (tree.id_of("anc1"), a), (tree.id_of("anc2"), a),
         ]
         assert [v.weight_micro for v in model.variables] == [400_000, 800_000]
-        assert model.scale == 2 * MICRO
-        assert model.change_unit == MICRO
-        assert model.weight_unit == 1
+        assert model.units.scale == 2 * MICRO
+        assert model.units.change_unit == MICRO
+        assert model.units.weight_unit == 1
 
-    def test_edge_terms_cover_every_tree_edge(self):
-        model = three_leaf_model()
-        by_child = {t.child_id: t for t in model.edge_terms}
-        assert set(by_child) == {1, 2, 3, 4}
-        internal = by_child[1]
-        assert (internal.parent_var, internal.child_var) == (0, 1)
-        leaf_present = by_child[2]
-        assert leaf_present.child_var is None
-        assert leaf_present.child_const == 1
-        leaf_absent = by_child[4]
-        assert leaf_absent.child_const == 0
+    def test_per_adjacency_index(self):
+        model = fork_model()
+        tree = model.tree
+        anc1, s1, s2 = (tree.id_of(name) for name in ("anc1", "s1", "s2"))
+        a, b = Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")
+        assert model.adjacencies == model.component.sorted_edges == (a, b)
+        assert model.var_at == ({anc1: 0}, {anc1: 1})
+        assert model.leaf_states == ({s1: 1, s2: 0}, {s1: 0, s2: 1})
+        assert model.adjacency_of_var == (0, 1)
 
     def test_packing_groups_only_for_shared_extremities(self):
         assert three_leaf_model().packing_groups == ()
@@ -129,31 +135,15 @@ class TestBuildModel:
 class TestEvaluate:
     def test_hand_values(self):
         model = three_leaf_model()
-        assert model.evaluate_vector([1, 1]) == MICRO
-        assert model.evaluate_vector([0, 0]) == 3_200_000
-
-    def test_rejects_bad_assignments(self):
-        model = three_leaf_model()
-        with pytest.raises(InputError):
-            model.evaluate_vector([1])
-        with pytest.raises(InputError):
-            model.evaluate_vector([2, 0])
-
-    def test_conflicting_choices_are_rejected(self):
-        model = fork_model()
-        with pytest.raises(InputError):
-            model.evaluate_vector([1, 1])
-
-    def test_every_feasible_point_matches_the_component_objective(self):
-        model = three_leaf_model()
-        unit = model.change_unit
-        for vector in itertools.product((0, 1), repeat=len(model.variables)):
-            scaled = model.evaluate_vector(list(vector))
+        tree = model.tree
+        internal = (tree.id_of("anc1"), tree.id_of("anc2"))
+        present = frozenset({Adjacency.of("1h", "2t")})
+        for label, want in ((present, MICRO), (frozenset(), 3_200_000)):
             scj, discarded = evaluate_component_labeling(
-                model.component, model.tree, model.weights,
-                model.node_labels(list(vector)),
+                model.component, tree, model.weights,
+                dict.fromkeys(internal, label),
             )
-            assert scaled == unit * scj + model.weight_unit * discarded
+            assert model.units.scaled(scj, discarded) == want
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +238,29 @@ class TestSolveBb:
         assert solution.objective_scaled == objective_units("1/2").scaled(
             scj, discarded
         )
+
+    def test_a_result_that_reuses_an_extremity_is_refused(self, monkeypatch):
+        # Both presences at the root beat their absence in the relaxation,
+        # so without the repair that conflicting point is the incumbent
+        # and the root's bound cannot improve on it.
+        model = fork_model(weight="1/2")
+        assert solve_bb(model).objective == Fraction(5, 4)
+        monkeypatch.setattr(
+            ilp, "_repair_conflicts", lambda model, conflicts, vector: vector
+        )
+        with pytest.raises(InternalInvariantError, match="reuses 1h at node anc1"):
+            solve_bb(model)
+
+    def test_a_result_that_re_evaluates_differently_is_refused(self, monkeypatch):
+        original = ilp.evaluate_component_labeling
+
+        def drifted(*args):
+            scj, discarded = original(*args)
+            return scj + 1, discarded
+
+        monkeypatch.setattr(ilp, "evaluate_component_labeling", drifted)
+        with pytest.raises(InternalInvariantError, match="drifted"):
+            solve_bb(three_leaf_model())
 
     def test_matches_an_outside_milp_solver(self):
         pytest.importorskip("scipy")

@@ -79,6 +79,10 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(InputError, match="threshold"):
             RunConfig(threshold_x="1.5")
+        with pytest.raises(InputError, match="not a finite number"):
+            RunConfig(threshold_x=float("inf"))
+        with pytest.raises(InputError, match="not a finite number"):
+            RunConfig(alpha=float("nan"))
         with pytest.raises(InputError, match="kT"):
             RunConfig(kt=0.0)
         with pytest.raises(InputError, match="kT"):
