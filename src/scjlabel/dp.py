@@ -351,6 +351,12 @@ def evaluate_component_labeling(
             label = frozenset(node_labels[v])
             if not label <= edge_set:
                 raise InputError("label uses adjacencies outside the component")
+            unannotated = [a for a in label if v not in component.edges[a]]
+            if unannotated:
+                raise InputError(
+                    f"label of {tree.name_of(v)} holds {min(unannotated)}, which"
+                    " the component does not annotate there"
+                )
             labels[v] = label
     scj = sum(len(labels[u] ^ labels[v]) for u, v in tree.edges())
     discarded = 0

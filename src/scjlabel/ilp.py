@@ -7,11 +7,17 @@ packing groups keep every node's choice a matching, so the feasible
 points are exactly the consistent labelings, valued by the component
 objective of :func:`scjlabel.dp.evaluate_component_labeling`.
 
-Branch and bound works on the presence variables only.  Its bound drops
-the matching constraints and solves one exact presence problem per
-adjacency on the tree.  The search branches only inside packing groups
-that can still be violated, absence branch first, with conflicting
-variables fixed eagerly; where no group can be, the bound is exact.
+Branch and bound works on the presence variables only.  Its bound is a
+Lagrangian relaxation of the matching constraints (Held, Wolfe &
+Crowder 1974; Fisher 1981): each packing group has an integer
+multiplier, fitted once at the root by subgradient steps, that every
+presence of the group pays while the group can still be violated.  The
+rest splits into one exact presence problem per adjacency on the tree.
+The search branches only inside packing groups that can still be
+violated, absence branch first, with conflicting variables fixed
+eagerly; a group that can no longer be violated drops its multiplier,
+and where no group can be, the bound is exact.  A search that visits
+more than ``NODE_BUDGET`` nodes is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    MICRO,
     Adjacency,
     Extremity,
     ObjectiveUnits,
@@ -29,7 +36,7 @@ from .core import (
     check_consistency,
     objective_units,
 )
-from .errors import InputError, InternalInvariantError
+from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .graph import Component
 from .dp import ComponentSolution, evaluate_component_labeling
 
@@ -135,8 +142,18 @@ def build_model(
 # Branch and bound
 
 
+#: Most visits one branch-and-bound search may make; past it the
+#: component is refused with :class:`CapacityExceeded`.
+NODE_BUDGET = 10**6
+
+#: Subgradient steps that fit the root multipliers, and the run of steps
+#: without a better bound after which the step length halves.
+FIT_ITERATIONS = 100
+FIT_PATIENCE = 5
+
+
 def _repair_conflicts(
-    model: IlpModel, conflicts: list[list[int]], vector: list[int]
+    model: IlpModel, conflicts: dict[int, list[int]], vector: list[int]
 ) -> list[int]:
     """Keep a candidate's presences in descending weight order, zeroing
     any that clash with a presence already kept."""
@@ -146,7 +163,7 @@ def _repair_conflicts(
         key=lambda j: (-model.variables[j].weight_micro, j),
     )
     for j in order:
-        if vector[j] and not any(chosen[k] for k in conflicts[j]):
+        if vector[j] and not any(chosen[k] for k in conflicts.get(j, ())):
             chosen[j] = 1
     return chosen
 
@@ -154,109 +171,160 @@ def _repair_conflicts(
 def solve_bb(model: IlpModel) -> ComponentSolution:
     """Exact minimization by depth-first branch and bound.
 
-    The admissible bound relaxes the one-adjacency-per-extremity
-    constraints, under which the component splits into one independent
-    presence/absence problem per adjacency; each is solved exactly on
-    the tree by a two-state scan that honors the variables fixed so
-    far.  Fixing a variable therefore re-solves only its own adjacency.
+    The bound is a Lagrangian relaxation of the one-adjacency-per-extremity
+    constraints: packing group ``g`` has an integer multiplier
+    ``lam[g] >= 0``, and a presence pays the multipliers of its open
+    groups.  The component then splits into one independent
+    presence/absence problem per adjacency, each solved exactly on the
+    tree by a two-state scan that honors the variables fixed so far, and
+    the bound is their sum less the multipliers of the open groups.  It
+    is a valid lower bound for any non-negative multipliers and is
+    computed in integers throughout.  Fixing a variable re-solves only
+    its own adjacency.
 
     A packing group is open while two or more of its variables are not
-    fixed absent.  Each visit branches on the first unfixed variable of
-    the first open group, in ``packing_groups`` order, the absence
-    branch before the presence branch; fixing a presence eagerly zeroes
+    fixed absent.  A closed group holds in every completion, so closing
+    it drops its multiplier and re-solves the adjacencies of its live
+    variables.  Each visit branches on the first unfixed variable of the
+    first open group, in ``packing_groups`` order, the absence branch
+    before the presence branch; fixing a presence eagerly zeroes
     everything it conflicts with.  A visit with no open group is a leaf:
-    every completion of its unfixed variables is feasible, so the bound
-    is its exact value, reached by setting each unfixed variable to its
-    adjacency's relaxed arg-min state (absence on ties).
+    no presence pays a multiplier, every completion of its unfixed
+    variables is feasible, so the bound is its exact value, reached by
+    setting each unfixed variable to its adjacency's relaxed arg-min
+    state (absence on ties).
 
     The incumbent starts from the better of the all-absent assignment
-    and a conflict-repaired copy of the relaxed optimum, all-absent on a
-    tie, and a leaf replaces it only when strictly better.  Among
-    co-optimal labelings the result is therefore the first one this
-    search order reaches, which is deterministic but need not be the
-    first in model order.
+    and a conflict-repaired copy of the unpriced relaxed optimum,
+    all-absent on a tie, and a leaf replaces it only when strictly
+    better.  The multipliers are fitted after that, once, by projected
+    subgradient steps at the root, and stay fixed for the search.  The
+    result is the first optimal leaf in this search order, or the
+    starting incumbent if that is optimal, whatever the multipliers.
+
+    Raises :class:`CapacityExceeded` once the search visits more than
+    ``NODE_BUDGET`` nodes.
     """
     n = len(model.variables)
+    groups = model.packing_groups
     # Two adjacencies at one node share at most one extremity, so every
-    # conflicting pair lies in exactly one packing group.
-    conflicts: list[list[int]] = [[] for _ in range(n)]
-    for group in model.packing_groups:
+    # conflicting pair lies in exactly one packing group.  Only variables
+    # in some group have conflicts, and only they are fixed or priced.
+    conflicts: dict[int, list[int]] = {}
+    groups_of: dict[int, list[int]] = {}
+    for g, group in enumerate(groups):
         for j in group:
-            conflicts[j].extend(k for k in group if k != j)
-    for row in conflicts:
+            conflicts.setdefault(j, []).extend(k for k in group if k != j)
+            groups_of.setdefault(j, []).append(g)
+    for row in conflicts.values():
         row.sort()
 
     units = model.units
     unit = units.change_unit
     weight_cost = [units.weight_unit * var.weight_micro for var in model.variables]
     assignment = [-1] * n
+    # Multipliers, the presence price each variable pays for its open
+    # groups, and each group's count of variables not fixed absent.
+    lam = [0] * len(groups)
+    price = [0] * n
+    live = [len(group) for group in groups]
 
     tree = model.tree
-    postorder = list(tree.postorder())
-    node_children = [tree.nodes[v].children for v in range(len(tree.nodes))]
+    root = tree.root
+    n_nodes = len(tree.nodes)
+    internal_postorder = tree.internal_ids()
+    internal_preorder = internal_postorder[::-1]
+    node_parent = [tree.nodes[v].parent for v in range(n_nodes)]
+    leaf_children = [
+        [c for c in tree.nodes[v].children if tree.is_leaf(c)] for v in range(n_nodes)
+    ]
+    internal_children = [
+        [c for c in tree.nodes[v].children if not tree.is_leaf(c)]
+        for v in range(n_nodes)
+    ]
     n_adjacencies = len(model.adjacencies)
     var_at = model.var_at
-    leaf_states = model.leaf_states
     adjacency_of_var = model.adjacency_of_var
+    # A leaf's state is fixed, so each leaf child adds one change to the
+    # state of its parent that differs from it.  Per adjacency, in
+    # ``internal_postorder``: the changes to a node's leaf children when
+    # it is absent and when present.  Equal pairs and rows are shared.
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    rows: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    leaf_changes: list[tuple[tuple[int, int], ...]] = []
+    for held in model.leaf_states:
+        row = []
+        for v in internal_postorder:
+            present = sum(held[c] for c in leaf_children[v])
+            pair = (unit * present, unit * (len(leaf_children[v]) - present))
+            row.append(pairs.setdefault(pair, pair))
+        row = tuple(row)
+        leaf_changes.append(rows.setdefault(row, row))
+    # Only these adjacencies have a variable that can be fixed or priced.
+    grouped = sorted({adjacency_of_var[j] for j in groups_of})
 
     BIG = 1 << 62
-    down0 = [0] * len(tree.nodes)
-    down1 = [0] * len(tree.nodes)
+    down0 = [0] * n_nodes
+    down1 = [0] * n_nodes
+    state = [0] * n_nodes
 
     def adjacency_bound(ai: int) -> int:
-        """Cheapest presence history of one adjacency given the fixed
-        variables; absent everywhere scores 0 plus leaf mismatches."""
+        """Cheapest priced presence history of one adjacency given the
+        fixed variables; absent everywhere scores 0 plus leaf mismatches."""
         vars_here = var_at[ai]
-        states = leaf_states[ai]
-        for v in postorder:
-            children = node_children[v]
-            if not children:
-                present = states[v]
-                down0[v] = BIG if present else 0
-                down1[v] = 0 if present else BIG
-                continue
+        for v, (c0, c1) in zip(internal_postorder, leaf_changes[ai]):
             j = vars_here.get(v)
             if j is None:
-                c0, c1 = 0, BIG
+                c1 = BIG
             elif assignment[j] == -1:
-                c0, c1 = weight_cost[j], 0
+                c0 += weight_cost[j]
+                c1 += price[j]
             elif assignment[j] == 0:
-                c0, c1 = weight_cost[j], BIG
+                c0 += weight_cost[j]
+                c1 = BIG
             else:
-                c0, c1 = BIG, 0
-            for c in children:
+                c0 = BIG
+            for c in internal_children[v]:
                 b0, b1 = down0[c], down1[c]
                 c0 += b0 if b0 <= b1 + unit else b1 + unit
                 c1 += b1 if b1 <= b0 + unit else b0 + unit
-            down0[v] = min(c0, BIG)
-            down1[v] = min(c1, BIG)
-        return min(down0[tree.root], down1[tree.root])
+            down0[v] = c0 if c0 < BIG else BIG
+            down1[v] = c1 if c1 < BIG else BIG
+        return min(down0[root], down1[root])
 
-    def relaxed_states(ai: int) -> dict[int, int]:
-        """Arg-min states of one adjacency's relaxation, absence on ties."""
-        adjacency_bound(ai)
-        top0 = [down0[v] for v in range(len(tree.nodes))]
-        top1 = [down1[v] for v in range(len(tree.nodes))]
+    def relaxed_states(ai: int) -> tuple[int, dict[int, int]]:
+        """Bound and arg-min variable states of one adjacency's priced
+        relaxation, absence on ties."""
+        bound = adjacency_bound(ai)
+        vars_here = var_at[ai]
         chosen: dict[int, int] = {}
-        state = {tree.root: 0 if top0[tree.root] <= top1[tree.root] else 1}
-        for v in tree.preorder():
-            if v != tree.root:
-                s = state[tree.nodes[v].parent]
-                zero = top0[v] + unit * s
-                one = top1[v] + unit * (1 - s)
-                state[v] = 0 if zero <= one else 1
-            if v in var_at[ai]:
-                chosen[var_at[ai][v]] = state[v]
-        return chosen
+        for v in internal_preorder:
+            if v == root:
+                s = 0 if down0[v] <= down1[v] else 1
+            else:
+                p = state[node_parent[v]]
+                s = 0 if down0[v] + unit * p <= down1[v] + unit * (1 - p) else 1
+            state[v] = s
+            j = vars_here.get(v)
+            if j is not None:
+                chosen[j] = s
+        return bound, chosen
 
     bounds = [adjacency_bound(ai) for ai in range(n_adjacencies)]
     future = sum(bounds)
+    # No variable of the other adjacencies is ever fixed or priced, so
+    # their relaxed states are final: -1 marks the grouped adjacencies.
+    ungrouped_states = [-1] * n
+    for ai in set(range(n_adjacencies)).difference(grouped):
+        for j, s in relaxed_states(ai)[1].items():
+            ungrouped_states[j] = s
 
     def settle(i: int, value: int):
         """Fix one variable plus consequences; None signals a conflict.
 
-        Returns an undo trail of ('fix', j) / ('bound', ai, previous)
-        entries; the shared bound total is updated in place.
+        Returns an undo trail of ('fix', j) / ('close', g) /
+        ('bound', ai, previous) entries; the shared bound total is
+        updated in place.
         """
         nonlocal future
         trail: list[tuple] = []
@@ -275,6 +343,17 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
             if b == 1:
                 for k in conflicts[j]:
                     queue.append((k, 0))
+                continue
+            for g in groups_of[j]:
+                live[g] -= 1
+                if live[g] == 1 and lam[g]:
+                    # The group just closed: its multiplier no longer applies.
+                    trail.append(("close", g))
+                    future += lam[g]
+                    for k in groups[g]:
+                        price[k] -= lam[g]
+                        if assignment[k] != 0:
+                            touched.add(adjacency_of_var[k])
         for ai in sorted(touched):
             updated = adjacency_bound(ai)
             if updated != bounds[ai]:
@@ -287,7 +366,16 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         nonlocal future
         for entry in reversed(trail):
             if entry[0] == "fix":
-                assignment[entry[1]] = -1
+                j = entry[1]
+                if assignment[j] == 0:
+                    for g in groups_of[j]:
+                        live[g] += 1
+                assignment[j] = -1
+            elif entry[0] == "close":
+                g = entry[1]
+                future -= lam[g]
+                for k in groups[g]:
+                    price[k] += lam[g]
             else:
                 _, ai, previous = entry
                 future += previous - bounds[ai]
@@ -296,21 +384,21 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     def relaxed_completion() -> list[int]:
         """The fixed values, with every unfixed variable set to its
         adjacency's relaxed arg-min state."""
-        vector = list(assignment)
-        for ai in range(n_adjacencies):
-            for j, s in relaxed_states(ai).items():
-                if vector[j] == -1:
-                    vector[j] = s
+        vector = list(ungrouped_states)
+        for ai in grouped:
+            for j, s in relaxed_states(ai)[1].items():
+                vector[j] = s if assignment[j] == -1 else assignment[j]
         return vector
 
     def open_variable() -> int | None:
         """First unfixed variable of the first packing group with two or
         more variables not fixed absent; None when no group is open."""
-        for group in model.packing_groups:
-            live = [j for j in group if assignment[j] != 0]
-            if len(live) >= 2:
-                # A present variable has zeroed the rest of its group.
-                return live[0]
+        for g, group in enumerate(groups):
+            if live[g] >= 2:
+                # A present variable would have zeroed the rest of its group.
+                for j in group:
+                    if assignment[j] != 0:
+                        return j
         return None
 
     def objective(vector: list[int]) -> int:
@@ -318,12 +406,60 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
             model.component, tree, model.weights, model.node_labels(vector)
         ))
 
+    def price_all() -> None:
+        for j, own in groups_of.items():
+            price[j] = sum(lam[g] for g in own)
+
+    def fit_multipliers() -> list[int]:
+        """Root multipliers with the highest bound found by projected
+        subgradient steps toward the incumbent (a Polyak step)."""
+        fixed_part = future - sum(bounds[ai] for ai in grouped)
+        best_lam, best_bound = lam[:], future
+        theta, stale = 1.0, 0  # the share of the gap to the incumbent to step
+        for _ in range(FIT_ITERATIONS):
+            price_all()
+            value = fixed_part - sum(lam)
+            slope = [-1] * len(groups)
+            for ai in grouped:
+                bound, chosen = relaxed_states(ai)
+                value += bound
+                for j, s in chosen.items():
+                    if s:
+                        for g in groups_of.get(j, ()):
+                            slope[g] += 1
+            if value > best_bound:
+                best_lam, best_bound, stale = lam[:], value, 0
+            else:
+                stale += 1
+                if stale == FIT_PATIENCE:
+                    theta, stale = theta / 2, 0
+            if best_bound >= best:
+                break  # the root is pruned whatever the search does
+            for g, m in enumerate(lam):
+                if m == 0 and slope[g] < 0:
+                    slope[g] = 0
+            norm = sum(d * d for d in slope)
+            if norm == 0:
+                break  # no group is over-full and every priced one is full
+            step = theta * (best - value) / norm
+            moved = [max(0, m + round(step * d)) for m, d in zip(lam, slope)]
+            if moved == lam:
+                break  # the same point again gives no larger step
+            lam[:] = moved
+        return best_lam
+
     repaired = _repair_conflicts(model, conflicts, relaxed_completion())
     best_vector = [0] * n
     best = objective(best_vector)
     repaired_value = objective(repaired)
     if repaired_value < best:
         best, best_vector = repaired_value, repaired
+
+    lam[:] = fit_multipliers()
+    price_all()
+    for ai in grouped:
+        bounds[ai] = adjacency_bound(ai)
+    future = sum(bounds) - sum(lam)
     explored = 0
 
     # Depth-first search over an explicit stack of ("visit",),
@@ -345,12 +481,22 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                 stack.append(("visit",))
             continue
         explored += 1
+        if explored > NODE_BUDGET:
+            alpha = Fraction(units.weight_unit * MICRO, units.scale)
+            raise CapacityExceeded(
+                f"branch and bound passed its budget of {NODE_BUDGET} nodes"
+                f" ({explored} explored) on a component with"
+                f" {model.component.n_extremities} extremities, {n} presences"
+                f" and {len(groups)} packing groups at alpha {alpha};"
+                " raise --threshold or lower --alpha"
+            )
         if future >= best:
             continue
         j = open_variable()
         if j is None:
-            # No group is open, so every completion is feasible and the
-            # relaxed optimum of each adjacency is exact.
+            # No group is open, so no presence pays a multiplier, every
+            # completion is feasible and each adjacency's relaxed optimum
+            # is exact.
             best = future
             best_vector = relaxed_completion()
             continue

@@ -163,7 +163,10 @@ def _solve_one(
             f"component {index} needs the ilp route (label bound {bound}),"
             " which cannot sample; raise --cap or drop --samples"
         )
-    solution = solve_bb(build_model(component, tree, weights, config.alpha))
+    try:
+        solution = solve_bb(build_model(component, tree, weights, config.alpha))
+    except CapacityExceeded as exc:
+        raise CapacityExceeded(f"component {index}: {exc}") from exc
     return "ilp", solution, [], time.perf_counter() - started
 
 

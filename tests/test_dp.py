@@ -399,3 +399,29 @@ class TestEvaluateLabeling:
                 component, tree, WeightTable(),
                 {anc1: foreign, anc2: frozenset()},
             )
+
+    def test_rejects_an_adjacency_not_annotated_at_its_node(self):
+        tree = parse_newick("((s1,s2)anc2,s3)anc1;")
+        markers = {1, 2, 3}
+        tree = tree.with_genomes({
+            "s1": genome_of(markers, (1, 2), (3,)),
+            "s2": genome_of(markers, (1, 3), (2,)),
+            "s3": genome_of(markers, (1, 2), (3,)),
+        })
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        a, b = Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")
+        weights = WeightTable()
+        weights.set(anc1, a, "1")
+        weights.set(anc2, b, "1")
+        (component,) = components_of(tree, weights, "0.5")
+        assert component.edges == {a: frozenset({anc1}), b: frozenset({anc2})}
+        with pytest.raises(InputError, match=f"anc1 holds {b}"):
+            evaluate_component_labeling(
+                component, tree, weights,
+                {anc1: frozenset({a, b}), anc2: frozenset({a})},
+            )
+        with pytest.raises(InputError, match=f"anc2 holds {a}"):
+            evaluate_component_labeling(
+                component, tree, weights,
+                {anc1: frozenset({a}), anc2: frozenset({a})},
+            )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from scjlabel.dp import (
     evaluate_component_labeling,
     solve_component,
 )
-from scjlabel.errors import InternalInvariantError
+from scjlabel.cli import main
+from scjlabel.errors import CapacityExceeded, InternalInvariantError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel.ilp import build_model, solve_bb
@@ -54,12 +56,21 @@ def components_of(tree, weights=None, threshold=0):
     return connected_components(graph)
 
 
-def simulated_instance(n_markers, n_leaves, seed):
+def simulated_instance(n_markers, n_leaves, seed, kt=0.1):
     """Tree and Boltzmann weights of a fast-evolving simulated instance."""
     tree = evolve(SimConfig(
         n_markers=n_markers, n_leaves=n_leaves, diameter_factor=0.5, seed=seed
     )).tree
-    return tree, boltzmann_weight_table(tree, 0.1)
+    return tree, boltzmann_weight_table(tree, kt)
+
+
+def largest_model(tree, weights, threshold, alpha):
+    """Presence model of the component with the most presences."""
+    return max(
+        (build_model(c, tree, weights, alpha)
+         for c in components_of(tree, weights, threshold)),
+        key=lambda m: len(m.variables),
+    )
 
 
 def three_leaf_model(alpha="1/2"):
@@ -222,16 +233,13 @@ class TestSolveBb:
 
     def test_branches_only_where_a_packing_group_is_open(self):
         # Its largest component has 617 presences, 40 of them in packing
-        # groups; branching on every presence explored 236,239 nodes.
+        # groups; branching on every presence explored 236,239 nodes, and
+        # branching only in open groups under the unpriced bound 2,571.
         tree, weights = simulated_instance(200, 12, seed=1)
-        model = max(
-            (build_model(c, tree, weights, "1/2")
-             for c in components_of(tree, weights, "1/3")),
-            key=lambda m: len(m.variables),
-        )
+        model = largest_model(tree, weights, "1/3", "1/2")
         assert len(model.variables) == 617
         solution = solve_bb(model)
-        assert solution.nodes_explored <= 10_000
+        assert solution.nodes_explored <= 2_597
         scj, discarded = evaluate_component_labeling(
             model.component, tree, weights, solution.node_labels
         )
@@ -271,8 +279,51 @@ class TestSolveBb:
                 for component in components_of(tree, weights, threshold):
                     if component.label_space_bound ** 2 <= DEFAULT_EXPLOSION_CAP:
                         continue  # the pipeline sends it to the DP
-                    for alpha in ("0", "1/2", "3/4"):
+                    for alpha in ("0", "1/2", "3/4", "9/10", "1"):
                         model = build_model(component, tree, weights, alpha)
                         assert solve_bb(model).objective_scaled == milp_optimum(model)
                         checked += 1
-        assert checked == 3 * 3 * (6 + 7)
+        assert checked == 3 * 5 * (6 + 7)
+
+    def test_solves_a_dense_component_near_alpha_one(self):
+        # 623 presences in 385 packing groups.  Without prices on the
+        # packing rows the root bound was 0 at alpha 1 against an optimum
+        # of 77,334,049, and the search did not finish.
+        pytest.importorskip("scipy")
+        tree, weights = simulated_instance(30, 8, seed=2, kt=1)
+        for alpha in ("9/10", "1"):
+            model = largest_model(tree, weights, "0", alpha)
+            assert (len(model.variables), len(model.packing_groups)) == (623, 385)
+            assert solve_bb(model).objective_scaled == milp_optimum(model)
+
+    def test_a_search_past_the_node_budget_is_refused(self, monkeypatch):
+        tree, weights = simulated_instance(200, 12, seed=1)
+        model = largest_model(tree, weights, "1/3", "1/2")
+        monkeypatch.setattr(ilp, "NODE_BUDGET", 10)
+        pattern = (
+            rf"budget of 10 nodes \(11 explored\) on a component with"
+            rf" {model.component.n_extremities} extremities, 617 presences"
+            rf" and {len(model.packing_groups)} packing groups at alpha 1/2;"
+            r" raise --threshold or lower --alpha"
+        )
+        with pytest.raises(CapacityExceeded, match=pattern):
+            solve_bb(model)
+
+    def test_the_cli_exits_2_past_the_node_budget(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(ilp, "NODE_BUDGET", 10)
+        sim = tmp_path / "sim"
+        assert main([
+            "simulate", "--markers", "200", "--leaves", "12",
+            "--diameter-factor", "0.5", "--seed", "1", "--out", str(sim),
+        ]) == 0
+        code = main([
+            "solve", "--tree", str(sim / "tree.nwk"),
+            "--genomes", str(sim / "genomes.tsv"), "--boltzmann",
+            "--threshold", "1/3", "--alpha", "1/2", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"capacity exceeded: component \d+: branch and bound", err)
+        assert "raise --threshold or lower --alpha" in err
