@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-from typing import AbstractSet, ItemsView, Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -43,9 +45,16 @@ def exact_fraction(value: object) -> Fraction:
         raise InputError(f"expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (float, str)):
+    if isinstance(value, float):
+        # Decimal reads the shortest form exactly, several times faster
+        # than Fraction parses it.
         try:
-            return Fraction(str(value))
+            return Fraction(*Decimal(str(value)).as_integer_ratio())
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"not a finite number: {value!r}") from exc
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a finite number: {value!r}") from exc
     raise InputError(f"expected a number, got {type(value).__name__}")
@@ -202,11 +211,6 @@ class Genome:
             raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
 
 
-def _orient_key(seq: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    # positive orientation of a marker sorts before negative
-    return tuple((abs(m), 0 if m > 0 else 1) for m in seq)
-
-
 def _reverse_complement(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-m for m in reversed(seq))
 
@@ -231,9 +235,9 @@ class Car:
         seq = tuple(self.markers)
         if not seq:
             raise InputError("CAR must contain at least one marker")
-        if any(m == 0 for m in seq):
+        if 0 in seq:
             raise InputError("signed marker 0 is not allowed")
-        if len({abs(m) for m in seq}) != len(seq):
+        if len(set(map(abs, seq))) != len(seq):
             raise InputError(f"CAR repeats a marker: {seq}")
         if self.kind == "circular" and len(seq) == 1:
             raise InputError("single-marker circular chromosomes are not representable")
@@ -241,13 +245,21 @@ class Car:
 
     @staticmethod
     def _canonical(kind: str, seq: tuple[int, ...]) -> tuple[int, ...]:
+        # The markers are distinct, so the smallest candidate under the
+        # (marker id, positive first) key is decided by its first signed
+        # marker: a linear run reads from the end whose key is smaller, a
+        # circular one from its smallest marker, forward.
         if kind == "linear":
-            return min(seq, _reverse_complement(seq), key=_orient_key)
-        candidates = []
-        for orient in (seq, _reverse_complement(seq)):
-            for shift in range(len(orient)):
-                candidates.append(orient[shift:] + orient[:shift])
-        return min(candidates, key=_orient_key)
+            first, last = seq[0], seq[-1]
+            if (abs(first), first < 0) < (abs(last), last > 0):
+                return seq
+            return _reverse_complement(seq)
+        start = min(range(len(seq)), key=lambda i: abs(seq[i]))
+        if seq[start] > 0:
+            return seq[start:] + seq[:start]
+        flipped = _reverse_complement(seq)
+        start = len(seq) - 1 - start
+        return flipped[start:] + flipped[:start]
 
     def __len__(self) -> int:
         return len(self.markers)
@@ -284,67 +296,67 @@ def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> li
 
     Every marker appears in exactly one returned CAR; markers untouched
     by any adjacency come back as singleton linear CARs.  The list is
-    sorted canonically so equal inputs produce identical output.
+    sorted canonically so equal inputs produce identical output.  Apart
+    from sorting the markers, time is linear in the markers and
+    adjacencies.
     """
     adjs = list(adjacencies)
-    ok, offenders = check_consistency(adjs)
-    if not ok:
-        listed = ", ".join(str(x) for x in offenders)
-        raise InputError(f"cannot extract CARs, reused extremities: {listed}")
     universe = set(markers)
-    link: dict[Extremity, Extremity] = {}
+    # Extremities are walked as plain (marker, end) tuples.
+    link: dict[tuple[int, int], tuple[int, int]] = {}
     for adj in adjs:
         a, b = adj
+        link[a] = b
+        link[b] = a
+    if len(link) != 2 * len(adjs):
+        _, offenders = check_consistency(adjs)
+        listed = ", ".join(str(x) for x in offenders)
+        raise InputError(f"cannot extract CARs, reused extremities: {listed}")
+    for adj in adjs:
         for x in adj:
             if x.marker not in universe:
                 raise InputError(f"adjacency {adj} uses marker {x.marker} outside the universe")
-        link[a] = b
-        link[b] = a
 
-    def walk(start: Extremity) -> tuple[list[int], bool]:
-        # Enter the start marker at ``start``; follow internal marker
-        # connections and adjacency links until a free end or the start.
-        seq: list[int] = []
-        entry = start
+    def walk(marker: int, end: int) -> tuple[tuple[int, ...], bool]:
+        # Enter ``marker`` at ``end``; follow internal marker connections
+        # and adjacency links until a free end or back at the start.
+        seq = []
+        m, e = marker, end
         while True:
-            signed = entry.marker if entry.end == TAIL else -entry.marker
-            seq.append(signed)
-            exit_ = Extremity(entry.marker, TAIL if entry.end == HEAD else HEAD)
-            nxt = link.get(exit_)
+            seq.append(m if e == TAIL else -m)
+            nxt = link.get((m, 1 - e))
             if nxt is None:
-                return seq, False
-            if nxt == start:
-                return seq, True
-            entry = nxt
-        # unreachable
+                return tuple(seq), False
+            m, e = nxt
+            if m == marker and e == end:
+                return tuple(seq), True
 
     used: set[int] = set()
     cars: list[Car] = []
     # Linear runs first: start only at free extremities, so a marker in
     # the middle of a run is never mistaken for the start of one.
-    for m in sorted(universe):
+    ordered = sorted(universe)
+    for m in ordered:
         if m in used:
             continue
-        tail, head = Extremity.tail(m), Extremity.head(m)
-        if tail not in link and head not in link:
-            seq: list[int] = [m]
-        elif tail not in link:
-            seq, _ = walk(tail)
-        elif head not in link:
-            seq, _ = walk(head)
+        if (m, TAIL) not in link:
+            seq, _ = walk(m, TAIL)
+        elif (m, HEAD) not in link:
+            seq, _ = walk(m, HEAD)
         else:
             continue  # interior of a linear run, or on a cycle
-        used.update(abs(s) for s in seq)
-        cars.append(Car("linear", tuple(seq)))
-    for m in sorted(universe):
+        used.update(map(abs, seq))
+        cars.append(Car("linear", seq))
+    for m in ordered:
         if m in used:
             continue
-        seq, closed = walk(Extremity.tail(m))
+        seq, closed = walk(m, TAIL)
         if not closed:
             raise AssertionError(f"open walk from marker {m} left after the linear pass")
-        used.update(abs(s) for s in seq)
-        cars.append(Car("circular", tuple(seq)))
-    cars.sort(key=lambda c: (c.kind, _orient_key(c.markers)))
+        used.update(map(abs, seq))
+        cars.append(Car("circular", seq))
+    # CARs share no marker, so a canonical first marker orders each kind.
+    cars.sort(key=lambda c: (c.kind, abs(c.markers[0])))
     return cars
 
 
@@ -551,46 +563,108 @@ class Phylogeny:
         return Phylogeny(self.nodes, self.root, genomes)
 
 
+_NO_ROW: dict[int, int] = {}
+
+
+def _check_micro(micro: object) -> None:
+    if not isinstance(micro, int) or not 0 <= micro <= MICRO:
+        raise InputError(f"micro weight must be an integer in [0, {MICRO}], got {micro!r}")
+
+
 class WeightTable:
     """Adjacency confidences per internal node, on the 1e-6 grid.
 
     Entries absent from the table read as weight zero.  Values may be
     set with any exact number; floats go through their shortest decimal
     representation before quantization.
+
+    Stored as one row per adjacency, mapping node id to micro weight,
+    plus the micro total of every node, kept up to date on every write.
     """
 
-    __slots__ = ("_micro",)
+    __slots__ = ("_rows", "_totals", "_entries")
 
     def __init__(self) -> None:
-        self._micro: dict[tuple[int, Adjacency], int] = {}
+        self._rows: dict[Adjacency, dict[int, int]] = {}
+        self._totals: dict[int, int] = {}
+        self._entries = 0
+
+    @classmethod
+    def from_shared_rows(
+        cls, key_of: Mapping[Adjacency, Hashable], rows: Mapping[Hashable, Mapping[int, int]]
+    ) -> "WeightTable":
+        """A table giving each adjacency of ``key_of``, in its order, a copy of
+        ``rows[key_of[adjacency]]``.
+
+        Each row is checked once however many adjacencies share it, and
+        each adjacency gets its own copy, so a later ``set_micro`` on one
+        adjacency never reaches another.
+        """
+        table = cls()
+        for row in rows.values():
+            for micro in row.values():
+                _check_micro(micro)
+        uses = Counter(key_of.values())
+        totals = table._totals
+        for key, n in uses.items():
+            row = rows[key]
+            table._entries += n * len(row)
+            for v, micro in row.items():
+                totals[v] = totals.get(v, 0) + n * micro
+        table._rows = {adjacency: dict(rows[key]) for adjacency, key in key_of.items()}
+        return table
 
     def set(self, node_id: int, adjacency: Adjacency, weight: object) -> None:
         self.set_micro(node_id, adjacency, quantize_weight(weight))
 
     def set_micro(self, node_id: int, adjacency: Adjacency, micro: int) -> None:
-        if not isinstance(micro, int) or not 0 <= micro <= MICRO:
-            raise InputError(f"micro weight must be an integer in [0, {MICRO}], got {micro!r}")
-        self._micro[(node_id, adjacency)] = micro
+        _check_micro(micro)
+        row = self._rows.get(adjacency)
+        if row is None:
+            row = self._rows[adjacency] = {}
+        old = row.get(node_id)
+        if old is None:
+            self._entries += 1
+            old = 0
+        row[node_id] = micro
+        self._totals[node_id] = self._totals.get(node_id, 0) + micro - old
 
     def get_micro(self, node_id: int, adjacency: Adjacency) -> int:
-        return self._micro.get((node_id, adjacency), 0)
+        row = self._rows.get(adjacency)
+        return 0 if row is None else row.get(node_id, 0)
 
     def get(self, node_id: int, adjacency: Adjacency) -> float:
         return self.get_micro(node_id, adjacency) / MICRO
 
-    def items(self) -> ItemsView[tuple[int, Adjacency], int]:
-        """All stored entries as ((node id, adjacency), micro), unsorted."""
-        return self._micro.items()
+    def row(self, adjacency: Adjacency) -> Mapping[int, int]:
+        """Read-only view of one adjacency's entries, node id -> micro."""
+        return MappingProxyType(self._rows.get(adjacency, _NO_ROW))
+
+    def total_micro(self, node_id: int) -> int:
+        """Sum of the stored micro weights at one node."""
+        return self._totals.get(node_id, 0)
+
+    def items(self) -> Iterator[tuple[tuple[int, Adjacency], int]]:
+        """All stored entries as ((node id, adjacency), micro), unsorted.
+
+        Rows come in the order their adjacencies were first set, and the
+        nodes of a row in the order they were set.
+        """
+        for adjacency, row in self._rows.items():
+            for v, micro in row.items():
+                yield (v, adjacency), micro
 
     def micro_items(self) -> list[tuple[int, Adjacency, int]]:
         """All stored entries as (node id, adjacency, micro), sorted."""
-        return [(v, a, w) for (v, a), w in sorted(self._micro.items())]
+        return sorted((v, a, w) for a, row in self._rows.items() for v, w in row.items())
 
     def __len__(self) -> int:
-        return len(self._micro)
+        return self._entries
 
     def __contains__(self, key: tuple[int, Adjacency]) -> bool:
-        return key in self._micro
+        node_id, adjacency = key
+        row = self._rows.get(adjacency)
+        return row is not None and node_id in row
 
 
 class ObjectiveValue(NamedTuple):
@@ -639,12 +713,10 @@ def labeling_objective(
     scj = 0
     for u, v in tree.edges():
         scj += len(set(labels[u]) ^ set(labels[v]))
-    discarded_micro = 0
-    for (v, adjacency), micro in weights.items():
-        if tree.is_leaf(v):
-            continue
-        if adjacency not in labels[v]:
-            discarded_micro += micro
+    # Discarded weight is the internal nodes' total less what their labels keep.
+    internal = [v for v in labels if not tree.is_leaf(v)]
+    kept = sum(weights.get_micro(v, a) for v in internal for a in labels[v])
+    discarded_micro = sum(weights.total_micro(v) for v in internal) - kept
     discarded = Fraction(discarded_micro, MICRO)
     total = (1 - alpha) * scj + alpha * discarded
     return ObjectiveValue(total, scj, discarded)

@@ -126,12 +126,13 @@ def solve_component(
 
     edges = component.sorted_edges
     conflicts = _conflict_masks(edges)
+    rows = [weights.row(e) for e in edges]
     edge_micro: dict[int, list[int]] = {}
     annotated: dict[int, list[int]] = {}
     for v in tree.internal_ids():
         idx = [i for i, e in enumerate(edges) if v in component.edges[e]]
         annotated[v] = idx
-        edge_micro[v] = [weights.get_micro(v, edges[i]) for i in range(len(edges))]
+        edge_micro[v] = [row.get(v, 0) for row in rows]
 
     labels: dict[int, list[int]] = {}
     cost: dict[int, list[int]] = {}

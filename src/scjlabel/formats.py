@@ -296,8 +296,7 @@ def _car_rows(name: str, adjacencies: frozenset[Adjacency], markers) -> list[str
     rows = []
     for car in extract_cars(adjacencies, markers):
         kind = "C" if car.kind == "circular" else "L"
-        body = " ".join(str(m) for m in car.markers)
-        rows.append(f"{name}\t{kind}\t{body}")
+        rows.append(f"{name}\t{kind}\t{' '.join(map(str, car.markers))}")
     return rows
 
 
@@ -353,5 +352,4 @@ def write_labeling(
 def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write ``lines`` as UTF-8 text, each ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        handle.write("".join(line + "\n" for line in lines))

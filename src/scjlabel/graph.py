@@ -72,9 +72,8 @@ def build_global_graph(
     internal = tree.internal_ids()
     edges: dict[Adjacency, frozenset[int]] = {}
     for adjacency in sorted(candidates):
-        annotated = frozenset(
-            v for v in internal if weights.get_micro(v, adjacency) >= cutoff
-        )
+        row = weights.row(adjacency)
+        annotated = frozenset(v for v in internal if row.get(v, 0) >= cutoff)
         if annotated:
             edges[adjacency] = annotated
     return GlobalAdjacencyGraph(edges)

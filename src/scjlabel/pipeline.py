@@ -214,12 +214,12 @@ def solve_instance(
         for _, v in tree.edges()
         if tree.is_leaf(v)
     )
-    annotated = {(v, a) for a, nodes in graph.edges.items() for v in nodes}
-    filtered_micro = sum(
-        micro
-        for (v, a), micro in weights.items()
-        if not tree.is_leaf(v) and (v, a) not in annotated
-    )
+    # Filtered weight: the internal nodes' total less the annotated weight.
+    annotated_micro = 0
+    for a, nodes in graph.edges.items():
+        row = weights.row(a)
+        annotated_micro += sum(row.get(v, 0) for v in nodes)
+    filtered_micro = sum(weights.total_micro(v) for v in internal) - annotated_micro
 
     units = objective_units(alpha)
     scaled_sum = sum(sol.objective_scaled for sol in solutions)

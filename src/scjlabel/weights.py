@@ -26,6 +26,8 @@ from .errors import InputError, InternalInvariantError
 from .graph import candidate_adjacencies
 
 _INF = float("inf")
+#: ``math.exp`` overflows above this; a presence that much less likely weighs 0.
+_EXP_MAX = 709.0
 
 
 class FitchHistory(NamedTuple):
@@ -141,41 +143,48 @@ def _check_boltzmann_inputs(tree: Phylogeny, kt: float) -> None:
 def _boltzmann_sweep(tree: Phylogeny, present: dict[int, bool], kt: float) -> dict[int, float]:
     """Inside-outside sweep of ``boltzmann_weights`` for one leaf presence."""
     penalty = 1.0 / float(kt)
+    nodes = tree.nodes
+    order = list(tree.preorder())
 
     up: dict[int, tuple[float, float]] = {}
-    for v in tree.postorder():
-        node = tree.nodes[v]
-        if node.is_leaf:
+    # Each child's term in its parent's inside sum, per parent state.
+    message: dict[int, tuple[float, float]] = {}
+    for v in reversed(order):
+        children = nodes[v].children
+        if not children:
             up[v] = (-_INF, 0.0) if present[v] else (0.0, -_INF)
-        else:
-            totals = [0.0, 0.0]
-            for c in node.children:
-                for s in (0, 1):
-                    totals[s] += _log_add(up[c][s], up[c][1 - s] - penalty)
-            up[v] = (totals[0], totals[1])
+            continue
+        total0 = total1 = 0.0
+        for c in children:
+            c0, c1 = up[c]
+            m = message[c] = (_log_add(c0, c1 - penalty), _log_add(c1, c0 - penalty))
+            total0 += m[0]
+            total1 += m[1]
+        up[v] = (total0, total1)
 
+    # Outside sums, needed at internal nodes only.
     down: dict[int, tuple[float, float]] = {tree.root: (0.0, 0.0)}
-    for u, v in tree.edges():
-        node = tree.nodes[u]
-        sibling_sum = [0.0, 0.0]
-        for w in node.children:
-            if w == v:
+    for u in order:
+        children = nodes[u].children
+        for v in children:
+            if not nodes[v].children:
                 continue
-            for t in (0, 1):
-                sibling_sum[t] += _log_add(up[w][t], up[w][1 - t] - penalty)
-        vals = []
-        for s in (0, 1):
-            terms = [
-                down[u][t] + sibling_sum[t] + (0.0 if t == s else -penalty) for t in (0, 1)
-            ]
-            vals.append(_log_add(terms[0], terms[1]))
-        down[v] = (vals[0], vals[1])
+            sibling0 = sibling1 = 0.0
+            for w in children:
+                if w != v:
+                    sibling0 += message[w][0]
+                    sibling1 += message[w][1]
+            out0 = down[u][0] + sibling0
+            out1 = down[u][1] + sibling1
+            down[v] = (_log_add(out0, out1 - penalty), _log_add(out0 - penalty, out1))
 
     result: dict[int, float] = {}
-    for v in tree.internal_ids():
+    for v in reversed(order):
+        if not nodes[v].children:
+            continue
         l0 = up[v][0] + down[v][0]
         l1 = up[v][1] + down[v][1]
-        if l1 == -_INF:
+        if l1 == -_INF or l0 - l1 > _EXP_MAX:
             result[v] = 0.0
         elif l0 == -_INF:
             result[v] = 1.0
@@ -187,20 +196,26 @@ def _boltzmann_sweep(tree: Phylogeny, present: dict[int, bool], kt: float) -> di
 def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
     """Boltzmann weights of every candidate at every internal node, one sweep per leaf pattern."""
     _check_boltzmann_inputs(tree, kt)
-    table = WeightTable()
     leaves = tree.leaves()
-    genomes = [tree.leaf_genomes[v].adjacencies for v in leaves]
-    memo: dict[tuple[bool, ...], list[tuple[int, int]]] = {}
-    candidates = sorted(candidate_adjacencies(tree))
-    for adjacency in candidates:
-        pattern = tuple(adjacency in genome for genome in genomes)
-        entries = memo.get(pattern)
-        if entries is None:
-            weights = _boltzmann_sweep(tree, dict(zip(leaves, pattern)), kt)
-            entries = memo[pattern] = [(v, quantize_weight(w)) for v, w in sorted(weights.items())]
-        for v, micro in entries:
-            table.set_micro(v, adjacency, micro)
-    return table
+    # Leaf presence pattern of every candidate, as a bitmask over ``leaves``.
+    pattern_of: dict[Adjacency, int] = dict.fromkeys(sorted(candidate_adjacencies(tree)), 0)
+    for i, v in enumerate(leaves):
+        bit = 1 << i
+        for adjacency in tree.leaf_genomes[v].adjacencies:
+            pattern_of[adjacency] |= bit
+    rows: dict[int, dict[int, int]] = {}
+    micro_of: dict[float, int] = {}  # each distinct weight quantized once
+    for pattern in pattern_of.values():
+        if pattern in rows:
+            continue
+        present = {v: bool(pattern >> i & 1) for i, v in enumerate(leaves)}
+        row = rows[pattern] = {}
+        for v, w in sorted(_boltzmann_sweep(tree, present, kt).items()):
+            micro = micro_of.get(w)
+            if micro is None:
+                micro = micro_of[w] = quantize_weight(w)
+            row[v] = micro
+    return WeightTable.from_shared_rows(pattern_of, rows)
 
 
 def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:

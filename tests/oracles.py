@@ -392,6 +392,68 @@ def brute_max_weight_micro(candidates, weight_of) -> int:
 
 
 # ---------------------------------------------------------------------------
+# CARs by the first implementation: every orientation and rotation listed
+
+
+def _orient_key(seq) -> tuple[tuple[int, int], ...]:
+    # positive orientation of a marker sorts before negative
+    return tuple((abs(m), 0 if m > 0 else 1) for m in seq)
+
+
+def reference_car_markers(kind: str, seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical signed markers of a CAR: the smallest of both
+    orientations (and, for a circle, of all their rotations) under
+    (marker id, positive before negative)."""
+    flipped = tuple(-m for m in reversed(seq))
+    if kind == "linear":
+        return min(seq, flipped, key=_orient_key)
+    rotations = [o[s:] + o[:s] for o in (seq, flipped) for s in range(len(o))]
+    return min(rotations, key=_orient_key)
+
+
+def reference_extract_cars(adjacencies, markers) -> list[tuple[str, tuple[int, ...]]]:
+    """CARs of a consistent adjacency set as sorted (kind, canonical
+    markers) pairs, walking :class:`Extremity` objects step by step."""
+    link: dict[Extremity, Extremity] = {}
+    for a, b in adjacencies:
+        assert a not in link and b not in link, "oracle guard: inconsistent set"
+        link[a] = b
+        link[b] = a
+
+    def walk(start: Extremity) -> list[int]:
+        seq: list[int] = []
+        entry = start
+        while True:
+            seq.append(entry.marker if entry.end == 0 else -entry.marker)
+            nxt = link.get(Extremity(entry.marker, 1 - entry.end))
+            if nxt is None or nxt == start:
+                return seq
+            entry = nxt
+
+    used: set[int] = set()
+    cars: list[tuple[str, tuple[int, ...]]] = []
+    for m in sorted(markers):
+        tail, head = Extremity(m, 0), Extremity(m, 1)
+        if m in used:
+            continue
+        if tail not in link:
+            seq = walk(tail)
+        elif head not in link:
+            seq = walk(head)
+        else:
+            continue  # interior of a linear run, or on a cycle
+        used.update(abs(s) for s in seq)
+        cars.append(("linear", reference_car_markers("linear", tuple(seq))))
+    for m in sorted(markers):
+        if m not in used:
+            seq = walk(Extremity(m, 0))
+            used.update(abs(s) for s in seq)
+            cars.append(("circular", reference_car_markers("circular", tuple(seq))))
+    cars.sort(key=lambda car: (car[0], _orient_key(car[1])))
+    return cars
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 
 

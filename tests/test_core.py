@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bfs_dcj_distance, random_genome
+from oracles import (
+    bfs_dcj_distance,
+    random_genome,
+    random_instance,
+    reference_car_markers,
+    reference_extract_cars,
+)
 from scjlabel.core import (
     MICRO,
     Adjacency,
@@ -48,6 +54,10 @@ class TestExactNumbers:
         assert exact_fraction("1/3") == Fraction(1, 3)
         assert exact_fraction(0.1) == Fraction(1, 10)
         assert exact_fraction(3) == Fraction(3)
+        rng = random.Random(31)
+        floats = [0.0, -0.0, 1.0, 5e-7, 1e-05, 5e-324, 1 - 2**-53, 1e300, -2.5]
+        for x in floats + [rng.random() for _ in range(2000)]:
+            assert exact_fraction(x) == Fraction(str(x))
 
     def test_exact_fraction_rejects_junk(self):
         with pytest.raises(InputError):
@@ -212,6 +222,15 @@ class TestCar:
         with pytest.raises(InputError):
             Car("circular", (1,))
 
+    def test_canonical_form_matches_the_reference(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            seq = tuple(m if rng.random() < 0.5 else -m for m in rng.sample(range(1, 31), n))
+            kinds = ("linear", "circular") if n > 1 else ("linear",)
+            for kind in kinds:
+                assert Car(kind, seq).markers == reference_car_markers(kind, seq)
+
     def test_str_and_len(self):
         car = Car("linear", (1, -3, 2))
         assert len(car) == 3
@@ -247,6 +266,18 @@ class TestExtractCars:
                     car.markers, car.kind == "circular"
                 )
             assert rebuilt == set(genome.adjacencies)
+
+    def test_matches_the_reference_walk(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            markers = frozenset(rng.sample(range(1, 40), n))
+            genome = random_genome(rng, markers, max_chromosomes=4, circular_rate=0.4)
+            # Dropping adjacencies keeps the set consistent and breaks runs.
+            kept = [a for a in sorted(genome.adjacencies) if rng.random() < 0.8]
+            universe = markers | frozenset(rng.sample(range(40, 50), rng.randint(0, 2)))
+            cars = extract_cars(kept, universe)
+            assert [(c.kind, c.markers) for c in cars] == reference_extract_cars(kept, universe)
 
     def test_inconsistent_input_is_rejected(self):
         bad = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")]
@@ -364,3 +395,86 @@ class TestLabelingObjective:
             labeling_objective(
                 tree, {anc1: clash, anc2: frozenset()}, WeightTable(), 0
             )
+
+    def test_matches_the_entry_by_entry_definition(self):
+        # Random tables with leaf-node, zero-weight and overwritten entries
+        # and adjacencies outside every label; the discarded weight sums,
+        # entry by entry, what the internal nodes' labels leave out.
+        rng = random.Random(47)
+        for _ in range(200):
+            tree = random_instance(rng, n_leaves=rng.randint(2, 5), n_markers=rng.randint(2, 6))
+            ends = [Extremity(m, e) for m in sorted(tree.markers) for e in (0, 1)]
+            pool = sorted(
+                {Adjacency(x, y) for x in ends for y in ends if x.marker != y.marker}
+            )[: rng.randint(1, 12)]
+            table, entries = WeightTable(), {}
+            for _ in range(rng.randint(0, 40)):
+                key = (rng.randrange(len(tree.nodes)), rng.choice(pool))
+                micro = rng.choice((0, MICRO, rng.randint(0, MICRO)))
+                table.set_micro(*key, micro)
+                entries[key] = micro
+            labeling = {
+                v: frozenset(
+                    a for a in random_genome(rng, tree.markers).adjacencies if rng.random() < 0.7
+                )
+                for v in tree.internal_ids()
+            }
+            alpha = rng.choice(("0", "1/3", "1/2", "1"))
+            value = labeling_objective(tree, labeling, table, alpha)
+            discarded = Fraction(sum(
+                micro for (v, a), micro in entries.items()
+                if v in labeling and a not in labeling[v]
+            ), MICRO)
+            assert value.discarded_weight == discarded
+            a = as_alpha(alpha)
+            assert value.total == (1 - a) * value.scj_changes + a * discarded
+
+
+# ---------------------------------------------------------------------------
+# Weight table
+
+
+class TestWeightTable:
+    def test_totals_and_length_follow_overwrites(self):
+        rng = random.Random(53)
+        pool = [Adjacency.of(f"{m}h", f"{m + 1}t") for m in range(1, 6)]
+        table, entries = WeightTable(), {}
+        for _ in range(400):
+            key = (rng.randrange(4), rng.choice(pool))
+            micro = rng.choice((0, MICRO, rng.randint(0, MICRO)))
+            table.set_micro(*key, micro)
+            entries[key] = micro
+            assert len(table) == len(entries)
+            for v in range(5):
+                assert table.total_micro(v) == sum(
+                    w for (u, _), w in entries.items() if u == v
+                )
+        assert sorted(table.items()) == sorted(entries.items())
+        assert table.micro_items() == sorted((v, a, w) for (v, a), w in entries.items())
+        for v, a in entries:
+            assert (v, a) in table
+            assert table.row(a)[v] == entries[(v, a)]
+        assert (9, pool[0]) not in table
+
+    def test_rows_are_read_only(self):
+        a, b = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t")
+        table = WeightTable()
+        table.set(0, a, "0.25")
+        assert dict(table.row(a)) == {0: 250000}
+        assert dict(table.row(b)) == {}
+        with pytest.raises(TypeError):
+            table.row(a)[1] = 5
+        with pytest.raises(TypeError):
+            table.row(b)[1] = 5
+        assert len(table) == 1 and dict(table.row(b)) == {}
+
+    def test_shared_rows_are_checked_and_copied(self):
+        a, b = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t")
+        with pytest.raises(InputError):
+            WeightTable.from_shared_rows({a: 0}, {0: {1: MICRO + 1}})
+        table = WeightTable.from_shared_rows({b: "p", a: "p"}, {"p": {1: 7, 2: 3}})
+        assert [key for key, _ in table.items()] == [(1, b), (2, b), (1, a), (2, a)]
+        assert len(table) == 4 and table.total_micro(1) == 14
+        table.set_micro(1, a, 0)
+        assert dict(table.row(b)) == {1: 7, 2: 3}
+        assert table.total_micro(1) == 7 and len(table) == 4

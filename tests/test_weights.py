@@ -149,6 +149,15 @@ class TestBoltzmann:
         for v in tree.internal_ids():
             assert w[v] > 0.999
 
+    def test_tiny_kt_gives_the_parsimonious_presence(self):
+        # At kt 0.001 one change costs e^-1000, past the float range.
+        tree = quartet_instance({"s1", "s2"})
+        w = boltzmann_weights(tree, Adjacency.of("1h", "2t"), 0.001)
+        assert w[tree.id_of("anc2")] == 1.0
+        assert w[tree.id_of("anc3")] == 0.0
+        table = boltzmann_weight_table(tree, 0.001)
+        assert table.get_micro(tree.id_of("anc3"), Adjacency.of("1h", "2t")) == 0
+
     def test_kt_must_be_positive(self):
         tree = quartet_instance({"s1"})
         with pytest.raises(InputError):
@@ -211,6 +220,25 @@ class TestBoltzmannTable:
         patterns = {tuple(a in genome for genome in genomes) for a in candidates}
         assert len(candidates) == 420
         assert len(calls) == len(patterns) == 27
+
+    def test_set_micro_on_a_shared_pattern_changes_one_adjacency(self):
+        tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
+        table = boltzmann_weight_table(tree, 0.1)
+        genomes = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        by_pattern = {}
+        for a in sorted_candidates(tree):
+            by_pattern.setdefault(tuple(a in g for g in genomes), []).append(a)
+        a, b = next(group for group in by_pattern.values() if len(group) > 1)[:2]
+        assert dict(table.row(a)) == dict(table.row(b))
+        v = tree.internal_ids()[0]
+        old, total, size = table.get_micro(v, a), table.total_micro(v), len(table)
+        row_b = dict(table.row(b))
+        new = (old + 1) % (10**6 + 1)
+        table.set_micro(v, a, new)
+        assert table.get_micro(v, a) == new
+        assert dict(table.row(b)) == row_b
+        assert table.total_micro(v) == total + new - old
+        assert len(table) == size
 
     def test_insertion_order_does_not_change_the_solution(self):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
