@@ -288,8 +288,9 @@ def sample_component(
 
     Each distinct labeling is re-checked once, and the samples that
     drew it share one :class:`ComponentSolution` object; do not mutate
-    it.  A component with a single co-optimum makes no draws at all,
-    since every choice it meets has one option.
+    it.  A component with a single co-optimum is walked once, whatever
+    ``n_samples`` is, and makes no draws, since every choice it meets
+    has one option.
     """
     if n_samples < 0:
         raise InputError(f"n_samples must be non-negative, got {n_samples}")
@@ -304,6 +305,8 @@ def sample_component(
         return arg[_weighted_index(rng, [count[v][j] for j in arg])]
 
     walk = _walker(table)
+    if cooptimal == 1:
+        return [_finish_solution(table, walk(draw), 1)] * n_samples if n_samples else []
     finished: dict[tuple[int, ...], ComponentSolution] = {}
     samples = []
     for _ in range(n_samples):

@@ -15,6 +15,7 @@ and worker threads only change wall-clock time, never bytes.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -344,9 +345,20 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
     Content depends only on (inputs, config, seed): no timestamps, no
     wall-clock times, no thread count, and no output directory paths
     appear in any file.
+
+    A sample file is written the first time its labeling appears in
+    ``report.samples``; every repeat is a hard link to that file, so
+    equal sample files share one inode (copy one before editing it in
+    place).  Where a link fails (no hard links on the filesystem, or the
+    per-inode link limit reached) the repeat is written in full and
+    becomes the file later repeats link to.  Every sample path is
+    unlinked before it is made, and the sample files, ``frequency.tsv``
+    and ``samples/`` that an earlier run into the same directory left
+    beyond this run's samples are removed.
     """
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
+    _remove_stale_samples(out, len(report.samples))
     # One cache of CAR rows per (node, label) serves every file below.
     rows: dict[tuple[int, frozenset[Adjacency]], list[str]] = {}
     write_lines(out / "cars.tsv", labeling_rows(tree, report.labeling, rows))
@@ -355,11 +367,36 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
         _write_frequency(out / "frequency.tsv", report, tree)
         samples_dir = out / "samples"
         samples_dir.mkdir(exist_ok=True)
+        # Equal samples are one shared labeling object (see SolveReport).
+        written: dict[int, Path] = {}
         for i, sample in enumerate(report.samples):
-            write_lines(
-                samples_dir / f"sample_{i:04d}.tsv", labeling_rows(tree, sample, rows)
-            )
+            path = samples_dir / f"sample_{i:04d}.tsv"
+            # A stale file here may share its inode with one written above.
+            path.unlink(missing_ok=True)
+            source = written.get(id(sample))
+            if source is not None:
+                try:
+                    os.link(source, path)
+                    continue
+                except OSError:
+                    pass  # no hard links here, or past the link limit
+            write_lines(path, labeling_rows(tree, sample, rows))
+            written[id(sample)] = path
     _write_manifest(out / "manifest.json", config)
+
+
+def _remove_stale_samples(out: Path, n_samples: int) -> None:
+    """Delete what an earlier run into ``out`` wrote past ``n_samples``."""
+    samples_dir = out / "samples"
+    if samples_dir.is_dir():
+        for path in list(samples_dir.glob("sample_*.tsv")):
+            index = path.name[len("sample_"):-len(".tsv")]
+            if index.isdecimal() and int(index) >= n_samples:
+                path.unlink()
+    if n_samples == 0:
+        (out / "frequency.tsv").unlink(missing_ok=True)
+        if samples_dir.is_dir() and not any(samples_dir.iterdir()):
+            samples_dir.rmdir()
 
 
 def _write_stats(

@@ -337,6 +337,19 @@ class TestCountingAndSampling:
                 raise AssertionError("a single co-optimum needs no draw")
 
         monkeypatch.setattr(dp.random, "Random", NoDraws)
+        walks = []
+        walker = dp._walker
+
+        def counted_walker(table):
+            walk = walker(table)
+
+            def counted(pick):
+                walks.append(pick)
+                return walk(pick)
+
+            return counted
+
+        monkeypatch.setattr(dp, "_walker", counted_walker)
         samples = sample_component(table, 7, seed=1)
         assert len(samples) == 7
         assert all(s is samples[0] for s in samples)
@@ -344,6 +357,8 @@ class TestCountingAndSampling:
             tree.id_of("anc1"): frozenset({Adjacency.of("1h", "2t")})
         }
         assert len(calls) == 1
+        assert len(walks) <= 1
+        assert sample_component(table, 0, seed=1) == []
 
     def test_each_distinct_sample_is_rechecked_once(self, monkeypatch):
         table = solved_table(fork_gadget())

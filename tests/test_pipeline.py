@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import importlib.util
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -333,6 +335,39 @@ class TestRunSolve:
         assert not (out / "frequency.tsv").exists()
         assert not (out / "samples").exists()
 
+    def test_a_reused_directory_keeps_no_stale_outputs(self, tmp_path):
+        tree_path, genomes_path = write_instance(tmp_path)
+        out = tmp_path / "run"
+
+        def run(n_samples):
+            run_solve(RunConfig(
+                tree_path=str(tree_path),
+                genomes_path=str(genomes_path),
+                n_samples=n_samples,
+                out_dir=str(out),
+            ))
+
+        run(20)
+        run(5)
+        samples = sorted(p.name for p in (out / "samples").iterdir())
+        assert samples == [f"sample_{i:04d}.tsv" for i in range(5)]
+        run(0)
+        assert not (out / "frequency.tsv").exists()
+        assert not (out / "samples").exists()
+        # only the files the program names are removed
+        run(3)
+        (out / "samples" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        run(0)
+        assert [p.name for p in (out / "samples").iterdir()] == ["notes.txt"]
+
+
+def output_files(base):
+    return {
+        str(path.relative_to(base)): path.read_bytes()
+        for path in sorted(base.rglob("*"))
+        if path.is_file()
+    }
+
 
 class TestOutputFiles:
     def run(self, tmp_path, **overrides):
@@ -407,13 +442,28 @@ class TestOutputFiles:
             )
             report = solve_instance(tree, WeightTable(), config)
             write_outputs(report, tree, config)
-            files = {}
-            base = tmp_path / f"run{i}"
-            for path in sorted(base.rglob("*")):
-                if path.is_file():
-                    files[str(path.relative_to(base))] = path.read_bytes()
-            runs.append(files)
+            runs.append(output_files(tmp_path / f"run{i}"))
         assert runs[0] == runs[1] == runs[2]
+
+    def test_a_reused_directory_matches_a_fresh_one(self, tmp_path):
+        tree = two_fork_instance()
+
+        def write(out, n_samples, seed):
+            config = RunConfig(n_samples=n_samples, seed=seed, out_dir=str(out))
+            write_outputs(solve_instance(tree, WeightTable(), config), tree, config)
+
+        reused = tmp_path / "reused"
+        write(reused, 40, 1)
+        write(reused, 25, 2)
+        fresh = tmp_path / "fresh"
+        write(fresh, 25, 2)
+        assert output_files(reused) == output_files(fresh)
+        contents = {}
+        for path in (reused / "samples").iterdir():
+            contents.setdefault(path.stat().st_ino, set()).add(path.read_bytes())
+        # files share an inode only when their bytes are equal
+        assert all(len(found) == 1 for found in contents.values())
+        assert len(contents) < 25
 
 
 class TestSharedRendering:
@@ -422,6 +472,42 @@ class TestSharedRendering:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_files_match_the_plain_writer(self, tmp_path, threads):
+        self.check_files(tmp_path, threads)
+
+    @pytest.mark.parametrize(
+        "code, every", [(errno.EPERM, 1), (errno.EMLINK, 3)], ids=["EPERM", "EMLINK"]
+    )
+    def test_a_failed_link_writes_the_file(self, tmp_path, monkeypatch, code, every):
+        calls = []
+        link = os.link
+
+        def flaky_link(source, path):
+            calls.append((Path(source), Path(path)))
+            if len(calls) % every == 0:
+                raise OSError(code, os.strerror(code))
+            link(source, path)
+
+        monkeypatch.setattr(os, "link", flaky_link)
+        report, out = self.check_files(tmp_path, 1)
+        assert calls
+        linked = {path: source for source, path in calls}
+        failed = {path for i, (_, path) in enumerate(calls, 1) if i % every == 0}
+        sources = {}
+        for i, sample in enumerate(report.samples):
+            path = out / "samples" / f"sample_{i:04d}.tsv"
+            if id(sample) not in sources:
+                assert path not in linked
+                sources[id(sample)] = path
+                continue
+            # a repeat links to the newest file written for its labeling
+            assert linked[path] == sources[id(sample)]
+            if path in failed:
+                assert not path.samefile(sources[id(sample)])
+                sources[id(sample)] = path
+            else:
+                assert path.samefile(sources[id(sample)])
+
+    def check_files(self, tmp_path, threads):
         tree = two_fork_instance()
         n = 60
         out = tmp_path / "out"
@@ -460,3 +546,4 @@ class TestSharedRendering:
             tree.name_of(v): str(len(extract_cars(report.labeling[v], tree.markers)))
             for v in internal
         }
+        return report, out
