@@ -462,6 +462,10 @@ class Phylogeny:
     nodes: tuple[Node, ...]
     root: int
     leaf_genomes: Mapping[int, Genome] = field(default_factory=dict)
+    # Traversal orders, taken once: the tree never changes.
+    _preorder: tuple[int, ...] = field(init=False, repr=False)
+    _edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    _internal: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "leaf_genomes", dict(self.leaf_genomes))
@@ -477,8 +481,21 @@ class Phylogeny:
                     raise InputError(f"child link {node.id} -> {c} is not mirrored")
             if node.parent is not None and node.id not in self.nodes[node.parent].children:
                 raise InputError(f"parent link {node.id} -> {node.parent} is not mirrored")
-        if len(list(self.preorder())) != len(self.nodes):
+        order: list[int] = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(self.nodes[v].children))
+        if len(order) != len(self.nodes):
             raise InputError("tree has unreachable nodes")
+        object.__setattr__(self, "_preorder", tuple(order))
+        object.__setattr__(self, "_edges", tuple(
+            (u, v) for u in order for v in self.nodes[u].children
+        ))
+        object.__setattr__(self, "_internal", tuple(
+            v for v in reversed(order) if self.nodes[v].children
+        ))
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -497,28 +514,21 @@ class Phylogeny:
     # -- traversal helpers ------------------------------------------------
 
     def preorder(self) -> Iterator[int]:
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            yield v
-            stack.extend(reversed(self.nodes[v].children))
+        return iter(self._preorder)
 
     def postorder(self) -> Iterator[int]:
-        order = list(self.preorder())
-        return iter(reversed(order))
+        return reversed(self._preorder)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """(parent, child) pairs in preorder of the parent."""
-        for u in self.preorder():
-            for v in self.nodes[u].children:
-                yield (u, v)
+        return iter(self._edges)
 
     def leaves(self) -> list[int]:
-        return [v for v in self.preorder() if self.nodes[v].is_leaf]
+        return [v for v in self._preorder if not self.nodes[v].children]
 
     def internal_ids(self) -> list[int]:
         """Internal node ids in postorder."""
-        return [v for v in self.postorder() if not self.nodes[v].is_leaf]
+        return list(self._internal)
 
     def depths(self) -> dict[int, int]:
         depth = {self.root: 0}

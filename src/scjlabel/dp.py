@@ -126,31 +126,31 @@ def solve_component(
 
     edges = component.sorted_edges
     conflicts = _conflict_masks(edges)
-    rows = [weights.row(e) for e in edges]
-    edge_micro: dict[int, list[int]] = {}
-    annotated: dict[int, list[int]] = {}
-    for v in tree.internal_ids():
-        idx = [i for i, e in enumerate(edges) if v in component.edges[e]]
-        annotated[v] = idx
-        edge_micro[v] = [row.get(v, 0) for row in rows]
+    # Per internal node, (edge index, micro weight) of the edges it annotates.
+    annotated: dict[int, list[tuple[int, int]]] = {v: [] for v in tree.internal_ids()}
+    for i, e in enumerate(edges):
+        row = weights.row(e)
+        for v in component.edges[e]:
+            if v in annotated:
+                annotated[v].append((i, row.get(v, 0)))
 
     labels: dict[int, list[int]] = {}
     cost: dict[int, list[int]] = {}
     count: dict[int, list[int]] = {}
     for v in tree.postorder():
         node = tree.nodes[v]
-        if node.is_leaf:
+        if not node.children:
             labels[v] = [_leaf_mask(component, tree, v, edges)]
             cost[v] = [0]
             count[v] = [1]
             continue
-        node_labels = _matching_masks(annotated[v], conflicts)
-        micro = edge_micro[v]
-        total_micro = sum(micro[i] for i in annotated[v])
+        here = annotated[v]
+        node_labels = _matching_masks([i for i, _ in here], conflicts)
+        total_micro = sum(micro for _, micro in here)
         node_cost = []
         node_count = []
         for mask in node_labels:
-            kept = sum(micro[i] for i in annotated[v] if mask >> i & 1)
+            kept = sum(micro for i, micro in here if mask >> i & 1)
             c = wunit * (total_micro - kept)
             ways = 1
             for child in node.children:
@@ -185,6 +185,30 @@ def solve_component(
     )
     chosen = _walker(table)(lambda v, arg: arg[0])
     return _finish_solution(table, chosen, count_cooptimal(table)), table
+
+
+def presence_signature(
+    adjacency: Adjacency,
+    nodes: frozenset[int],
+    leaves: Sequence[frozenset[Adjacency]],
+    weights: WeightTable,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """All that the DP table of a one-adjacency component depends on,
+    besides the tree and alpha.
+
+    That is the bitmask of the ``leaves`` (adjacency sets in a fixed
+    leaf order) that hold ``adjacency``, and its micro weight at each of
+    ``nodes``, the nodes that annotate it.  Two such components with
+    equal signatures have the same labels, costs and counts, and a
+    labeling of one is a labeling of the other, of equal value, once
+    the adjacency is renamed.
+    """
+    held = 0
+    for i, adjacencies in enumerate(leaves):
+        if adjacency in adjacencies:
+            held |= 1 << i
+    row = weights.row(adjacency)
+    return held, tuple([(v, row.get(v, 0)) for v in sorted(nodes)])
 
 
 def _mask_to_set(mask: int, edges: Sequence[Adjacency]) -> frozenset[Adjacency]:

@@ -1,7 +1,9 @@
 """The global adjacency graph and its decomposition into subproblems.
 
 Vertices are marker extremities; an edge is a candidate adjacency
-annotated with the internal nodes where it may be placed.  Connected
+annotated with the internal nodes where it may be placed.  Two
+adjacencies can only conflict at a node that annotates both, so the
+graph splits into components wherever no such node links them.  The
 components are independent: the optimum of the whole instance is the
 union of per-component optima, and the set of co-optimal labelings is
 the Cartesian product of the per-component sets.
@@ -9,8 +11,7 @@ the Cartesian product of the per-component sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction
@@ -67,92 +68,97 @@ def build_global_graph(
     The comparison is non-strict (``w >= x``), so the default ``x = 0``
     keeps every candidate at every node, including zero-weight ones.
     Candidates below the threshold everywhere are dropped entirely.
+    Candidates with equal weight rows share one annotation set.
     """
     cutoff = threshold_cutoff(threshold_x)
     internal = tree.internal_ids()
+    annotation_of: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
     edges: dict[Adjacency, frozenset[int]] = {}
     for adjacency in sorted(candidates):
         row = weights.row(adjacency)
-        annotated = frozenset(v for v in internal if row.get(v, 0) >= cutoff)
+        key = tuple(row.items())
+        annotated = annotation_of.get(key)
+        if annotated is None:
+            annotated = annotation_of[key] = frozenset(
+                v for v in internal if row.get(v, 0) >= cutoff
+            )
         if annotated:
             edges[adjacency] = annotated
     return GlobalAdjacencyGraph(edges)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Component:
     """One connected component of the global adjacency graph.
 
-    The derived properties are computed at first use and kept; treat
-    ``degrees`` as read-only.
+    Its extremity count, largest degree and label space bound are taken
+    from the edges once, at construction.  The bound is the product of
+    (1 + degree) over the extremities: no node can have more joint
+    labels, since each extremity picks one incident edge or nothing.
     """
 
     edges: Mapping[Adjacency, frozenset[int]]
+    n_extremities: int = field(init=False)
+    max_degree: int = field(init=False)
+    label_space_bound: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", dict(self.edges))
-        if not self.edges:
+        edges = dict(self.edges)
+        if not edges:
             raise InputError("a component needs at least one edge")
+        degrees: dict[Extremity, int] = {}
+        for adjacency in edges:
+            for x in adjacency:
+                degrees[x] = degrees.get(x, 0) + 1
+        bound = 1
+        for d in degrees.values():
+            bound *= 1 + d
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_extremities", len(degrees))
+        object.__setattr__(self, "max_degree", max(degrees.values()))
+        object.__setattr__(self, "label_space_bound", bound)
 
-    @cached_property
+    @property
     def sorted_edges(self) -> tuple[Adjacency, ...]:
         return tuple(sorted(self.edges))
 
-    @cached_property
-    def degrees(self) -> dict[Extremity, int]:
-        deg: dict[Extremity, int] = {}
-        for adjacency in self.edges:
-            for x in adjacency:
-                deg[x] = deg.get(x, 0) + 1
-        return deg
-
-    @cached_property
-    def vertices(self) -> frozenset[Extremity]:
-        return frozenset(self.degrees)
-
-    @property
-    def n_extremities(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees.values())
-
-    @cached_property
-    def label_space_bound(self) -> int:
-        """Product of (1 + degree) over extremities.
-
-        Upper bound on the number of joint labels at any node: each
-        extremity picks one incident edge or nothing.
-        """
-        bound = 1
-        for d in self.degrees.values():
-            bound *= 1 + d
-        return bound
-
 
 def connected_components(graph: GlobalAdjacencyGraph) -> list[Component]:
-    """Split the graph into components, ordered by smallest extremity."""
+    """Split the graph into components, ordered by smallest adjacency.
+
+    Two adjacencies are linked when they share an extremity and a node
+    of their annotation sets; a component is a class of the transitive
+    closure.  The objective is a sum over adjacencies and a packing row
+    holds only at a node that annotates both of its adjacencies, so the
+    components can be solved, counted and sampled independently.  Two
+    components may share an extremity, never a node where both use it.
+    """
+    edges = graph.edges
+    parent: dict[Adjacency, Adjacency] = {}
+
+    def find(a: Adjacency) -> Adjacency:
+        root = a
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while a != root:  # path compression
+            parent[a], a = root, parent[a]
+        return root
+
     incident: dict[Extremity, list[Adjacency]] = {}
-    for adjacency in graph.edges:
+    for adjacency in edges:
         for x in adjacency:
             incident.setdefault(x, []).append(adjacency)
-    seen: set[Extremity] = set()
-    components: list[Component] = []
-    for start in sorted(incident):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        member_edges: dict[Adjacency, frozenset[int]] = {}
-        while queue:
-            x = queue.pop()
-            for adjacency in incident[x]:
-                member_edges[adjacency] = graph.edges[adjacency]
-                for y in adjacency:
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        components.append(Component(member_edges))
-    components.sort(key=lambda c: min(c.vertices))
-    return components
+    for group in incident.values():
+        for i in range(1, len(group)):
+            a = group[i]
+            for b in group[:i]:
+                if not edges[a].isdisjoint(edges[b]):
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+    # Adjacencies in sorted order put each component's smallest first,
+    # so the components come out ordered by it.
+    members: dict[Adjacency, dict[Adjacency, frozenset[int]]] = {}
+    for adjacency in sorted(edges):
+        members.setdefault(find(adjacency), {})[adjacency] = edges[adjacency]
+    return [Component(part) for part in members.values()]

@@ -312,12 +312,6 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
 
     bounds = [adjacency_bound(ai) for ai in range(n_adjacencies)]
     future = sum(bounds)
-    # No variable of the other adjacencies is ever fixed or priced, so
-    # their relaxed states are final: -1 marks the grouped adjacencies.
-    ungrouped_states = [-1] * n
-    for ai in set(range(n_adjacencies)).difference(grouped):
-        for j, s in relaxed_states(ai)[1].items():
-            ungrouped_states[j] = s
 
     def settle(i: int, value: int):
         """Fix one variable plus consequences; None signals a conflict.
@@ -384,8 +378,8 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     def relaxed_completion() -> list[int]:
         """The fixed values, with every unfixed variable set to its
         adjacency's relaxed arg-min state."""
-        vector = list(ungrouped_states)
-        for ai in grouped:
+        vector = [0] * n
+        for ai in range(n_adjacencies):
             for j, s in relaxed_states(ai)[1].items():
                 vector[j] = s if assignment[j] == -1 else assignment[j]
         return vector

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +38,8 @@ from .core import (
 from .dp import (
     DEFAULT_EXPLOSION_CAP,
     ComponentSolution,
+    DpTable,
+    presence_signature,
     sample_component,
     solve_component,
 )
@@ -89,7 +92,7 @@ class RunConfig:
             raise InputError("sampling needs the dp route; do not force the ilp solver")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentReport:
     """What the solver did with one component."""
 
@@ -136,12 +139,52 @@ class SolveReport:
         return Fraction(self.discarded_micro, MICRO)
 
 
+class _DpSolver:
+    """The DP route, which solves one-adjacency components once per signature.
+
+    A one-adjacency component with the signature of one solved before
+    gets that component's solution and table, whose labels name the
+    other adjacency; :func:`_assemble` puts its own in their place.  So
+    the table and the solution's re-check are made once per signature.
+    Those tables are kept only when the run samples.
+    """
+
+    def __init__(self, tree: Phylogeny, weights: WeightTable, config: RunConfig) -> None:
+        self.tree = tree
+        self.weights = weights
+        self.config = config
+        self.leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        self.solved: dict[tuple, tuple[ComponentSolution, DpTable | None]] = {}
+        self.lock = threading.Lock()
+
+    def solve(self, component: Component) -> tuple[ComponentSolution, DpTable | None]:
+        if len(component.edges) > 1:
+            return self._solve(component)
+        ((adjacency, nodes),) = component.edges.items()
+        key = presence_signature(adjacency, nodes, self.leaves, self.weights)
+        with self.lock:
+            entry = self.solved.get(key)
+            if entry is None:
+                solution, table = self._solve(component)
+                entry = self.solved[key] = (
+                    solution, table if self.config.n_samples > 0 else None
+                )
+        return entry
+
+    def _solve(self, component: Component) -> tuple[ComponentSolution, DpTable]:
+        return solve_component(
+            component, self.tree, self.weights, self.config.alpha,
+            explosion_cap=self.config.explosion_cap,
+        )
+
+
 def _solve_one(
     component: Component,
     tree: Phylogeny,
     weights: WeightTable,
     config: RunConfig,
     index: int,
+    dp: _DpSolver,
 ) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
     """Route, solution, samples and wall-clock seconds of one component."""
     bound = component.label_space_bound
@@ -150,9 +193,7 @@ def _solve_one(
     )
     started = time.perf_counter()
     if use_dp:
-        solution, table = solve_component(
-            component, tree, weights, config.alpha, explosion_cap=config.explosion_cap
-        )
+        solution, table = dp.solve(component)
         samples = []
         if config.n_samples > 0:
             samples = sample_component(
@@ -171,13 +212,29 @@ def _solve_one(
     return "ilp", solution, [], time.perf_counter() - started
 
 
-def _assemble(internal: list[int], solutions: list[ComponentSolution]) -> Labeling:
-    """Union of the component labels at every internal node."""
-    labeling: Labeling = {v: frozenset() for v in internal}
-    for solution in solutions:
-        for v, label in solution.node_labels.items():
-            labeling[v] = labeling[v] | label
-    return labeling
+def _assemble(
+    internal: list[int],
+    components: list[Component],
+    solutions: list[ComponentSolution],
+) -> Labeling:
+    """Union of the component labels at every internal node.
+
+    A one-adjacency component's solution may come from another component
+    with its signature (see :class:`_DpSolver`), so its own adjacency
+    goes wherever that solution holds one.
+    """
+    labels: dict[int, set[Adjacency]] = {v: set() for v in internal}
+    for component, solution in zip(components, solutions):
+        edges = component.edges
+        if len(edges) == 1:
+            (adjacency,) = edges
+            for v, label in solution.node_labels.items():
+                if label:
+                    labels[v].add(adjacency)
+        else:
+            for v, label in solution.node_labels.items():
+                labels[v].update(label)
+    return {v: frozenset(label) for v, label in labels.items()}
 
 
 def solve_instance(
@@ -189,23 +246,24 @@ def solve_instance(
     candidates = candidate_adjacencies(tree)
     graph = build_global_graph(tree, candidates, weights, config.threshold_x)
     components = connected_components(graph)
+    dp = _DpSolver(tree, weights, config)
 
     if config.threads == 1 or len(components) <= 1:
         outcomes = [
-            _solve_one(component, tree, weights, config, i)
+            _solve_one(component, tree, weights, config, i, dp)
             for i, component in enumerate(components)
         ]
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             futures = [
-                pool.submit(_solve_one, component, tree, weights, config, i)
+                pool.submit(_solve_one, component, tree, weights, config, i, dp)
                 for i, component in enumerate(components)
             ]
             outcomes = [f.result() for f in futures]
 
     solutions = [solution for _, solution, _, _ in outcomes]
     internal = tree.internal_ids()
-    labeling = _assemble(internal, solutions)
+    labeling = _assemble(internal, components, solutions)
 
     alpha = config.alpha
     edge_set = set(graph.edges)
@@ -254,7 +312,7 @@ def solve_instance(
             picks = [sampled[s] for sampled in per_component]
             key = tuple(map(id, picks))
             if key not in assembled:
-                assembled[key] = _assemble(internal, picks)
+                assembled[key] = _assemble(internal, components, picks)
             drawn[key] = drawn.get(key, 0) + 1
             picked.append(assembled[key])
         samples = tuple(picked)

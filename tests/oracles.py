@@ -28,7 +28,44 @@ from scjlabel.core import (
     exact_fraction,
 )
 from scjlabel.dp import evaluate_component_labeling
-from scjlabel.graph import Component
+from scjlabel.graph import Component, GlobalAdjacencyGraph
+
+# ---------------------------------------------------------------------------
+# Components linked by shared extremities alone
+
+
+def union_component(graph: GlobalAdjacencyGraph, adjacency: Adjacency) -> Component:
+    """Every adjacency reachable from ``adjacency`` through shared
+    extremities, whatever nodes annotate them.
+
+    This is coarser than ``connected_components``, which also asks for
+    a shared node.  It is exact all the same, so tests use it to build
+    large components for the solvers.
+    """
+    incident: dict[Extremity, list[Adjacency]] = {}
+    for a in graph.edges:
+        for x in a:
+            incident.setdefault(x, []).append(a)
+    members = {adjacency: graph.edges[adjacency]}
+    queue = [adjacency]
+    while queue:
+        for x in queue.pop():
+            for b in incident[x]:
+                if b not in members:
+                    members[b] = graph.edges[b]
+                    queue.append(b)
+    return Component(members)
+
+
+def union_components(graph: GlobalAdjacencyGraph) -> list[Component]:
+    """Each :func:`union_component` of the graph once, by smallest adjacency."""
+    components: list[Component] = []
+    seen: set[Adjacency] = set()
+    for adjacency in sorted(graph.edges):
+        if adjacency not in seen:
+            components.append(union_component(graph, adjacency))
+            seen.update(components[-1].edges)
+    return components
 
 # ---------------------------------------------------------------------------
 # Label spaces

@@ -14,6 +14,7 @@ from oracles import (
     profile_optimum,
     random_instance,
     random_weights,
+    union_components,
 )
 from scjlabel import dp
 from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
@@ -385,6 +386,57 @@ class TestCountingAndSampling:
 # Re-evaluation
 
 
+def split_cases(seed, n_instances):
+    """(tree, weights, union component, the components inside it) on the
+    oracle generator, for union components of at most 300 labels a node."""
+    rng = random.Random(seed)
+    for _ in range(n_instances):
+        tree = random_instance(
+            rng, n_leaves=rng.randint(2, 7), n_markers=rng.randint(3, 7)
+        )
+        weights = random_weights(rng, tree)
+        threshold = rng.choice(("0.3", "0.5", "0.7"))
+        graph = build_global_graph(
+            tree, candidate_adjacencies(tree), weights, threshold
+        )
+        parts = connected_components(graph)
+        for union in union_components(graph):
+            if union.label_space_bound > 300:
+                continue
+            inside = [p for p in parts if p.edges.keys() <= union.edges.keys()]
+            assert sorted(a for p in inside for a in p.edges) == sorted(union.edges)
+            yield tree, weights, union, inside
+
+
+class TestSplitComponents:
+    """Components linked by a shared extremity and a shared node against
+    the union components, linked by a shared extremity alone."""
+
+    def test_the_parts_sum_to_the_union_optimum(self):
+        split = 0
+        for tree, weights, union, parts in split_cases(71, 400):
+            split += len(parts) > 1
+            for alpha in ("0", "1/2", "9/10", "1"):
+                whole, _ = solve_component(union, tree, weights, alpha)
+                assert sum(
+                    solve_component(p, tree, weights, alpha)[0].objective_scaled
+                    for p in parts
+                ) == whole.objective_scaled
+        assert split >= 20
+
+    def test_the_parts_counts_multiply_to_the_union_count(self):
+        split = 0
+        for tree, weights, union, parts in split_cases(73, 400):
+            split += len(parts) > 1
+            for alpha in ("0", "1/2", "1"):
+                product = 1
+                for part in parts:
+                    product *= solve_component(part, tree, weights, alpha)[0].cooptimal_count
+                whole, _ = solve_component(union, tree, weights, alpha)
+                assert product == whole.cooptimal_count
+        assert split >= 20
+
+
 class TestEvaluateLabeling:
     def test_hand_values(self):
         tree = three_leaf_instance()
@@ -428,7 +480,9 @@ class TestEvaluateLabeling:
         weights = WeightTable()
         weights.set(anc1, a, "1")
         weights.set(anc2, b, "1")
-        (component,) = components_of(tree, weights, "0.5")
+        # No node annotates both, so only the union component holds the two.
+        graph = build_global_graph(tree, candidate_adjacencies(tree), weights, "0.5")
+        (component,) = union_components(graph)
         assert component.edges == {a: frozenset({anc1}), b: frozenset({anc2})}
         with pytest.raises(InputError, match=f"anc1 holds {b}"):
             evaluate_component_labeling(

@@ -16,8 +16,9 @@ from oracles import (
     profile_optimum,
     random_instance,
     random_weights,
+    union_components,
 )
-from scjlabel import ilp
+from scjlabel import ilp, pipeline
 from scjlabel.core import (
     MICRO,
     Adjacency,
@@ -64,11 +65,19 @@ def simulated_instance(n_markers, n_leaves, seed, kt=0.1):
     return tree, boltzmann_weight_table(tree, kt)
 
 
+def union_components_of(tree, weights, threshold):
+    """Components linked by shared extremities alone, which are larger
+    than the pipeline's (see ``oracles.union_component``)."""
+    return union_components(build_global_graph(
+        tree, candidate_adjacencies(tree), weights, threshold
+    ))
+
+
 def largest_model(tree, weights, threshold, alpha):
-    """Presence model of the component with the most presences."""
+    """Presence model of the union component with the most presences."""
     return max(
         (build_model(c, tree, weights, alpha)
-         for c in components_of(tree, weights, threshold)),
+         for c in union_components_of(tree, weights, threshold)),
         key=lambda m: len(m.variables),
     )
 
@@ -232,7 +241,7 @@ class TestSolveBb:
         assert solve_bb(fork_model()).objective == 1
 
     def test_branches_only_where_a_packing_group_is_open(self):
-        # Its largest component has 617 presences, 40 of them in packing
+        # Its largest union component has 617 presences, 40 of them in packing
         # groups; branching on every presence explored 236,239 nodes, and
         # branching only in open groups under the unpriced bound 2,571.
         tree, weights = simulated_instance(200, 12, seed=1)
@@ -276,9 +285,9 @@ class TestSolveBb:
         for size in ((80, 10, 3), (200, 12, 1)):
             tree, weights = simulated_instance(*size)
             for threshold in ("0.2", "1/3", "1/2"):
-                for component in components_of(tree, weights, threshold):
+                for component in union_components_of(tree, weights, threshold):
                     if component.label_space_bound ** 2 <= DEFAULT_EXPLOSION_CAP:
-                        continue  # the pipeline sends it to the DP
+                        continue  # the DP would take it
                     for alpha in ("0", "1/2", "3/4", "9/10", "1"):
                         model = build_model(component, tree, weights, alpha)
                         assert solve_bb(model).objective_scaled == milp_optimum(model)
@@ -313,6 +322,8 @@ class TestSolveBb:
         self, monkeypatch, tmp_path, capsys
     ):
         monkeypatch.setattr(ilp, "NODE_BUDGET", 10)
+        # The pipeline's own components here are all small enough for the DP.
+        monkeypatch.setattr(pipeline, "connected_components", union_components)
         sim = tmp_path / "sim"
         assert main([
             "simulate", "--markers", "200", "--leaves", "12",

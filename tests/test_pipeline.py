@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import importlib.util
 import json
 import os
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,17 +22,21 @@ from oracles import (
     random_weights,
 )
 from scjlabel.core import (
+    Adjacency,
     Genome,
     WeightTable,
     chromosome_adjacencies,
     extract_cars,
     labeling_objective,
 )
+from scjlabel.dp import sample_component, solve_component
 from scjlabel.errors import CapacityExceeded, InputError
 from scjlabel.formats import parse_labeling, parse_newick, write_labeling
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel import pipeline
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance, write_outputs
+from scjlabel.sim import SimConfig, evolve
+from scjlabel.weights import boltzmann_weight_table
 
 
 def genome_of(markers, *chromosomes):
@@ -206,6 +213,87 @@ class TestSolveInstance:
         assert first.labeling == second.labeling
         assert first.samples == second.samples
         assert first.sample_frequencies == second.sample_frequencies
+
+
+class TestSignatureMemo:
+    def test_a_memoised_part_matches_its_own_dp_solution(self):
+        tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
+        weights = boltzmann_weight_table(tree, 0.1)
+        config = RunConfig(alpha=0, threshold_x="0.5", n_samples=20, seed=5)
+        graph = build_global_graph(
+            tree, candidate_adjacencies(tree), weights, config.threshold_x
+        )
+        parts = [c for c in connected_components(graph) if len(c.edges) == 1]
+        solver = pipeline._DpSolver(tree, weights, config)
+        internal = tree.internal_ids()
+
+        def labels(part, solutions):
+            return [pipeline._assemble(internal, [part], [s]) for s in solutions]
+
+        for i, part in enumerate(parts):
+            shared, table = solver.solve(part)
+            own, own_table = solve_component(part, tree, weights, config.alpha)
+            assert labels(part, [shared]) == labels(part, [own])
+            assert shared.cooptimal_count == own.cooptimal_count
+            assert shared.objective_scaled == own.objective_scaled
+            assert labels(part, sample_component(table, 20, seed=i)) == labels(
+                part, sample_component(own_table, 20, seed=i)
+            )
+        # Most parts were answered from the memo, many of them with
+        # several co-optima to sample from.
+        assert (len(parts), len(solver.solved)) == (47, 6)
+        assert sum(solver.solve(p)[0].cooptimal_count > 1 for p in parts) == 30
+
+    def test_threads_solve_each_signature_once(self, monkeypatch):
+        tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
+        weights = boltzmann_weight_table(tree, 0.1)
+        solved = []
+        original = pipeline.solve_component
+
+        def counted(component, *args, **kwargs):
+            solved.append(component)
+            time.sleep(0.002)  # lets another thread reach the same signature
+            return original(component, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve_component", counted)
+        config = RunConfig(alpha=0, threshold_x="0.5", n_samples=5, seed=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = solve_instance(
+                tree, weights, dataclasses.replace(config, threads=8)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        # 47 one-adjacency components with 6 signatures (see above).
+        assert (len(threaded.components), len(solved)) == (47, 6)
+        single = solve_instance(tree, weights, config)
+        assert threaded.labeling == single.labeling
+        assert threaded.samples == single.samples
+
+    def test_equal_leaves_with_other_weights_are_solved_apart(self):
+        tree = parse_newick("((s1,s2)anc2,s3)anc1;")
+        markers = {1, 2, 3, 4}
+        tree = tree.with_genomes({
+            "s1": genome_of(markers, (1, 2), (3, 4)),
+            "s2": genome_of(markers, (1,), (2,), (3,), (4,)),
+            "s3": genome_of(markers, (1,), (2,), (3,), (4,)),
+        })
+        weights = WeightTable()
+        for v in (tree.id_of("anc1"), tree.id_of("anc2")):
+            weights.set(v, Adjacency.of("1h", "2t"), "0.9")
+            weights.set(v, Adjacency.of("3h", "4t"), "0.1")
+        config = RunConfig(alpha="1/2")
+        graph = build_global_graph(tree, candidate_adjacencies(tree), weights, 0)
+        parts = connected_components(graph)
+        solver = pipeline._DpSolver(tree, weights, config)
+        got = [solver.solve(part)[0].objective for part in parts]
+        want = [
+            solve_component(part, tree, weights, config.alpha)[0].objective
+            for part in parts
+        ]
+        assert len(solver.solved) == 2
+        assert got == want == [1, Fraction(3, 5)]
 
 
 class TestSampling:
