@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .dp import DEFAULT_EXPLOSION_CAP
 from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .formats import parse_genomes, parse_labeling, parse_tree, write_genomes, write_labeling, write_newick
 from .pipeline import RunConfig, run_solve
-from .sim import SimConfig, evolve, score_labelings
+from .sim import BIRTH_RATE, SimConfig, evolve, score_labelings
 from .weights import boltzmann_weight_table, write_weight_table
 
 
@@ -59,8 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a benchmark instance")
     simulate.add_argument("--markers", type=int, default=100, help="marker count (default 100)")
     simulate.add_argument("--leaves", type=int, default=6, help="leaf count (default 6)")
-    simulate.add_argument("--birth", type=float, default=0.001, help="birth rate (default 0.001)")
-    simulate.add_argument("--death", type=float, default=0.0, help="death rate (default 0)")
+    simulate.add_argument(
+        "--death", type=float, default=0.0,
+        help=f"death rate, at most the birth rate {BIRTH_RATE} (default 0)",
+    )
     simulate.add_argument(
         "--p-inversion", type=float, default=0.9, dest="p_inversion",
         help="inversion probability per event (default 0.9)",
@@ -104,14 +107,11 @@ def _solve_options() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=None, help="number of co-optimal samples")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument(
-        "--cap", type=int, default=None,
-        help="label-space budget before a component is routed to the ilp solver",
+        "--cap", type=int, default=DEFAULT_EXPLOSION_CAP,
+        help="route a component to branch and bound when the square of its label "
+        "space bound exceeds this (default %(default)s; 1 routes every component there)",
     )
     common.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-    common.add_argument(
-        "--solver", choices=("auto", "dp", "ilp"), default="auto",
-        help="force a component solver (default auto)",
-    )
     common.add_argument("--out", required=True, help="output directory")
     return common
 
@@ -120,23 +120,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else args.default_samples
     if args.default_samples > 0 and samples < 1:
         raise InputError("sample needs --samples of at least 1")
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["explosion_cap"] = args.cap
     config = RunConfig(
         alpha=args.alpha,
         threshold_x=args.threshold,
         kt=args.kt,
         n_samples=samples,
         seed=args.seed,
+        explosion_cap=args.cap,
         threads=args.threads,
-        solver=args.solver,
         tree_path=args.tree,
         genomes_path=args.genomes,
         weights_path=args.weights,
         boltzmann=args.boltzmann,
         out_dir=args.out,
-        **kwargs,
     )
     report = run_solve(config)
     co = report.cooptimal_count
@@ -165,7 +161,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(
         n_markers=args.markers,
         n_leaves=args.leaves,
-        birth_rate=args.birth,
         death_rate=args.death,
         diameter_factor=args.diameter_factor,
         p_inversion=args.p_inversion,
@@ -220,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every reader raises InputError, so this is a write
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

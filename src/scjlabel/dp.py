@@ -89,8 +89,7 @@ def _matching_masks(edge_indices: Sequence[int], conflicts: Sequence[int]) -> li
     return masks
 
 
-def _leaf_mask(component: Component, tree: Phylogeny, leaf_id: int,
-               edges: Sequence[Adjacency]) -> int:
+def _leaf_mask(tree: Phylogeny, leaf_id: int, edges: Sequence[Adjacency]) -> int:
     genome = tree.leaf_genomes[leaf_id]
     mask = 0
     for i, e in enumerate(edges):
@@ -140,7 +139,7 @@ def solve_component(
     for v in tree.postorder():
         node = tree.nodes[v]
         if not node.children:
-            labels[v] = [_leaf_mask(component, tree, v, edges)]
+            labels[v] = [_leaf_mask(tree, v, edges)]
             cost[v] = [0]
             count[v] = [1]
             continue

@@ -154,7 +154,7 @@ def parse_tree(path: str | Path) -> Phylogeny:
     """Read a Newick file; see :func:`parse_newick`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read tree file {path}: {exc}") from exc
     return parse_newick(text)
 
@@ -184,7 +184,7 @@ _KINDS = {"L": False, "C": True}
 def _iter_rows(path: str | Path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -44,8 +44,8 @@ def candidate_adjacencies(tree: Phylogeny) -> frozenset[Adjacency]:
 class GlobalAdjacencyGraph:
     """Candidate adjacencies that survived weight thresholding.
 
-    ``edges`` maps each surviving adjacency to the non-empty set of
-    internal node ids where it may be chosen.
+    ``edges`` maps each surviving adjacency, in no fixed order, to the
+    non-empty set of internal node ids where it may be chosen.
     """
 
     edges: Mapping[Adjacency, frozenset[int]]
@@ -74,7 +74,7 @@ def build_global_graph(
     internal = tree.internal_ids()
     annotation_of: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
     edges: dict[Adjacency, frozenset[int]] = {}
-    for adjacency in sorted(candidates):
+    for adjacency in candidates:
         row = weights.row(adjacency)
         key = tuple(row.items())
         annotated = annotation_of.get(key)

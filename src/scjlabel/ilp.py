@@ -248,20 +248,14 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     # A leaf's state is fixed, so each leaf child adds one change to the
     # state of its parent that differs from it.  Per adjacency, in
     # ``internal_postorder``: the changes to a node's leaf children when
-    # it is absent and when present.  Equal pairs and rows are shared.
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    rows: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
-    leaf_changes: list[tuple[tuple[int, int], ...]] = []
+    # it is absent and when present.
+    leaf_changes: list[list[tuple[int, int]]] = []
     for held in model.leaf_states:
         row = []
         for v in internal_postorder:
             present = sum(held[c] for c in leaf_children[v])
-            pair = (unit * present, unit * (len(leaf_children[v]) - present))
-            row.append(pairs.setdefault(pair, pair))
-        row = tuple(row)
-        leaf_changes.append(rows.setdefault(row, row))
-    # Only these adjacencies have a variable that can be fixed or priced.
-    grouped = sorted({adjacency_of_var[j] for j in groups_of})
+            row.append((unit * present, unit * (len(leaf_children[v]) - present)))
+        leaf_changes.append(row)
 
     BIG = 1 << 62
     down0 = [0] * n_nodes
@@ -407,14 +401,13 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     def fit_multipliers() -> list[int]:
         """Root multipliers with the highest bound found by projected
         subgradient steps toward the incumbent (a Polyak step)."""
-        fixed_part = future - sum(bounds[ai] for ai in grouped)
         best_lam, best_bound = lam[:], future
         theta, stale = 1.0, 0  # the share of the gap to the incumbent to step
         for _ in range(FIT_ITERATIONS):
             price_all()
-            value = fixed_part - sum(lam)
+            value = -sum(lam)
             slope = [-1] * len(groups)
-            for ai in grouped:
+            for ai in range(n_adjacencies):
                 bound, chosen = relaxed_states(ai)
                 value += bound
                 for j, s in chosen.items():
@@ -451,8 +444,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
 
     lam[:] = fit_multipliers()
     price_all()
-    for ai in grouped:
-        bounds[ai] = adjacency_bound(ai)
+    bounds[:] = [adjacency_bound(ai) for ai in range(n_adjacencies)]
     future = sum(bounds) - sum(lam)
     explored = 0
 

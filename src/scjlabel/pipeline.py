@@ -2,10 +2,11 @@
 
 The candidate adjacencies are thresholded into a global graph whose
 connected components are independent subproblems.  Each component goes
-to the dynamic program when its label space is affordable and to branch
-and bound otherwise; the per-component optima are then assembled into
-one labeling whose objective is re-checked against the direct
-definition before anything is written.
+to the dynamic program when the square of its label space bound is at
+most ``explosion_cap`` and to branch and bound otherwise; that bound is
+the only thing that picks the route.  The per-component optima are
+then assembled into one labeling whose objective is re-checked against
+the direct definition before anything is written.
 
 Everything here is deterministic for a fixed (inputs, config, seed):
 iteration orders are sorted, sampling uses seeds derived per component,
@@ -64,7 +65,6 @@ class RunConfig:
     seed: int = 0
     explosion_cap: int = DEFAULT_EXPLOSION_CAP
     threads: int = 1
-    solver: str = "auto"
     tree_path: str | None = None
     genomes_path: str | None = None
     weights_path: str | None = None
@@ -84,12 +84,8 @@ class RunConfig:
             raise InputError(f"capacity must be at least 1, got {self.explosion_cap}")
         if self.threads < 1:
             raise InputError(f"thread count must be at least 1, got {self.threads}")
-        if self.solver not in ("auto", "dp", "ilp"):
-            raise InputError(f"solver must be auto, dp, or ilp, got {self.solver!r}")
         if self.weights_path is not None and self.boltzmann:
             raise InputError("pick one weight source: a weights file or --boltzmann")
-        if self.solver == "ilp" and self.n_samples > 0:
-            raise InputError("sampling needs the dp route; do not force the ilp solver")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,9 +184,7 @@ def _solve_one(
 ) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
     """Route, solution, samples and wall-clock seconds of one component."""
     bound = component.label_space_bound
-    use_dp = config.solver == "dp" or (
-        config.solver == "auto" and bound * bound <= config.explosion_cap
-    )
+    use_dp = bound * bound <= config.explosion_cap
     started = time.perf_counter()
     if use_dp:
         solution, table = dp.solve(component)
@@ -524,7 +518,6 @@ def _write_manifest(path: Path, config: RunConfig) -> None:
             "n_samples": config.n_samples,
             "seed": config.seed,
             "explosion_cap": config.explosion_cap,
-            "solver": config.solver,
             "weights": (
                 "file" if config.weights_path is not None
                 else "boltzmann" if config.boltzmann

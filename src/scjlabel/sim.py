@@ -18,6 +18,10 @@ from .core import Adjacency, Genome, Node, Phylogeny, chromosome_adjacencies
 from .errors import InputError, InternalInvariantError
 from .rng import derive_seed
 
+#: Birth rate of the tree's lineages.  The tree is rescaled to its target
+#: diameter, so only the death rate's share of events changes it.
+BIRTH_RATE = 0.001
+
 Chromosome = tuple[int, ...]
 MultiChromosome = tuple[Chromosome, ...]
 
@@ -28,7 +32,6 @@ class SimConfig:
 
     n_markers: int = 100
     n_leaves: int = 6
-    birth_rate: float = 0.001
     death_rate: float = 0.0
     diameter_factor: float = 2.0
     p_inversion: float = 0.9
@@ -39,10 +42,8 @@ class SimConfig:
             raise InputError(f"need at least 2 markers, got {self.n_markers}")
         if self.n_leaves < 2:
             raise InputError(f"need at least 2 leaves, got {self.n_leaves}")
-        if self.birth_rate <= 0:
-            raise InputError("birth rate must be positive")
-        if not 0 <= self.death_rate <= self.birth_rate:
-            raise InputError("death rate must lie in [0, birth rate]")
+        if not 0 <= self.death_rate <= BIRTH_RATE:
+            raise InputError(f"death rate must lie in [0, {BIRTH_RATE}], the birth rate")
         if not 0 <= self.p_inversion <= 1:
             raise InputError("inversion probability must lie in [0, 1]")
         if self.diameter_factor <= 0:
@@ -177,7 +178,7 @@ def _grow_tree(config: SimConfig, rng: random.Random) -> list[_Lineage]:
     nodes = [_Lineage(parent=None, alive=False), _Lineage(parent=0), _Lineage(parent=0)]
     nodes[0].children = [1, 2]
     active = [1, 2]
-    total_rate = config.birth_rate + config.death_rate
+    total_rate = BIRTH_RATE + config.death_rate
     while len(active) < config.n_leaves:
         if not active:
             raise InternalInvariantError("all lineages died")
@@ -185,7 +186,7 @@ def _grow_tree(config: SimConfig, rng: random.Random) -> list[_Lineage]:
         for k in active:
             nodes[k].length += dt
         pick = active[rng.randrange(len(active))]
-        if rng.random() < config.birth_rate / total_rate:
+        if rng.random() < BIRTH_RATE / total_rate:
             left = len(nodes)
             nodes.append(_Lineage(parent=pick))
             right = len(nodes)

@@ -231,41 +231,49 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
     table = WeightTable()
     micro_of: dict[str, int] = {}  # weight text -> micro, each distinct text quantized once
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise InputError(
-                    f"{path}:{lineno}: expected 4 tab-separated columns, got {len(parts)}"
-                )
-            name, ext_a, ext_b, weight_text = (p.strip() for p in parts)
+    for lineno, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise InputError(
+                f"{path}:{lineno}: expected 4 tab-separated columns, got {len(parts)}"
+            )
+        name, ext_a, ext_b, weight_text = (p.strip() for p in parts)
+        try:
+            node = tree.id_of(name)
+            a = Extremity.parse(ext_a)
+            b = Extremity.parse(ext_b)
+            for x in (a, b):
+                if x.marker not in universe:
+                    raise InputError(f"unknown marker {x.marker}")
+            adjacency = Adjacency(a, b)
+            micro = micro_of.get(weight_text)
+            if micro is None:
+                weight = Fraction(weight_text)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
+        if (node, adjacency) in table:
+            raise InputError(f"{path}:{lineno}: duplicate weight for {name} {adjacency}")
+        if micro is None:
             try:
-                node = tree.id_of(name)
-                a = Extremity.parse(ext_a)
-                b = Extremity.parse(ext_b)
-                for x in (a, b):
-                    if x.marker not in universe:
-                        raise InputError(f"unknown marker {x.marker}")
-                adjacency = Adjacency(a, b)
-                micro = micro_of.get(weight_text)
-                if micro is None:
-                    weight = Fraction(weight_text)
+                micro = micro_of[weight_text] = quantize_weight(weight)
             except InputError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
-            if (node, adjacency) in table:
-                raise InputError(f"{path}:{lineno}: duplicate weight for {name} {adjacency}")
-            if micro is None:
-                try:
-                    micro = micro_of[weight_text] = quantize_weight(weight)
-                except InputError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-            table.set_micro(node, adjacency, micro)
+        table.set_micro(node, adjacency, micro)
     return table
+
+
+def _numbered_lines(path: Path):
+    """Numbered lines of a UTF-8 file; a file that cannot be read is an input error."""
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def write_weight_table(path: str | Path, tree: Phylogeny, table: WeightTable) -> None:

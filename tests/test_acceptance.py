@@ -125,12 +125,13 @@ def test_criterion_01_cross_solver_agreement(capsys):
 def test_criterion_02_alpha_zero_matches_fitch(capsys):
     """At alpha 0 the pipeline optimum equals the per-adjacency Fitch count."""
     rng = random.Random(9002)
-    config = RunConfig(alpha="0", threshold_x=0, solver="dp", explosion_cap=10**18)
+    config = RunConfig(alpha="0", threshold_x=0, explosion_cap=10**18)
     for _ in range(50):
         tree = random_instance(
             rng, n_leaves=rng.randint(2, 7), n_markers=rng.randint(3, 6)
         )
         report = solve_instance(tree, WeightTable(), config)
+        assert all(c.solver == "dp" for c in report.components)
         _, fitch_changes = fitch_scj_labeling(tree)
         assert report.objective == Fraction(fitch_changes)
     _verdict(
@@ -147,7 +148,7 @@ def test_criterion_02_alpha_zero_matches_fitch(capsys):
 def test_criterion_03_alpha_one_matches_matchings(capsys):
     """At alpha 1 the discarded weight equals the per-node matching residual."""
     rng = random.Random(9003)
-    config = RunConfig(alpha="1", threshold_x=0, solver="dp", explosion_cap=10**18)
+    config = RunConfig(alpha="1", threshold_x=0, explosion_cap=10**18)
     for _ in range(50):
         while True:
             tree = random_instance(rng, n_leaves=rng.randint(2, 7), n_markers=4)
@@ -156,6 +157,7 @@ def test_criterion_03_alpha_one_matches_matchings(capsys):
                 break
         weights = random_weights(rng, tree)
         report = solve_instance(tree, weights, config)
+        assert all(c.solver == "dp" for c in report.components)
         residual = 0
         for v in tree.internal_ids():
             total = sum(weights.get_micro(v, a) for a in union)
@@ -275,12 +277,12 @@ def test_criterion_04_cooptimal_count_and_uniform_sampling(capsys):
         config = RunConfig(
             alpha="1/2",
             threshold_x=0,
-            solver="dp",
             n_samples=n_samples,
             seed=2000 + index,
             explosion_cap=10**18,
         )
         report = solve_instance(tree, weights, config)
+        assert all(c.solver == "dp" for c in report.components)
         assert report.cooptimal_count == expected
         categories = _enumerate_cooptima(tree, weights, "1/2", report.objective)
         assert len(categories) == expected
@@ -383,7 +385,7 @@ def test_criterion_07_simulation_study(capsys):
         result = evolve(SimConfig(seed=replicate))
         weights = boltzmann_weight_table(result.tree, 0.1)
         for alpha in alphas:
-            config = RunConfig(alpha=alpha, threshold_x="0.6", solver="auto")
+            config = RunConfig(alpha=alpha, threshold_x="0.6")
             report = solve_instance(result.tree, weights, config)
             metrics = score_reconstruction(result, report.labeling)
             sens[alpha].append(metrics.sensitivity)

@@ -15,6 +15,7 @@ from scjlabel.cli import main
 from scjlabel.formats import parse_genomes, parse_labeling, parse_tree
 from scjlabel.weights import load_weight_table
 
+SRC = str(Path(scjlabel.__file__).resolve().parent.parent)
 TREE_TEXT = "((s1,s2)anc2,s3)anc1;"
 GENOME_ROWS = [
     "s1\tL\t1 2",
@@ -24,6 +25,23 @@ GENOME_ROWS = [
     "s3\tL\t1",
     "s3\tL\t2 3",
 ]
+
+
+def read_stats(out: Path) -> dict[str, str]:
+    """The ``# key<TAB>value`` header lines of a run's stats.tsv."""
+    return dict(
+        line[2:].split("\t", 1)
+        for line in (out / "stats.tsv").read_text(encoding="utf-8").splitlines()
+        if line.startswith("# ")
+    )
+
+
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m scjlabel`` in a fresh interpreter, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "scjlabel", *args],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
 
 
 @pytest.fixture
@@ -37,8 +55,7 @@ def instance(tmp_path):
 
 class TestImports:
     def test_cli_imports_no_third_party_solver_packages(self):
-        src = str(Path(scjlabel.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         code = (
             "import sys, scjlabel.cli\n"
             "print(sorted(m for m in ('networkx', 'numpy', 'scipy') if m in sys.modules))"
@@ -96,11 +113,7 @@ class TestSolve:
             "--genomes", str(sim / "genomes.tsv"), "--alpha", "1", "--out", str(out),
         ])
         assert code == 0
-        stats = dict(
-            line[2:].split("\t", 1)
-            for line in (out / "stats.tsv").read_text(encoding="utf-8").splitlines()
-            if line.startswith("# ")
-        )
+        stats = read_stats(out)
         assert stats["objective_exact"] == "0/1"
         assert stats["discarded_weight"] == "0.000000"
         assert int(stats["scj_total"]) > 0
@@ -132,7 +145,86 @@ class TestSolve:
             "--samples", "2", "--cap", "1", "--out", str(tmp_path / "run"),
         ])
         assert code == 2
-        assert "capacity exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "capacity exceeded" in err
+        assert "--cap" in err
+
+
+class TestRouteControl:
+    """``--cap`` is the one control over which solver a component gets."""
+
+    def test_cap_1_sends_every_component_to_branch_and_bound(
+        self, instance, tmp_path, capsys
+    ):
+        tree, genomes = instance
+        runs = {}
+        for name, extra in (("default", []), ("squeezed", ["--cap", "1"])):
+            out = tmp_path / name
+            assert main([
+                "solve", "--tree", tree, "--genomes", genomes, "--boltzmann",
+                *extra, "--out", str(out),
+            ]) == 0
+            runs[name] = read_stats(out)
+        assert set(runs["default"]["component_solvers"].split(",")) == {"dp"}
+        assert set(runs["squeezed"]["component_solvers"].split(",")) == {"ilp"}
+        assert runs["squeezed"]["objective_exact"] == runs["default"]["objective_exact"]
+
+    def test_there_is_no_solver_option(self, instance, tmp_path, capsys):
+        tree, genomes = instance
+        code = main([
+            "solve", "--tree", tree, "--genomes", genomes,
+            "--solver", "dp", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_the_manifest_names_no_solver(self, instance, tmp_path, capsys):
+        tree, genomes = instance
+        out = tmp_path / "run"
+        assert main(["solve", "--tree", tree, "--genomes", genomes, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert "solver" not in config
+        assert config["explosion_cap"] == 10**7
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is bad input: exit 1 with one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "missing weights",
+        "weights directory",
+        "non-UTF-8 tree",
+        "non-UTF-8 genomes",
+        "non-UTF-8 weights",
+        "solve into a file",
+        "weigh into a missing directory",
+    ])
+    def test_exits_1_without_a_traceback(self, case, instance, tmp_path):
+        tree, genomes = instance
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("s1\tL\t1 2 3\n# Gen\xe8ve\n".encode("latin-1"))
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = ["--out", str(tmp_path / "run")]
+        solve = ["solve", "--tree", tree, "--genomes", genomes]
+        args = {
+            "missing weights": solve + ["--weights", str(tmp_path / "missing.tsv"), *out],
+            "weights directory": solve + ["--weights", str(tmp_path), *out],
+            "non-UTF-8 tree": ["solve", "--tree", str(latin1), "--genomes", genomes, *out],
+            "non-UTF-8 genomes": ["solve", "--tree", tree, "--genomes", str(latin1), *out],
+            "non-UTF-8 weights": solve + ["--weights", str(latin1), *out],
+            "solve into a file": solve + ["--out", str(taken)],
+            "weigh into a missing directory": [
+                "weigh", "--tree", tree, "--genomes", genomes,
+                "--out", str(tmp_path / "missing" / "w.tsv"),
+            ],
+        }[case]
+        result = run_cli(args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
 
 
 class TestSample:

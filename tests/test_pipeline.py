@@ -104,12 +104,8 @@ class TestRunConfig:
             RunConfig(explosion_cap=0)
         with pytest.raises(InputError, match="thread count"):
             RunConfig(threads=0)
-        with pytest.raises(InputError, match="solver"):
-            RunConfig(solver="gurobi")
         with pytest.raises(InputError, match="one weight source"):
             RunConfig(weights_path="w.tsv", boltzmann=True)
-        with pytest.raises(InputError, match="dp route"):
-            RunConfig(solver="ilp", n_samples=5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +177,12 @@ class TestSolveInstance:
         assert [c.solver for c in auto.components] == ["dp", "dp"]
         assert [c.bb_nodes for c in auto.components] == [None, None]
         forced = solve_instance(
-            tree, WeightTable(), RunConfig(solver="ilp")
+            tree, WeightTable(), RunConfig(explosion_cap=1)
         )
         assert [c.solver for c in forced.components] == ["ilp", "ilp"]
         assert all(c.bb_nodes >= 1 for c in forced.components)
         assert forced.cooptimal_count is None
         assert forced.objective == auto.objective
-        squeezed = solve_instance(
-            tree, WeightTable(), RunConfig(explosion_cap=1)
-        )
-        assert [c.solver for c in squeezed.components] == ["ilp", "ilp"]
 
     def test_sampling_on_the_ilp_route_is_refused(self):
         tree = two_component_instance()
@@ -344,7 +336,7 @@ class TestTraceContract:
         return tracer.take()[1]
 
     def test_branch_and_bound_counts(self):
-        counts = self.traced_counts(RunConfig(solver="ilp"))
+        counts = self.traced_counts(RunConfig(explosion_cap=1))
         assert counts["graph.components"] == 2
         assert counts["ilp.components"] == 2
         assert counts["ilp.vars"] > 0

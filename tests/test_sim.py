@@ -99,8 +99,6 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(n_leaves=1)
         with pytest.raises(InputError):
-            SimConfig(birth_rate=0.0)
-        with pytest.raises(InputError):
             SimConfig(death_rate=0.002)  # above the birth rate
         with pytest.raises(InputError):
             SimConfig(p_inversion=1.5)
