@@ -43,8 +43,6 @@ from .graph import (
 from .weights import (
     boltzmann_weight_table,
     boltzmann_weights,
-    fitch_scj,
-    fitch_scj_labeling,
     load_weight_table,
     write_weight_table,
 )
@@ -102,8 +100,6 @@ __all__ = [
     "dcj_distance",
     "evolve",
     "extract_cars",
-    "fitch_scj",
-    "fitch_scj_labeling",
     "labeling_objective",
     "load_weight_table",
     "parse_genomes",

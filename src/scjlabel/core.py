@@ -141,7 +141,7 @@ class Extremity(NamedTuple("_ExtremityFields", [("marker", int), ("end", int)]))
     def parse(cls, text: str) -> "Extremity":
         """Parse the compact form ``"12h"`` / ``"3t"``."""
         text = text.strip()
-        if len(text) < 2 or text[-1] not in "ht" or not text[:-1].isdigit():
+        if len(text) < 2 or text[-1] not in "ht" or not text[:-1].isdecimal():
             raise InputError(f"bad extremity {text!r}, expected e.g. '12h' or '3t'")
         return cls(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
 
@@ -269,25 +269,27 @@ class Car:
         return f"[{self.kind} {body}]"
 
 
-def _left_extremity(signed: int) -> Extremity:
-    return Extremity.tail(signed) if signed > 0 else Extremity.head(-signed)
-
-
-def _right_extremity(signed: int) -> Extremity:
-    return Extremity.head(signed) if signed > 0 else Extremity.tail(-signed)
-
-
 def chromosome_adjacencies(markers: Iterable[int], circular: bool = False) -> frozenset[Adjacency]:
-    """Adjacencies of an explicitly ordered signed chromosome."""
-    seq = tuple(markers)
-    if not seq:
-        return frozenset()
-    pairs = [
-        Adjacency(_right_extremity(seq[i]), _left_extremity(seq[i + 1]))
-        for i in range(len(seq) - 1)
-    ]
-    if circular and len(seq) >= 1:
-        pairs.append(Adjacency(_right_extremity(seq[-1]), _left_extremity(seq[0])))
+    """Adjacencies of an explicitly ordered signed chromosome.
+
+    Each signed marker is checked once and its (left, right) extremities
+    built once; a marker next to itself is rejected.
+    """
+    new = tuple.__new__  # the values are checked here, not by the constructors
+    ends: list[tuple[Extremity, Extremity]] = []
+    for signed in markers:
+        if type(signed) is not int or not signed:
+            raise InputError(f"signed marker ids are non-zero integers, got {signed!r}")
+        m = abs(signed)
+        tail, head = new(Extremity, (m, TAIL)), new(Extremity, (m, HEAD))
+        ends.append((tail, head) if signed > 0 else (head, tail))
+    if circular and ends:
+        ends.append(ends[0])
+    pairs = []
+    for (_, right), (left, _) in zip(ends, ends[1:]):
+        if right.marker == left.marker:
+            raise InputError(f"adjacency may not join two extremities of marker {left.marker}")
+        pairs.append(new(Adjacency, (right, left) if right < left else (left, right)))
     return frozenset(pairs)
 
 
@@ -622,6 +624,21 @@ class WeightTable:
             for v, micro in row.items():
                 totals[v] = totals.get(v, 0) + n * micro
         table._rows = {adjacency: dict(rows[key]) for adjacency, key in key_of.items()}
+        return table
+
+    @classmethod
+    def from_rows(cls, rows: dict[Adjacency, dict[int, int]]) -> "WeightTable":
+        """A table that keeps ``rows`` (adjacency -> node id -> micro), in
+        their order, as its own storage: the caller hands them over uncopied.
+        """
+        table = cls()
+        totals = table._totals
+        for row in rows.values():
+            for v, micro in row.items():
+                _check_micro(micro)
+                totals[v] = totals.get(v, 0) + micro
+            table._entries += len(row)
+        table._rows = rows
         return table
 
     def set(self, node_id: int, adjacency: Adjacency, weight: object) -> None:

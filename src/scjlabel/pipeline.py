@@ -373,6 +373,9 @@ def run_solve(config: RunConfig) -> SolveReport:
     """File-level entry: parse, solve, and (if configured) write outputs."""
     if config.tree_path is None or config.genomes_path is None:
         raise InputError("a tree file and a genomes file are required")
+    out = config.out_dir
+    if out is not None and Path(out).exists() and not Path(out).is_dir():
+        raise InputError(f"cannot write to {out}: it exists and is not a directory")
     tree = parse_tree(config.tree_path)
     genomes = parse_genomes(config.genomes_path)
     tree = tree.with_genomes(genomes)

@@ -1,4 +1,4 @@
-"""Adjacency weights: parsimony baselines, Boltzmann posteriors, file I/O.
+"""Adjacency weights: Boltzmann posteriors and file I/O.
 
 Weights express per-node confidence that a candidate adjacency is
 ancestral.  They can be loaded from a TSV file or computed here from the
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from .core import (
     MICRO,
@@ -19,87 +18,14 @@ from .core import (
     Extremity,
     Phylogeny,
     WeightTable,
-    check_consistency,
     quantize_weight,
 )
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .graph import candidate_adjacencies
 
 _INF = float("inf")
 #: ``math.exp`` overflows above this; a presence that much less likely weighs 0.
 _EXP_MAX = 709.0
-
-
-class FitchHistory(NamedTuple):
-    """One parsimonious gain/loss history of a single adjacency."""
-
-    presence: dict[int, bool]
-    changes: int
-
-
-def fitch_scj(tree: Phylogeny, adjacency: Adjacency) -> FitchHistory:
-    """Most parsimonious presence history for one adjacency.
-
-    Bottom-up state costs followed by a top-down sweep.  Ties at the
-    root resolve to absence; below the root, ties keep the parent state.
-    This tie-breaking makes the per-adjacency histories jointly
-    consistent (no two chosen adjacencies share an extremity at a node).
-    """
-    if not tree.leaf_genomes:
-        raise InputError("fitch_scj needs genomes attached to the tree")
-    cost: dict[int, list[float]] = {}
-    for v in tree.postorder():
-        node = tree.nodes[v]
-        if node.is_leaf:
-            present = adjacency in tree.leaf_genomes[v].adjacencies
-            cost[v] = [_INF if present else 0.0, 0.0 if present else _INF]
-        else:
-            c0 = c1 = 0.0
-            for c in node.children:
-                c0 += min(cost[c][0], cost[c][1] + 1)
-                c1 += min(cost[c][1], cost[c][0] + 1)
-            cost[v] = [c0, c1]
-    presence: dict[int, bool] = {}
-    root_cost = cost[tree.root]
-    presence[tree.root] = root_cost[1] < root_cost[0]
-    for u, v in tree.edges():
-        parent_state = 1 if presence[u] else 0
-        c_keep = cost[v][parent_state]
-        c_flip = cost[v][1 - parent_state] + 1
-        presence[v] = bool(parent_state if c_keep <= c_flip else 1 - parent_state)
-    changes = sum(1 for u, v in tree.edges() if presence[u] != presence[v])
-    best = min(root_cost)
-    if changes != best:
-        raise InternalInvariantError(
-            f"fitch history for {adjacency} has {changes} changes, expected {best}"
-        )
-    return FitchHistory(presence, changes)
-
-
-def fitch_scj_labeling(tree: Phylogeny) -> tuple[dict[int, frozenset[Adjacency]], int]:
-    """Per-adjacency Fitch over all candidates, assembled per node.
-
-    Returns the internal labeling and the total change count, which is
-    the unweighted SCJ optimum.  A conflict between per-adjacency
-    histories would be a bug in the tie-breaking and raises.
-    """
-    labeling: dict[int, set[Adjacency]] = {v: set() for v in tree.internal_ids()}
-    total = 0
-    candidates = sorted(candidate_adjacencies(tree))
-    for adjacency in candidates:
-        history = fitch_scj(tree, adjacency)
-        total += history.changes
-        for v in labeling:
-            if history.presence[v]:
-                labeling[v].add(adjacency)
-    for v, label in labeling.items():
-        ok, offenders = check_consistency(label)
-        if not ok:
-            listed = ", ".join(str(x) for x in offenders)
-            raise InternalInvariantError(
-                f"fitch labeling conflicts at {tree.name_of(v)}: {listed}"
-            )
-    return {v: frozenset(label) for v, label in labeling.items()}, total
 
 
 def _log_add(a: float, b: float) -> float:
@@ -221,50 +147,62 @@ def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
 def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
     """Read a weight TSV: node name, extremity, extremity, weight in [0, 1].
 
-    Node names must exist in the tree and markers in its universe.
-    Duplicate (node, adjacency) rows are rejected.  Every error message
-    carries the offending line number.
+    Whitespace around a column is ignored.  Node names must exist in the
+    tree and markers in its universe.  A pair is one adjacency in either
+    orientation, and a second row for it at one node is rejected.  Every
+    error message carries the offending line number.
+
+    Each distinct column text is checked once: it enters its cache only
+    after every check on it has passed, so a bad text still fails at the
+    first line that holds it.
     """
     if not tree.leaf_genomes:
         raise InputError("load_weight_table needs genomes attached to the tree")
     universe = tree.markers
-    table = WeightTable()
-    micro_of: dict[str, int] = {}  # weight text -> micro, each distinct text quantized once
+    rows: dict[Adjacency, dict[int, int]] = {}
+    # Raw column text -> its checked node id, adjacency row or micro weight.
+    node_of: dict[str, int] = {}
+    row_of: dict[tuple[str, str], dict[int, int]] = {}
+    micro_of: dict[str, int] = {}
     path = Path(path)
-    for lineno, raw in _numbered_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for lineno, line in _numbered_lines(path):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 4:
             raise InputError(
                 f"{path}:{lineno}: expected 4 tab-separated columns, got {len(parts)}"
             )
-        name, ext_a, ext_b, weight_text = (p.strip() for p in parts)
+        name, ext_a, ext_b, weight_text = parts
         try:
-            node = tree.id_of(name)
-            a = Extremity.parse(ext_a)
-            b = Extremity.parse(ext_b)
-            for x in (a, b):
-                if x.marker not in universe:
-                    raise InputError(f"unknown marker {x.marker}")
-            adjacency = Adjacency(a, b)
+            node = node_of.get(name)
+            if node is None:
+                node = node_of[name] = tree.id_of(name.strip())
+            row = row_of.get((ext_a, ext_b))
+            if row is None:
+                a = Extremity.parse(ext_a)
+                b = Extremity.parse(ext_b)
+                for x in (a, b):
+                    if x.marker not in universe:
+                        raise InputError(f"unknown marker {x.marker}")
+                # Both orientations of a pair share the adjacency's one row.
+                row = row_of[ext_a, ext_b] = rows.setdefault(Adjacency(a, b), {})
             micro = micro_of.get(weight_text)
             if micro is None:
-                weight = Fraction(weight_text)
+                try:
+                    weight = Fraction(weight_text.strip())
+                except (ValueError, ZeroDivisionError):
+                    raise InputError(f"bad weight {weight_text.strip()!r}") from None
+            if node in row:
+                adjacency = Adjacency.of(ext_a, ext_b)
+                raise InputError(f"duplicate weight for {name.strip()} {adjacency}")
+            if micro is None:
+                micro = micro_of[weight_text] = quantize_weight(weight)
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
-        if (node, adjacency) in table:
-            raise InputError(f"{path}:{lineno}: duplicate weight for {name} {adjacency}")
-        if micro is None:
-            try:
-                micro = micro_of[weight_text] = quantize_weight(weight)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-        table.set_micro(node, adjacency, micro)
-    return table
+        row[node] = micro
+    return WeightTable.from_rows(rows)
 
 
 def _numbered_lines(path: Path):

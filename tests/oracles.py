@@ -3,10 +3,12 @@
 Nothing in this module shares logic with the package: label spaces are
 listed outright, the DCJ distance comes from breadth-first search over
 whole adjacency sets, and Boltzmann marginals from summing every
-scenario.  The one exception is ``milp_optimum``, which values the point
-HiGHS picks with the package's component evaluator; the enumeration
-oracles here pin that evaluator.  Guards assert that inputs stay small enough for that to be
-instant, so an oversized test input fails loudly instead of hanging.
+scenario.  ``fitch_scj`` and ``fitch_scj_labeling``, one parsimony
+sweep per adjacency, are the alpha-0 reference.  The one exception is
+``milp_optimum``, which values the point HiGHS picks with the package's
+component evaluator; the enumeration oracles here pin that evaluator.
+Guards assert that inputs stay small enough for that to be instant, so
+an oversized test input fails loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from scjlabel.core import (
     MICRO,
@@ -24,11 +27,15 @@ from scjlabel.core import (
     Phylogeny,
     WeightTable,
     as_alpha,
+    check_consistency,
     chromosome_adjacencies,
     exact_fraction,
 )
 from scjlabel.dp import evaluate_component_labeling
-from scjlabel.graph import Component, GlobalAdjacencyGraph
+from scjlabel.errors import InputError, InternalInvariantError
+from scjlabel.graph import Component, GlobalAdjacencyGraph, candidate_adjacencies
+
+_INF = float("inf")
 
 # ---------------------------------------------------------------------------
 # Components linked by shared extremities alone
@@ -303,6 +310,78 @@ def brute_instance_optimum(
 
 # ---------------------------------------------------------------------------
 # Presence histories of a single adjacency
+
+
+class FitchHistory(NamedTuple):
+    """One parsimonious gain/loss history of a single adjacency."""
+
+    presence: dict[int, bool]
+    changes: int
+
+
+def fitch_scj(tree: Phylogeny, adjacency: Adjacency) -> FitchHistory:
+    """Most parsimonious presence history for one adjacency.
+
+    Bottom-up state costs followed by a top-down sweep.  Ties at the
+    root resolve to absence; below the root, ties keep the parent state.
+    This tie-breaking makes the per-adjacency histories jointly
+    consistent (no two chosen adjacencies share an extremity at a node).
+    """
+    if not tree.leaf_genomes:
+        raise InputError("fitch_scj needs genomes attached to the tree")
+    cost: dict[int, list[float]] = {}
+    for v in tree.postorder():
+        node = tree.nodes[v]
+        if node.is_leaf:
+            present = adjacency in tree.leaf_genomes[v].adjacencies
+            cost[v] = [_INF if present else 0.0, 0.0 if present else _INF]
+        else:
+            c0 = c1 = 0.0
+            for c in node.children:
+                c0 += min(cost[c][0], cost[c][1] + 1)
+                c1 += min(cost[c][1], cost[c][0] + 1)
+            cost[v] = [c0, c1]
+    presence: dict[int, bool] = {}
+    root_cost = cost[tree.root]
+    presence[tree.root] = root_cost[1] < root_cost[0]
+    for u, v in tree.edges():
+        parent_state = 1 if presence[u] else 0
+        c_keep = cost[v][parent_state]
+        c_flip = cost[v][1 - parent_state] + 1
+        presence[v] = bool(parent_state if c_keep <= c_flip else 1 - parent_state)
+    changes = sum(1 for u, v in tree.edges() if presence[u] != presence[v])
+    best = min(root_cost)
+    if changes != best:
+        raise InternalInvariantError(
+            f"fitch history for {adjacency} has {changes} changes, expected {best}"
+        )
+    return FitchHistory(presence, changes)
+
+
+def fitch_scj_labeling(tree: Phylogeny) -> tuple[dict[int, frozenset[Adjacency]], int]:
+    """Per-adjacency Fitch over all candidates, assembled per node.
+
+    Returns the internal labeling and the total change count, which is
+    the unweighted SCJ optimum.  A conflict between per-adjacency
+    histories would be a bug in the tie-breaking and raises.
+    """
+    labeling: dict[int, set[Adjacency]] = {v: set() for v in tree.internal_ids()}
+    total = 0
+    candidates = sorted(candidate_adjacencies(tree))
+    for adjacency in candidates:
+        history = fitch_scj(tree, adjacency)
+        total += history.changes
+        for v in labeling:
+            if history.presence[v]:
+                labeling[v].add(adjacency)
+    for v, label in labeling.items():
+        ok, offenders = check_consistency(label)
+        if not ok:
+            listed = ", ".join(str(x) for x in offenders)
+            raise InternalInvariantError(
+                f"fitch labeling conflicts at {tree.name_of(v)}: {listed}"
+            )
+    return {v: frozenset(label) for v, label in labeling.items()}, total
 
 
 def brute_min_changes(tree: Phylogeny, adjacency: Adjacency) -> int:

@@ -23,6 +23,7 @@ from oracles import (
     brute_max_weight_micro,
     component_profile,
     consistent_subsets,
+    fitch_scj_labeling,
     joint_assignment_count,
     profile_optimum,
     random_genome,
@@ -44,7 +45,7 @@ from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_
 from scjlabel.ilp import build_model, solve_bb
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance
 from scjlabel.sim import SimConfig, evolve, score_reconstruction
-from scjlabel.weights import boltzmann_weights, boltzmann_weight_table, fitch_scj_labeling
+from scjlabel.weights import boltzmann_weights, boltzmann_weight_table
 
 ALPHAS = ("0", "1/4", "1/2", "3/4", "1")
 

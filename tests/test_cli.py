@@ -226,6 +226,20 @@ class TestFileErrors:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    def test_solve_into_a_file_fails_before_parsing(self, instance, tmp_path, capsys,
+                                                    monkeypatch):
+        tree, genomes = instance
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(scjlabel.pipeline, "parse_genomes", lambda *a: calls.append(a))
+        assert main(["solve", "--tree", tree, "--genomes", genomes, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "not a directory" in err
+        assert calls == []
+
 
 class TestSample:
     def test_writes_samples_and_frequencies(self, instance, tmp_path, capsys):

@@ -135,6 +135,8 @@ class TestExtremity:
             Extremity.parse("h1")
         with pytest.raises(InputError):
             Extremity.parse("5")
+        with pytest.raises(InputError):
+            Adjacency.of("\u00b2h", "2t")  # a digit, but not a decimal one
 
 
 class TestAdjacency:
@@ -235,6 +237,27 @@ class TestCar:
         car = Car("linear", (1, -3, 2))
         assert len(car) == 3
         assert str(car) == "[linear 1 -3 2]"
+
+
+class TestChromosomeAdjacencies:
+    def test_signs_choose_the_joined_extremities(self):
+        assert chromosome_adjacencies((1, -2, 3)) == {
+            Adjacency.of("1h", "2h"), Adjacency.of("2t", "3t"),
+        }
+        assert chromosome_adjacencies((1, 2), circular=True) == {
+            Adjacency.of("1h", "2t"), Adjacency.of("2h", "1t"),
+        }
+        assert chromosome_adjacencies((), circular=True) == frozenset()
+        (adjacency,) = chromosome_adjacencies((2, 1))
+        assert str(adjacency) == "1t-2h"
+        assert adjacency.first.marker == 1
+
+    @pytest.mark.parametrize("markers, circular", [
+        ((1, 0), False), ((1, 2.0), False), ((1, 1), False), ((2, -2), False), ((1,), True),
+    ])
+    def test_rejects_a_bad_marker_or_a_marker_next_to_itself(self, markers, circular):
+        with pytest.raises(InputError):
+            chromosome_adjacencies(markers, circular=circular)
 
 
 class TestExtractCars:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import random_instance, random_weights
+from oracles import fitch_scj_labeling, random_instance, random_weights
 from scjlabel.core import (
     Adjacency,
     Genome,
@@ -23,7 +23,7 @@ from scjlabel.graph import (
     connected_components,
     threshold_cutoff,
 )
-from scjlabel.weights import boltzmann_weight_table, fitch_scj_labeling
+from scjlabel.weights import boltzmann_weight_table
 
 
 def genome_of(markers, *chromosomes):

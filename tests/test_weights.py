@@ -10,6 +10,8 @@ from oracles import (
     brute_boltzmann,
     brute_max_weight_micro,
     brute_min_changes,
+    fitch_scj,
+    fitch_scj_labeling,
     random_instance,
     random_weights,
 )
@@ -30,8 +32,6 @@ from scjlabel.sim import SimConfig, evolve
 from scjlabel.weights import (
     boltzmann_weight_table,
     boltzmann_weights,
-    fitch_scj,
-    fitch_scj_labeling,
     load_weight_table,
     write_weight_table,
 )
@@ -344,6 +344,7 @@ class TestWeightFiles:
             ("anc1\t1h\t2t", "columns"),
             ("nope\t1h\t2t\t0.5", "nope"),
             ("anc1\t1x\t2t\t0.5", "extremity"),
+            ("anc1\t\u00b2h\t2t\t0.5", "extremity"),
             ("anc1\t9h\t2t\t0.5", "marker"),
             ("anc1\t1h\t2t\theavy", "weight"),
         ]
@@ -364,3 +365,84 @@ class TestWeightFiles:
             load_weight_table(path, tree)
         assert ":2:" in str(err.value)
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("row, needle", [
+        ("nope\t1h\t2t\t0.5", "unknown node name 'nope'"),
+        ("anc2\t1h\t3t\t0.5", "unknown marker 3"),
+        ("anc2\t1h\t1t\t0.5", "adjacency may not join two extremities of marker 1"),
+        ("anc2\t1h\t2t\t1.5", "weight must lie in [0, 1], got 3/2"),
+        ("anc1\t2t\t1h\t0.5", "duplicate weight for anc1 1h-2t"),
+    ])
+    def test_cached_columns_never_skip_a_check(self, tmp_path, row, needle):
+        """Every other column of the failing row was checked on line 1."""
+        tree = quartet_instance({"s1"})
+        path = tmp_path / "weights.tsv"
+        path.write_text("anc1\t1h\t2t\t0.5\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_weight_table(path, tree)
+        assert str(err.value) == f"{path}:2: {needle}"
+
+    @pytest.mark.parametrize("weight, needle", [("heavy", "bad weight"), ("1.5", "must lie")])
+    def test_a_repeated_bad_weight_fails_at_its_first_line(self, tmp_path, weight, needle):
+        tree = quartet_instance({"s1"})
+        path = tmp_path / "weights.tsv"
+        path.write_text(
+            f"anc3\t1h\t2t\t0.5\nanc1\t1h\t2t\t{weight}\nanc2\t1h\t2t\t{weight}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputError) as err:
+            load_weight_table(path, tree)
+        assert ":2:" in str(err.value)
+        assert needle in str(err.value)
+
+    def test_both_orientations_are_one_adjacency(self, tmp_path):
+        tree = quartet_instance({"s1"})
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        path = tmp_path / "weights.tsv"
+        path.write_text("anc1\t1h\t2t\t0.5\nanc2\t2t\t1h\t0.25\n", encoding="utf-8")
+        table = load_weight_table(path, tree)
+        assert dict(table.row(Adjacency.of("1h", "2t"))) == {anc1: 500_000, anc2: 250_000}
+        assert len(table) == 2
+        path.write_text("anc1\t1h\t2t\t0.5\nanc1\t2t\t1h\t0.25\n", encoding="utf-8")
+        with pytest.raises(InputError, match=":2: duplicate"):
+            load_weight_table(path, tree)
+
+    def test_whitespace_around_columns_is_ignored(self, tmp_path):
+        tree = quartet_instance({"s1"})
+        plain = tmp_path / "plain.tsv"
+        padded = tmp_path / "padded.tsv"
+        plain.write_text("anc1\t1h\t2t\t0.5\nanc2\t1t\t2h\t1/3\n", encoding="utf-8")
+        padded.write_text(
+            " anc1 \t 1h\t2t  \t 0.5 \n  \t \t\t\nanc2\t 1t \t2h\t1/3  \n", encoding="utf-8"
+        )
+        loaded = load_weight_table(padded, tree)
+        assert list(loaded.items()) == list(load_weight_table(plain, tree).items())
+        assert len(loaded) == 2
+
+    def test_items_keep_the_files_first_set_order(self, tmp_path):
+        tree = parse_newick("((s1,s2)anc2,(s3,s4)anc3)anc1;").with_genomes({
+            name: genome_of({1, 2, 3, 4}, (1, 2), (3, 4)) for name in ("s1", "s2", "s3", "s4")
+        })
+        rows = [("anc2", "3h", "4t", 100), ("anc1", "1h", "2t", 200),
+                ("anc1", "4t", "3h", 300), ("anc3", "1h", "2t", 400)]
+        path = tmp_path / "weights.tsv"
+        path.write_text(
+            "".join(f"{n}\t{a}\t{b}\t{w / 10**6}\n" for n, a, b, w in rows), encoding="utf-8"
+        )
+        expected = WeightTable()
+        for n, a, b, w in rows:
+            expected.set_micro(tree.id_of(n), Adjacency.of(a, b), w)
+        loaded = load_weight_table(path, tree)
+        assert list(loaded.items()) == list(expected.items())
+        assert list(loaded.items()) != sorted(loaded.items())
+
+    def test_round_trip_of_a_200x12_boltzmann_table(self, tmp_path):
+        tree = evolve(SimConfig(n_markers=200, n_leaves=12, diameter_factor=0.5, seed=1)).tree
+        table = boltzmann_weight_table(tree, 0.1)
+        path = tmp_path / "weights.tsv"
+        write_weight_table(path, tree, table)
+        back = load_weight_table(path, tree)
+        assert len(back) == len(table) == 8646
+        assert back.micro_items() == table.micro_items()
+        for v in range(len(tree.nodes)):
+            assert back.total_micro(v) == table.total_micro(v)
