@@ -183,6 +183,9 @@ def check_consistency(adjacencies: Iterable[Adjacency]) -> tuple[bool, list[Extr
     Returns ``(True, [])`` for a consistent set, otherwise ``(False,
     offenders)`` with the reused extremities in canonical order.
     """
+    adjacencies = tuple(adjacencies)
+    if len(set().union(*adjacencies)) == 2 * len(adjacencies):
+        return True, []  # only an inconsistent set pays for counting
     seen: Counter[Extremity] = Counter()
     for a, b in adjacencies:
         seen[a] += 1

@@ -7,7 +7,8 @@ component edges annotated at that node.  Costs combine per edge as
 ``(1 - alpha) * |symmetric difference|`` plus each node's discarded
 weight, all on an exact integer grid scaled by ``alpha.denominator *
 1e6``.  The same table supports counting co-optimal labelings exactly
-and sampling them uniformly.
+and sampling them uniformly.  A one-adjacency component fills the same
+table by a two-state (absent/present) sweep, with the same tie rule.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .graph import Component
 #: Components are routed away from the DP when the square of their label
 #: space bound exceeds this (pairwise label comparisons dominate).
 DEFAULT_EXPLOSION_CAP = 10**7
+
+_EMPTY: frozenset[Adjacency] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,14 @@ def solve_component(
         )
     if not tree.leaf_genomes:
         raise InputError("solve_component needs genomes attached to the tree")
+    solve = _sweep if len(component.edges) == 1 else _solve_joint
+    return solve(component, tree, weights, units)
+
+
+def _solve_joint(
+    component: Component, tree: Phylogeny, weights: WeightTable, units: ObjectiveUnits
+) -> tuple[ComponentSolution, DpTable]:
+    """The joint-label DP over the matchings at every node."""
     unit = units.change_unit
     wunit = units.weight_unit
 
@@ -186,6 +197,42 @@ def solve_component(
     return _finish_solution(table, chosen, count_cooptimal(table)), table
 
 
+def _sweep(
+    component: Component, tree: Phylogeny, weights: WeightTable, units: ObjectiveUnits
+) -> tuple[ComponentSolution, DpTable]:
+    """:func:`_solve_joint`'s table and labeling of one adjacency: absent (0) or present (1)."""
+    ((adjacency, annotating),) = component.edges.items()
+    unit, nodes, row = units.change_unit, tree.nodes, weights.row(adjacency)
+    labels, cost, count = {}, {}, {}  # as in DpTable
+    for v in tree.postorder():
+        if not nodes[v].children:
+            labels[v], cost[v], count[v] = [int(adjacency in tree.leaf_genomes[v].adjacencies)], [0], [1]
+            continue
+        sub, ways = [0, 0], [1, 1]  # subtree cost and co-optima, v absent then present
+        for child in nodes[v].children:
+            c, n = cost[child], count[child]
+            for up in (0, 1):
+                if len(c) == 1:
+                    sub[up] += c[0] + unit * (up ^ labels[child][0])
+                    ways[up] *= n[0]
+                else:
+                    off, on = c[0] + unit * up, c[1] + unit * (1 - up)  # child absent, present
+                    sub[up] += min(off, on)
+                    ways[up] *= n[0] if off < on else n[1] if on < off else n[0] + n[1]
+        if v in annotating:
+            sub[0] += units.weight_unit * row.get(v, 0)
+            labels[v], cost[v], count[v] = [0, 1], sub, ways
+        else:
+            labels[v], cost[v], count[v] = [0], sub[:1], ways[:1]
+    chosen: dict[int, int] = {}
+    for v in reversed(tree.internal_ids()):  # preorder
+        c, up = cost[v], chosen.get(nodes[v].parent)  # None at the root
+        extra = 0 if up is None else unit * (1 - 2 * up)  # present's change cost over absent's
+        chosen[v] = int(len(c) == 2 and c[1] + extra < c[0])
+    table = DpTable(component, tree, weights, units, (adjacency,), labels, cost, count)
+    return _finish_solution(table, chosen, count_cooptimal(table)), table
+
+
 def presence_signature(
     adjacency: Adjacency,
     nodes: frozenset[int],
@@ -211,6 +258,8 @@ def presence_signature(
 
 
 def _mask_to_set(mask: int, edges: Sequence[Adjacency]) -> frozenset[Adjacency]:
+    if not mask:
+        return _EMPTY  # the label of most nodes
     return frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
 
 
@@ -265,9 +314,7 @@ def _finish_solution(
 ) -> ComponentSolution:
     tree = table.tree
     edges = table.edge_order
-    node_labels = {
-        v: _mask_to_set(chosen_mask[v], edges) for v in tree.internal_ids()
-    }
+    node_labels = {v: _mask_to_set(chosen_mask[v], edges) for v in tree.internal_ids()}
     scj, discarded = evaluate_component_labeling(
         table.component, tree, table.weights, node_labels
     )
@@ -290,13 +337,9 @@ def _finish_solution(
 
 def count_cooptimal(table: DpTable) -> int:
     """Exact number of co-optimal labelings of the component."""
-    root_costs = table.cost[table.tree.root]
-    best = min(root_costs)
-    return sum(
-        table.count[table.tree.root][i]
-        for i, c in enumerate(root_costs)
-        if c == best
-    )
+    root = table.tree.root
+    best = min(table.cost[root])
+    return sum(n for c, n in zip(table.cost[root], table.count[root]) if c == best)
 
 
 def sample_component(
@@ -370,7 +413,7 @@ def evaluate_component_labeling(
     edge_set = set(component.edges)
     labels: dict[int, frozenset[Adjacency]] = {}
     for v in tree.preorder():
-        if tree.is_leaf(v):
+        if not tree.nodes[v].children:
             labels[v] = frozenset(tree.leaf_genomes[v].adjacencies & edge_set)
         else:
             if v not in node_labels:
@@ -378,14 +421,14 @@ def evaluate_component_labeling(
             label = frozenset(node_labels[v])
             if not label <= edge_set:
                 raise InputError("label uses adjacencies outside the component")
-            unannotated = [a for a in label if v not in component.edges[a]]
+            unannotated = label and [a for a in label if v not in component.edges[a]]
             if unannotated:
                 raise InputError(
                     f"label of {tree.name_of(v)} holds {min(unannotated)}, which"
                     " the component does not annotate there"
                 )
             labels[v] = label
-    scj = sum(len(labels[u] ^ labels[v]) for u, v in tree.edges())
+    scj = sum([len(labels[u] ^ labels[v]) for u, v in tree.edges()])
     discarded = 0
     for adjacency, nodes in component.edges.items():
         for v in nodes:

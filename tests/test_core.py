@@ -178,6 +178,20 @@ class TestAdjacency:
         assert offenders == [Extremity.head(1), Extremity.tail(2)]
         assert check_consistency(adjs[:1]) == (True, [])
 
+    def test_consistency_of_any_iterable(self):
+        adjs = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t"),
+                Adjacency.of("2t", "4h")]
+        want = (False, [Extremity.head(1), Extremity.tail(2)])
+        assert check_consistency(iter(adjs)) == want
+        assert check_consistency(a for a in adjs) == want
+        assert check_consistency(frozenset(adjs)) == want
+        assert check_consistency(iter(adjs[:1])) == (True, [])
+        assert check_consistency([]) == (True, [])
+        # one adjacency listed twice reuses both of its extremities
+        assert check_consistency(adjs[:1] * 2) == (
+            False, [Extremity.head(1), Extremity.tail(2)]
+        )
+
 
 # ---------------------------------------------------------------------------
 # Genomes

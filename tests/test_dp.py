@@ -17,7 +17,13 @@ from oracles import (
     union_components,
 )
 from scjlabel import dp
-from scjlabel.core import Adjacency, Genome, WeightTable, chromosome_adjacencies
+from scjlabel.core import (
+    Adjacency,
+    Genome,
+    WeightTable,
+    chromosome_adjacencies,
+    objective_units,
+)
 from scjlabel.dp import (
     count_cooptimal,
     evaluate_component_labeling,
@@ -380,6 +386,131 @@ class TestCountingAndSampling:
         assert sample_component(table, 0, seed=1) == []
         with pytest.raises(InputError):
             sample_component(table, -1, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# The two-state sweep of one-adjacency components
+
+
+def joint_reference(component, tree, weights, alpha):
+    """The joint-label DP's solution and table for any component."""
+    return dp._solve_joint(component, tree, weights, objective_units(alpha))
+
+
+def one_adjacency_cases(seeds, n_instances):
+    """(tree, weights, component) for every one-adjacency component of
+    the oracle generator at thresholds 0 to 0.3."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(n_instances):
+            tree = random_instance(
+                rng, n_leaves=rng.randint(2, 8), n_markers=rng.randint(3, 7)
+            )
+            weights = random_weights(rng, tree)
+            for threshold in ("0", "0.1", "0.2", "0.3"):
+                for component in components_of(tree, weights, threshold):
+                    if len(component.edges) == 1:
+                        yield tree, weights, component
+
+
+def tie_gadget():
+    """One adjacency whose optimum ties at the root and, below an absent
+    root, at anc2; three co-optima at alpha 1/2 and threshold 0."""
+    tree = parse_newick("((s1,s2)anc2,s3)anc1;")
+    markers = {1, 2}
+    tree = tree.with_genomes({
+        "s1": genome_of(markers, (1, 2)),
+        "s2": genome_of(markers, (1,), (2,)),
+        "s3": genome_of(markers, (1,), (2,)),
+    })
+    weights = WeightTable()
+    weights.set(tree.id_of("anc2"), Adjacency.of("1h", "2t"), "1")
+    return tree, weights, components_of(tree, weights)[0]
+
+
+def assert_same_table(table, reference):
+    assert table.edge_order == reference.edge_order
+    assert table.labels == reference.labels
+    assert table.cost == reference.cost
+    assert table.count == reference.count
+
+
+class TestSweep:
+    """One-adjacency components against the joint-label DP."""
+
+    def test_one_adjacency_components_skip_the_joint_dp(self, monkeypatch):
+        tree, weights, component = tie_gadget()
+
+        def refuse(*args):
+            raise AssertionError("a one-adjacency component took the joint DP")
+
+        monkeypatch.setattr(dp, "_solve_joint", refuse)
+        solve_component(component, tree, weights, "1/2")
+
+    def test_tables_and_solutions_match_the_joint_dp(self):
+        checked = 0
+        for tree, weights, component in one_adjacency_cases((79, 83, 89, 101, 103), 30):
+            for alpha in ("0", "1/4", "1/2", "3/4", "1"):
+                solution, table = solve_component(component, tree, weights, alpha)
+                want, reference = joint_reference(component, tree, weights, alpha)
+                assert_same_table(table, reference)
+                assert solution.node_labels == want.node_labels
+                assert solution.objective_scaled == want.objective_scaled
+                assert solution.cooptimal_count == want.cooptimal_count
+                assert solution == want
+                checked += 1
+        assert checked >= 500
+
+    def test_ties_take_the_absent_state(self):
+        tree, weights, component = tie_gadget()
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        solution, table = solve_component(component, tree, weights, "1/2")
+        want, reference = joint_reference(component, tree, weights, "1/2")
+        assert_same_table(table, reference)
+        assert table.labels[anc1] == table.labels[anc2] == [0, 1]
+        # the root ties, and anc2 ties under an absent root
+        assert table.cost[anc1][0] == table.cost[anc1][1]
+        unit = table.units.change_unit
+        assert table.cost[anc2][0] == table.cost[anc2][1] + unit
+        assert solution.node_labels == {anc1: frozenset(), anc2: frozenset()}
+        assert solution == want
+        assert solution.cooptimal_count == 3
+
+    def test_samples_match_the_joint_dp(self):
+        tree, weights, component = tie_gadget()
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        _, table = solve_component(component, tree, weights, "1/2")
+        _, reference = joint_reference(component, tree, weights, "1/2")
+        assert count_cooptimal(table) == 3
+        for seed in (1, 2, 3):
+            drawn = sample_component(table, 60, seed)
+            assert [s.node_labels for s in drawn] == [
+                s.node_labels for s in sample_component(reference, 60, seed)
+            ]
+        assert {(bool(s.node_labels[anc1]), bool(s.node_labels[anc2]))
+                for s in drawn} == {(False, False), (False, True), (True, True)}
+
+    def test_samples_match_the_joint_dp_on_eight_leaves(self):
+        # Four co-optima, the most any pattern of one candidate has here.
+        markers = {1, 2}
+        held, lost = genome_of(markers, (1, 2)), genome_of(markers, (1,), (2,))
+        tree = parse_newick(
+            "(((s1,s2)a4,(s3,s4)a5)a2,((s5,s6)a6,(s7,s8)a7)a3)a1;"
+        ).with_genomes({
+            f"s{i}": held if i in (2, 6, 7, 8) else lost for i in range(1, 9)
+        })
+        (component,) = components_of(tree)
+        for alpha in ("0", "1/2"):
+            _, table = solve_component(component, tree, WeightTable(), alpha)
+            _, reference = joint_reference(component, tree, WeightTable(), alpha)
+            assert_same_table(table, reference)
+            assert count_cooptimal(table) == 4
+            for seed in (4, 5):
+                drawn = sample_component(table, 40, seed)
+                assert [s.node_labels for s in drawn] == [
+                    s.node_labels for s in sample_component(reference, 40, seed)
+                ]
+                assert len({frozenset(s.node_labels.items()) for s in drawn}) >= 3
 
 
 # ---------------------------------------------------------------------------
