@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
-from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -128,14 +128,6 @@ class Extremity(NamedTuple("_ExtremityFields", [("marker", int), ("end", int)]))
         if end not in (TAIL, HEAD):
             raise InputError(f"extremity end must be TAIL(0) or HEAD(1), got {end!r}")
         return tuple.__new__(cls, (marker, end))
-
-    @classmethod
-    def tail(cls, marker: int) -> "Extremity":
-        return cls(marker, TAIL)
-
-    @classmethod
-    def head(cls, marker: int) -> "Extremity":
-        return cls(marker, HEAD)
 
     @classmethod
     def parse(cls, text: str) -> "Extremity":
@@ -587,84 +579,34 @@ def _check_micro(micro: object) -> None:
 
 
 class WeightTable:
-    """Adjacency confidences per internal node, on the 1e-6 grid.
+    """Adjacency confidences per node, on the 1e-6 grid; read-only.
 
-    Entries absent from the table read as weight zero.  Values may be
-    set with any exact number; floats go through their shortest decimal
-    representation before quantization.
-
-    Stored as one row per adjacency, mapping node id to micro weight,
-    plus the micro total of every node, kept up to date on every write.
+    ``rows`` maps each adjacency to its row, node id -> micro weight.  The
+    table keeps the rows uncopied and never writes them, so several
+    adjacencies may share one row object.  Each distinct row is checked
+    once, and a shared row counts once per adjacency that holds it, in
+    ``len`` and in ``total_micro``.  Entries absent read as weight zero.
     """
 
     __slots__ = ("_rows", "_totals", "_entries")
 
-    def __init__(self) -> None:
-        self._rows: dict[Adjacency, dict[int, int]] = {}
-        self._totals: dict[int, int] = {}
-        self._entries = 0
-
-    @classmethod
-    def from_shared_rows(
-        cls, key_of: Mapping[Adjacency, Hashable], rows: Mapping[Hashable, Mapping[int, int]]
-    ) -> "WeightTable":
-        """A table giving each adjacency of ``key_of``, in its order, a copy of
-        ``rows[key_of[adjacency]]``.
-
-        Each row is checked once however many adjacencies share it, and
-        each adjacency gets its own copy, so a later ``set_micro`` on one
-        adjacency never reaches another.
-        """
-        table = cls()
+    def __init__(self, rows: Mapping[Adjacency, Mapping[int, int]] | None = None) -> None:
+        self._rows = rows = {} if rows is None else rows
+        held = Counter(map(id, rows.values()))
+        totals: dict[int, int] = {}
+        entries = 0
         for row in rows.values():
-            for micro in row.values():
-                _check_micro(micro)
-        uses = Counter(key_of.values())
-        totals = table._totals
-        for key, n in uses.items():
-            row = rows[key]
-            table._entries += n * len(row)
-            for v, micro in row.items():
-                totals[v] = totals.get(v, 0) + n * micro
-        table._rows = {adjacency: dict(rows[key]) for adjacency, key in key_of.items()}
-        return table
-
-    @classmethod
-    def from_rows(cls, rows: dict[Adjacency, dict[int, int]]) -> "WeightTable":
-        """A table that keeps ``rows`` (adjacency -> node id -> micro), in
-        their order, as its own storage: the caller hands them over uncopied.
-        """
-        table = cls()
-        totals = table._totals
-        for row in rows.values():
-            for v, micro in row.items():
-                _check_micro(micro)
-                totals[v] = totals.get(v, 0) + micro
-            table._entries += len(row)
-        table._rows = rows
-        return table
-
-    def set(self, node_id: int, adjacency: Adjacency, weight: object) -> None:
-        self.set_micro(node_id, adjacency, quantize_weight(weight))
-
-    def set_micro(self, node_id: int, adjacency: Adjacency, micro: int) -> None:
-        _check_micro(micro)
-        row = self._rows.get(adjacency)
-        if row is None:
-            row = self._rows[adjacency] = {}
-        old = row.get(node_id)
-        if old is None:
-            self._entries += 1
-            old = 0
-        row[node_id] = micro
-        self._totals[node_id] = self._totals.get(node_id, 0) + micro - old
+            n = held.pop(id(row), 0)  # 0 for a shared row already counted
+            if n:
+                entries += n * len(row)
+                for v, micro in row.items():
+                    _check_micro(micro)
+                    totals[v] = totals.get(v, 0) + n * micro
+        self._totals, self._entries = totals, entries
 
     def get_micro(self, node_id: int, adjacency: Adjacency) -> int:
         row = self._rows.get(adjacency)
         return 0 if row is None else row.get(node_id, 0)
-
-    def get(self, node_id: int, adjacency: Adjacency) -> float:
-        return self.get_micro(node_id, adjacency) / MICRO
 
     def row(self, adjacency: Adjacency) -> Mapping[int, int]:
         """Read-only view of one adjacency's entries, node id -> micro."""
@@ -674,27 +616,12 @@ class WeightTable:
         """Sum of the stored micro weights at one node."""
         return self._totals.get(node_id, 0)
 
-    def items(self) -> Iterator[tuple[tuple[int, Adjacency], int]]:
-        """All stored entries as ((node id, adjacency), micro), unsorted.
-
-        Rows come in the order their adjacencies were first set, and the
-        nodes of a row in the order they were set.
-        """
-        for adjacency, row in self._rows.items():
-            for v, micro in row.items():
-                yield (v, adjacency), micro
-
     def micro_items(self) -> list[tuple[int, Adjacency, int]]:
         """All stored entries as (node id, adjacency, micro), sorted."""
         return sorted((v, a, w) for a, row in self._rows.items() for v, w in row.items())
 
     def __len__(self) -> int:
         return self._entries
-
-    def __contains__(self, key: tuple[int, Adjacency]) -> bool:
-        node_id, adjacency = key
-        row = self._rows.get(adjacency)
-        return row is not None and node_id in row
 
 
 class ObjectiveValue(NamedTuple):

@@ -432,10 +432,3 @@ def score_labelings(
         fp += len(got - expected)
         fn += len(expected - got)
     return Metrics.from_counts(tp, fp, fn)
-
-
-def score_reconstruction(
-    truth: SimResult, predicted: dict[int, frozenset[Adjacency]]
-) -> Metrics:
-    """Score a reconstruction against the simulation's hidden states."""
-    return score_labelings(truth.truth, predicted)

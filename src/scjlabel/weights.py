@@ -141,7 +141,8 @@ def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
             if micro is None:
                 micro = micro_of[w] = quantize_weight(w)
             row[v] = micro
-    return WeightTable.from_shared_rows(pattern_of, rows)
+    # Candidates with one leaf pattern share that pattern's row object.
+    return WeightTable({adjacency: rows[pattern] for adjacency, pattern in pattern_of.items()})
 
 
 def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
@@ -202,7 +203,7 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
         row[node] = micro
-    return WeightTable.from_rows(rows)
+    return WeightTable(rows)
 
 
 def _numbered_lines(path: Path):

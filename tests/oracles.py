@@ -656,10 +656,10 @@ def random_weights(rng, tree: Phylogeny, *, zero_rate: float = 0.2) -> WeightTab
     union: set[Adjacency] = set()
     for leaf in tree.leaves():
         union |= tree.leaf_genomes[leaf].adjacencies
-    table = WeightTable()
+    rows: dict[Adjacency, dict[int, int]] = {}
     for v in tree.internal_ids():
         for adjacency in sorted(union):
             if rng.random() < zero_rate:
                 continue
-            table.set_micro(v, adjacency, rng.randint(0, MICRO))
-    return table
+            rows.setdefault(adjacency, {})[v] = rng.randint(0, MICRO)
+    return WeightTable(rows)

@@ -44,7 +44,7 @@ from scjlabel.formats import parse_newick, write_genomes, write_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel.ilp import build_model, solve_bb
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance
-from scjlabel.sim import SimConfig, evolve, score_reconstruction
+from scjlabel.sim import SimConfig, evolve, score_labelings
 from scjlabel.weights import boltzmann_weights, boltzmann_weight_table
 
 ALPHAS = ("0", "1/4", "1/2", "3/4", "1")
@@ -388,7 +388,7 @@ def test_criterion_07_simulation_study(capsys):
         for alpha in alphas:
             config = RunConfig(alpha=alpha, threshold_x="0.6")
             report = solve_instance(result.tree, weights, config)
-            metrics = score_reconstruction(result, report.labeling)
+            metrics = score_labelings(result.truth, report.labeling)
             sens[alpha].append(metrics.sensitivity)
             prec[alpha].append(metrics.precision)
             markers = result.tree.markers

@@ -16,7 +16,9 @@ from oracles import (
     reference_extract_cars,
 )
 from scjlabel.core import (
+    HEAD,
     MICRO,
+    TAIL,
     Adjacency,
     Car,
     Extremity,
@@ -70,7 +72,7 @@ class TestExactNumbers:
             with pytest.raises(InputError, match="not a finite number"):
                 exact_fraction(value)
         with pytest.raises(InputError, match="not a finite number"):
-            WeightTable().set(0, Adjacency.of("1h", "2t"), float("nan"))
+            quantize_weight(float("nan"))
 
     def test_alpha_bounds(self):
         assert as_alpha("1/2") == Fraction(1, 2)
@@ -123,8 +125,8 @@ class TestExtremity:
             assert str(Extremity.parse(text)) == text
 
     def test_tail_orders_before_head(self):
-        assert Extremity.tail(3) < Extremity.head(3)
-        assert Extremity.head(3) < Extremity.tail(4)
+        assert Extremity(3, TAIL) < Extremity(3, HEAD)
+        assert Extremity(3, HEAD) < Extremity(4, TAIL)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -141,9 +143,9 @@ class TestExtremity:
 
 class TestAdjacency:
     def test_constructor_normalizes_order(self):
-        a = Adjacency(Extremity.head(2), Extremity.tail(1))
-        assert a.first == Extremity.tail(1)
-        assert a.second == Extremity.head(2)
+        a = Adjacency(Extremity(2, HEAD), Extremity(1, TAIL))
+        assert a.first == Extremity(1, TAIL)
+        assert a.second == Extremity(2, HEAD)
         assert Adjacency.of("2h", "1t") == Adjacency.of("1t", "2h")
 
     def test_same_marker_is_rejected(self):
@@ -152,8 +154,8 @@ class TestAdjacency:
 
     def test_contains_its_extremities(self):
         a = Adjacency.of("1h", "2t")
-        assert Extremity.tail(2) in a
-        assert Extremity.head(9) not in a
+        assert Extremity(2, TAIL) in a
+        assert Extremity(9, HEAD) not in a
 
     def test_is_a_plain_tuple(self):
         adj = Adjacency.of("2h", "1t")
@@ -161,27 +163,27 @@ class TestAdjacency:
         assert adj == ((1, 0), (2, 1))
         assert hash(adj) == hash(((1, 0), (2, 1)))
         a, b = adj
-        assert (a, b) == (Extremity.tail(1), Extremity.head(2))
+        assert (a, b) == (Extremity(1, TAIL), Extremity(2, HEAD))
         adjs = [Adjacency.of("3t", "4h"), Adjacency.of("1h", "5t"), Adjacency.of("1h", "2t")]
         assert sorted(adjs) == sorted(tuple(tuple(x) for x in a) for a in adjs)
         back = pickle.loads(pickle.dumps(adj))
         assert back == adj and type(back) is Adjacency
         assert type(back.first) is Extremity
         with pytest.raises(InputError):
-            Adjacency(Extremity.head(3), Extremity.tail(3))
+            Adjacency(Extremity(3, HEAD), Extremity(3, TAIL))
 
     def test_consistency_reports_offenders_sorted(self):
         adjs = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t"),
                 Adjacency.of("2t", "4h")]
         ok, offenders = check_consistency(adjs)
         assert not ok
-        assert offenders == [Extremity.head(1), Extremity.tail(2)]
+        assert offenders == [Extremity(1, HEAD), Extremity(2, TAIL)]
         assert check_consistency(adjs[:1]) == (True, [])
 
     def test_consistency_of_any_iterable(self):
         adjs = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t"),
                 Adjacency.of("2t", "4h")]
-        want = (False, [Extremity.head(1), Extremity.tail(2)])
+        want = (False, [Extremity(1, HEAD), Extremity(2, TAIL)])
         assert check_consistency(iter(adjs)) == want
         assert check_consistency(a for a in adjs) == want
         assert check_consistency(frozenset(adjs)) == want
@@ -189,7 +191,7 @@ class TestAdjacency:
         assert check_consistency([]) == (True, [])
         # one adjacency listed twice reuses both of its extremities
         assert check_consistency(adjs[:1] * 2) == (
-            False, [Extremity.head(1), Extremity.tail(2)]
+            False, [Extremity(1, HEAD), Extremity(2, TAIL)]
         )
 
 
@@ -393,9 +395,7 @@ class TestLabelingObjective:
         tree = three_leaf_instance()
         a = Adjacency.of("1h", "2t")
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.4")
-        weights.set(anc2, a, "0.8")
+        weights = WeightTable({a: {anc1: 400_000, anc2: 800_000}})
         labeling = {anc1: frozenset(), anc2: frozenset({a})}
         value = labeling_objective(tree, labeling, weights, "1/2")
         assert value.scj_changes == 1
@@ -406,8 +406,7 @@ class TestLabelingObjective:
         tree = three_leaf_instance()
         a = Adjacency.of("1h", "2t")
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.4")
+        weights = WeightTable({a: {anc1: 400_000}})
         labeling = {anc1: frozenset(), anc2: frozenset({a})}
         assert labeling_objective(tree, labeling, weights, 0).total == 1
         assert labeling_objective(tree, labeling, weights, 1).total == Fraction(2, 5)
@@ -416,8 +415,7 @@ class TestLabelingObjective:
         tree = three_leaf_instance()
         a = Adjacency.of("1h", "2t")
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
-        weights = WeightTable()
-        weights.set(tree.id_of("s3"), a, "0.9")
+        weights = WeightTable({a: {tree.id_of("s3"): 900_000}})
         labeling = {anc1: frozenset(), anc2: frozenset()}
         value = labeling_objective(tree, labeling, weights, 1)
         assert value.discarded_weight == 0
@@ -444,12 +442,13 @@ class TestLabelingObjective:
             pool = sorted(
                 {Adjacency(x, y) for x in ends for y in ends if x.marker != y.marker}
             )[: rng.randint(1, 12)]
-            table, entries = WeightTable(), {}
+            rows, entries = {}, {}
             for _ in range(rng.randint(0, 40)):
-                key = (rng.randrange(len(tree.nodes)), rng.choice(pool))
+                v, a = key = (rng.randrange(len(tree.nodes)), rng.choice(pool))
                 micro = rng.choice((0, MICRO, rng.randint(0, MICRO)))
-                table.set_micro(*key, micro)
+                rows.setdefault(a, {})[v] = micro
                 entries[key] = micro
+            table = WeightTable(rows)
             labeling = {
                 v: frozenset(
                     a for a in random_genome(rng, tree.markers).adjacencies if rng.random() < 0.7
@@ -473,45 +472,53 @@ class TestLabelingObjective:
 
 class TestWeightTable:
     def test_totals_and_length_follow_overwrites(self):
+        # A later draw for one (node, adjacency) overwrites the earlier one.
         rng = random.Random(53)
         pool = [Adjacency.of(f"{m}h", f"{m + 1}t") for m in range(1, 6)]
-        table, entries = WeightTable(), {}
+        rows, entries = {}, {}
         for _ in range(400):
-            key = (rng.randrange(4), rng.choice(pool))
+            v, a = key = (rng.randrange(4), rng.choice(pool))
             micro = rng.choice((0, MICRO, rng.randint(0, MICRO)))
-            table.set_micro(*key, micro)
+            rows.setdefault(a, {})[v] = micro
             entries[key] = micro
+            table = WeightTable(rows)
             assert len(table) == len(entries)
-            for v in range(5):
-                assert table.total_micro(v) == sum(
-                    w for (u, _), w in entries.items() if u == v
+            for u in range(5):
+                assert table.total_micro(u) == sum(
+                    w for (n, _), w in entries.items() if n == u
                 )
-        assert sorted(table.items()) == sorted(entries.items())
         assert table.micro_items() == sorted((v, a, w) for (v, a), w in entries.items())
         for v, a in entries:
-            assert (v, a) in table
-            assert table.row(a)[v] == entries[(v, a)]
-        assert (9, pool[0]) not in table
+            assert table.get_micro(v, a) == table.row(a)[v] == entries[(v, a)]
+        assert table.get_micro(9, pool[0]) == 0
 
     def test_rows_are_read_only(self):
         a, b = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t")
-        table = WeightTable()
-        table.set(0, a, "0.25")
-        assert dict(table.row(a)) == {0: 250000}
+        table = WeightTable({a: {0: 250_000}})
+        assert dict(table.row(a)) == {0: 250_000}
         assert dict(table.row(b)) == {}
         with pytest.raises(TypeError):
             table.row(a)[1] = 5
         with pytest.raises(TypeError):
             table.row(b)[1] = 5
         assert len(table) == 1 and dict(table.row(b)) == {}
+        assert table.get_micro(0, b) == 0 and table.total_micro(1) == 0
+        assert len(WeightTable()) == 0 and WeightTable().micro_items() == []
 
-    def test_shared_rows_are_checked_and_copied(self):
-        a, b = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t")
-        with pytest.raises(InputError):
-            WeightTable.from_shared_rows({a: 0}, {0: {1: MICRO + 1}})
-        table = WeightTable.from_shared_rows({b: "p", a: "p"}, {"p": {1: 7, 2: 3}})
-        assert [key for key, _ in table.items()] == [(1, b), (2, b), (1, a), (2, a)]
-        assert len(table) == 4 and table.total_micro(1) == 14
-        table.set_micro(1, a, 0)
-        assert dict(table.row(b)) == {1: 7, 2: 3}
-        assert table.total_micro(1) == 7 and len(table) == 4
+    def test_a_shared_row_counts_once_per_adjacency(self):
+        a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")
+        shared = {1: 7, 2: 3}
+        table = WeightTable({b: shared, a: shared, c: {1: 5}})
+        assert len(table) == 5
+        assert table.total_micro(1) == 19 and table.total_micro(2) == 6
+        assert table.micro_items() == [(1, a, 7), (1, b, 7), (1, c, 5), (2, a, 3), (2, b, 3)]
+        assert shared == {1: 7, 2: 3}
+
+    @pytest.mark.parametrize("micro", [MICRO + 1, -1, 0.5, "1", None])
+    def test_micro_values_are_checked_in_every_row(self, micro):
+        a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")
+        shared = {1: 7, 2: micro}
+        with pytest.raises(InputError, match="micro weight"):
+            WeightTable({a: shared, b: shared})
+        with pytest.raises(InputError, match="micro weight"):
+            WeightTable({a: {1: 7}, c: {3: micro}})

@@ -88,8 +88,7 @@ class TestEnumerateLabels:
         tree = three_leaf_instance()
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc2, a, "0.9")
+        weights = WeightTable({a: {anc2: 900_000}})
         component = components_of(tree, weights, "0.5")[0]
         _, table = solve_component(component, tree, weights, "1/2")
         assert label_sets(table, anc1) == [frozenset()]
@@ -144,9 +143,7 @@ class TestSolveComponent:
         tree = three_leaf_instance()
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.4")
-        weights.set(anc2, a, "0.8")
+        weights = WeightTable({a: {anc1: 400_000, anc2: 800_000}})
         component = components_of(tree, weights)[0]
 
         solution, table = solve_component(component, tree, weights, "1/2")
@@ -166,9 +163,7 @@ class TestSolveComponent:
         tree = three_leaf_instance()
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.4")
-        weights.set(anc2, a, "0.8")
+        weights = WeightTable({a: {anc1: 400_000, anc2: 800_000}})
         component = components_of(tree, weights)[0]
 
         solution, table = solve_component(component, tree, weights, 0)
@@ -423,8 +418,7 @@ def tie_gadget():
         "s2": genome_of(markers, (1,), (2,)),
         "s3": genome_of(markers, (1,), (2,)),
     })
-    weights = WeightTable()
-    weights.set(tree.id_of("anc2"), Adjacency.of("1h", "2t"), "1")
+    weights = WeightTable({Adjacency.of("1h", "2t"): {tree.id_of("anc2"): 1_000_000}})
     return tree, weights, components_of(tree, weights)[0]
 
 
@@ -573,8 +567,7 @@ class TestEvaluateLabeling:
         tree = three_leaf_instance()
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.4")
+        weights = WeightTable({a: {anc1: 400_000}})
         component = components_of(tree, weights)[0]
         scj, discarded = evaluate_component_labeling(
             component, tree, weights,
@@ -608,9 +601,7 @@ class TestEvaluateLabeling:
         })
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a, b = Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")
-        weights = WeightTable()
-        weights.set(anc1, a, "1")
-        weights.set(anc2, b, "1")
+        weights = WeightTable({a: {anc1: 1_000_000}, b: {anc2: 1_000_000}})
         # No node annotates both, so only the union component holds the two.
         graph = build_global_graph(tree, candidate_adjacencies(tree), weights, "0.5")
         (component,) = union_components(graph)

@@ -65,8 +65,7 @@ class TestThreshold:
         tree = two_leaf_instance()
         anc1 = tree.id_of("anc1")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.5")
+        weights = WeightTable({a: {anc1: 500_000}})
         graph = build_global_graph(
             tree, candidate_adjacencies(tree), weights, "0.5"
         )
@@ -123,9 +122,10 @@ class TestGlobalGraph:
     def test_below_threshold_everywhere_drops_the_edge(self):
         tree = two_leaf_instance()
         anc1 = tree.id_of("anc1")
-        weights = WeightTable()
-        weights.set(anc1, Adjacency.of("1h", "2t"), "0.6")
-        weights.set(anc1, Adjacency.of("1h", "3t"), "0.2")
+        weights = WeightTable({
+            Adjacency.of("1h", "2t"): {anc1: 600_000},
+            Adjacency.of("1h", "3t"): {anc1: 200_000},
+        })
         graph = build_global_graph(
             tree, candidate_adjacencies(tree), weights, "0.5"
         )
@@ -141,9 +141,7 @@ class TestGlobalGraph:
         })
         anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
         a = Adjacency.of("1h", "2t")
-        weights = WeightTable()
-        weights.set(anc1, a, "0.1")
-        weights.set(anc2, a, "0.9")
+        weights = WeightTable({a: {anc1: 100_000, anc2: 900_000}})
         graph = build_global_graph(
             tree, candidate_adjacencies(tree), weights, "0.5"
         )

@@ -91,26 +91,25 @@ def three_leaf_model(alpha="1/2"):
         "s3": genome_of(markers, (1,), (2,)),
     })
     a = Adjacency.of("1h", "2t")
-    weights = WeightTable()
-    weights.set(tree.id_of("anc1"), a, "0.4")
-    weights.set(tree.id_of("anc2"), a, "0.8")
+    weights = WeightTable({a: {tree.id_of("anc1"): 400_000, tree.id_of("anc2"): 800_000}})
     component = components_of(tree, weights)[0]
     return build_model(component, tree, weights, alpha)
 
 
-def fork_model(weight=None):
+def fork_model(micro=None):
     """Two adjacencies sharing 1h at the root, each held by one leaf;
-    ``weight``, if given, is both adjacencies' weight at the root."""
+    ``micro``, if given, is both adjacencies' micro weight at the root."""
     tree = parse_newick("(s1,s2)anc1;")
     markers = {1, 2, 3}
     tree = tree.with_genomes({
         "s1": genome_of(markers, (1, 2), (3,)),
         "s2": genome_of(markers, (1, 3), (2,)),
     })
-    weights = WeightTable()
-    if weight is not None:
+    rows = {}
+    if micro is not None:
         for a in (Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")):
-            weights.set(tree.id_of("anc1"), a, weight)
+            rows[a] = {tree.id_of("anc1"): micro}
+    weights = WeightTable(rows)
     component = components_of(tree, weights)[0]
     return build_model(component, tree, weights, "1/2")
 
@@ -260,7 +259,7 @@ class TestSolveBb:
         # Both presences at the root beat their absence in the relaxation,
         # so without the repair that conflicting point is the incumbent
         # and the root's bound cannot improve on it.
-        model = fork_model(weight="1/2")
+        model = fork_model(micro=MICRO // 2)
         assert solve_bb(model).objective == Fraction(5, 4)
         monkeypatch.setattr(
             ilp, "_repair_conflicts", lambda model, conflicts, vector: vector

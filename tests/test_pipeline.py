@@ -144,8 +144,7 @@ class TestSolveInstance:
             "s1": genome_of(markers, (1, 2)),
             "s2": genome_of(markers, (1,), (2,)),
         })
-        weights = WeightTable()
-        weights.set(0, next(iter(chromosome_adjacencies((1, 2)))), "0.8")
+        weights = WeightTable({next(iter(chromosome_adjacencies((1, 2)))): {0: 800_000}})
         report = solve_instance(
             tree, weights, RunConfig(alpha="1/2", threshold_x="0.9")
         )
@@ -271,10 +270,11 @@ class TestSignatureMemo:
             "s2": genome_of(markers, (1,), (2,), (3,), (4,)),
             "s3": genome_of(markers, (1,), (2,), (3,), (4,)),
         })
-        weights = WeightTable()
-        for v in (tree.id_of("anc1"), tree.id_of("anc2")):
-            weights.set(v, Adjacency.of("1h", "2t"), "0.9")
-            weights.set(v, Adjacency.of("3h", "4t"), "0.1")
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        weights = WeightTable({
+            Adjacency.of("1h", "2t"): {anc1: 900_000, anc2: 900_000},
+            Adjacency.of("3h", "4t"): {anc1: 100_000, anc2: 100_000},
+        })
         config = RunConfig(alpha="1/2")
         graph = build_global_graph(tree, candidate_adjacencies(tree), weights, 0)
         parts = connected_components(graph)

@@ -15,7 +15,6 @@ from scjlabel.sim import (
     apply_translocation,
     evolve,
     score_labelings,
-    score_reconstruction,
     simulate_tree,
 )
 
@@ -253,7 +252,7 @@ class TestScoring:
 
     def test_perfect_reconstruction(self):
         result = evolve(SMALL)
-        metrics = score_reconstruction(result, dict(result.truth))
+        metrics = score_labelings(result.truth, dict(result.truth))
         assert metrics.sensitivity == 1.0
         assert metrics.precision == 1.0
         assert metrics.fp == 0 and metrics.fn == 0

@@ -168,7 +168,7 @@ class TestBoltzmann:
         table = boltzmann_weight_table(tree, 0.5)
         a = Adjacency.of("1h", "2t")
         for v in tree.internal_ids():
-            assert (v, a) in table
+            assert v in table.row(a)
             assert 0 <= table.get_micro(v, a) <= 10**6
 
     def test_table_checks_its_inputs_before_weighing(self):
@@ -198,11 +198,9 @@ class TestBoltzmannTable:
             weights = boltzmann_weights(tree, a, kt)
             for v in internal:
                 assert table.get_micro(v, a) == quantize_weight(weights[v])
-        assert [key for key, _ in table.items()] == [
-            (v, a) for a in candidates for v in internal
+        assert [(v, a) for v, a, _ in table.micro_items()] == [
+            (v, a) for v in internal for a in candidates
         ]
-        keys = [(v, a) for v, a, _ in table.micro_items()]
-        assert keys == sorted(keys)
 
     def test_sweeps_once_per_leaf_pattern(self, monkeypatch):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
@@ -221,32 +219,32 @@ class TestBoltzmannTable:
         assert len(candidates) == 420
         assert len(calls) == len(patterns) == 27
 
-    def test_set_micro_on_a_shared_pattern_changes_one_adjacency(self):
+    def test_one_row_object_per_leaf_pattern(self):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
         table = boltzmann_weight_table(tree, 0.1)
         genomes = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
         by_pattern = {}
         for a in sorted_candidates(tree):
             by_pattern.setdefault(tuple(a in g for g in genomes), []).append(a)
-        a, b = next(group for group in by_pattern.values() if len(group) > 1)[:2]
-        assert dict(table.row(a)) == dict(table.row(b))
-        v = tree.internal_ids()[0]
-        old, total, size = table.get_micro(v, a), table.total_micro(v), len(table)
-        row_b = dict(table.row(b))
-        new = (old + 1) % (10**6 + 1)
-        table.set_micro(v, a, new)
-        assert table.get_micro(v, a) == new
-        assert dict(table.row(b)) == row_b
-        assert table.total_micro(v) == total + new - old
-        assert len(table) == size
+        rows = table._rows
+        assert len({id(row) for row in rows.values()}) == len(by_pattern) == 27
+        for group in by_pattern.values():
+            assert len({id(rows[a]) for a in group}) == 1
+        internal = tree.internal_ids()
+        assert len(table) == len(rows) * len(internal)
+        for v in internal:
+            assert table.total_micro(v) == sum(row[v] for row in rows.values())
 
     def test_insertion_order_does_not_change_the_solution(self):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
         forward = boltzmann_weight_table(tree, 0.1)
-        backward = WeightTable()
-        for (v, a), micro in reversed(list(forward.items())):
-            backward.set_micro(v, a, micro)
-        assert [key for key, _ in backward.items()] != [key for key, _ in forward.items()]
+        rows = {}
+        for v, a, micro in reversed(forward.micro_items()):
+            rows.setdefault(a, {})[v] = micro
+        # The Boltzmann table holds its candidates in sorted order.
+        assert list(rows) == sorted(rows, reverse=True)
+        backward = WeightTable(rows)
+        assert backward.micro_items() == forward.micro_items()
         config = RunConfig(alpha="1/2", threshold_x="0.6")
         want = solve_instance(tree, forward, config)
         got = solve_instance(tree, backward, config)
@@ -283,11 +281,12 @@ class TestMatching:
     def test_hand_picked_matching(self):
         tree = self.build()
         anc1 = tree.id_of("anc1")
-        weights = WeightTable()
-        weights.set(anc1, Adjacency.of("1h", "2t"), "0.6")
-        weights.set(anc1, Adjacency.of("1h", "3t"), "0.9")
-        weights.set(anc1, Adjacency.of("2h", "4t"), "0.3")
-        weights.set(anc1, Adjacency.of("3h", "4t"), "0.35")
+        weights = WeightTable({
+            Adjacency.of("1h", "2t"): {anc1: 600_000},
+            Adjacency.of("1h", "3t"): {anc1: 900_000},
+            Adjacency.of("2h", "4t"): {anc1: 300_000},
+            Adjacency.of("3h", "4t"): {anc1: 350_000},
+        })
         labeling = alpha_one_labeling(tree, weights)
         assert labeling[anc1] == frozenset({
             Adjacency.of("1h", "3t"), Adjacency.of("3h", "4t"),
@@ -297,9 +296,10 @@ class TestMatching:
     def test_threshold_excludes_weak_candidates(self):
         tree = self.build()
         anc1 = tree.id_of("anc1")
-        weights = WeightTable()
-        weights.set(anc1, Adjacency.of("1h", "2t"), "0.6")
-        weights.set(anc1, Adjacency.of("1h", "3t"), "0.9")
+        weights = WeightTable({
+            Adjacency.of("1h", "2t"): {anc1: 600_000},
+            Adjacency.of("1h", "3t"): {anc1: 900_000},
+        })
         labeling = alpha_one_labeling(tree, weights, "0.7")
         assert labeling[anc1] == frozenset({Adjacency.of("1h", "3t")})
 
@@ -416,25 +416,33 @@ class TestWeightFiles:
             " anc1 \t 1h\t2t  \t 0.5 \n  \t \t\t\nanc2\t 1t \t2h\t1/3  \n", encoding="utf-8"
         )
         loaded = load_weight_table(padded, tree)
-        assert list(loaded.items()) == list(load_weight_table(plain, tree).items())
+        assert loaded.micro_items() == load_weight_table(plain, tree).micro_items()
         assert len(loaded) == 2
 
-    def test_items_keep_the_files_first_set_order(self, tmp_path):
+    def test_loaded_entries_match_the_files_rows(self, tmp_path):
         tree = parse_newick("((s1,s2)anc2,(s3,s4)anc3)anc1;").with_genomes({
             name: genome_of({1, 2, 3, 4}, (1, 2), (3, 4)) for name in ("s1", "s2", "s3", "s4")
         })
         rows = [("anc2", "3h", "4t", 100), ("anc1", "1h", "2t", 200),
-                ("anc1", "4t", "3h", 300), ("anc3", "1h", "2t", 400)]
+                ("anc1", "4t", "3h", 300), ("anc3", "1h", "2t", 400), ("s1", "1h", "2t", 500)]
         path = tmp_path / "weights.tsv"
         path.write_text(
             "".join(f"{n}\t{a}\t{b}\t{w / 10**6}\n" for n, a, b, w in rows), encoding="utf-8"
         )
-        expected = WeightTable()
+        expected = {}
         for n, a, b, w in rows:
-            expected.set_micro(tree.id_of(n), Adjacency.of(a, b), w)
+            expected.setdefault(Adjacency.of(a, b), {})[tree.id_of(n)] = w
         loaded = load_weight_table(path, tree)
-        assert list(loaded.items()) == list(expected.items())
-        assert list(loaded.items()) != sorted(loaded.items())
+        assert loaded.micro_items() == WeightTable(expected).micro_items()
+        assert dict(loaded.row(Adjacency.of("3h", "4t"))) == {
+            tree.id_of("anc2"): 100, tree.id_of("anc1"): 300
+        }
+        # A row that names a leaf is kept and counted, but never weighs in the objective.
+        s1 = tree.id_of("s1")
+        assert len(loaded) == 5 and loaded.get_micro(s1, Adjacency.of("1h", "2t")) == 500
+        labeling = {v: frozenset() for v in tree.internal_ids()}
+        value = labeling_objective(tree, labeling, loaded, 1)
+        assert value.discarded_weight * 10**6 == 100 + 200 + 300 + 400
 
     def test_round_trip_of_a_200x12_boltzmann_table(self, tmp_path):
         tree = evolve(SimConfig(n_markers=200, n_leaves=12, diameter_factor=0.5, seed=1)).tree
