@@ -111,7 +111,6 @@ def _solve_options() -> argparse.ArgumentParser:
         help="route a component to branch and bound when the square of its label "
         "space bound exceeds this (default %(default)s; 1 routes every component there)",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     common.add_argument("--out", required=True, help="output directory")
     return common
 
@@ -127,7 +126,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         n_samples=samples,
         seed=args.seed,
         explosion_cap=args.cap,
-        threads=args.threads,
         tree_path=args.tree,
         genomes_path=args.genomes,
         weights_path=args.weights,

@@ -93,61 +93,64 @@ def parse_newick(text: str) -> Phylogeny:
     if scanner.pos != len(scanner.text):
         scanner.fail("trailing characters after the tree")
 
-    counter = [0]
-
-    def assign_names(clade: dict) -> None:
-        for child in clade["children"]:
-            assign_names(child)
-        if clade["children"] and not clade["name"]:
-            counter[0] += 1
-            clade["name"] = f"anc{counter[0]}"
-
-    assign_names(root)
-
-    nodes: list[Node] = []
-
-    def build(clade: dict, parent: int | None) -> int:
-        my_id = len(nodes)
-        nodes.append(None)  # type: ignore[arg-type] # reserved, replaced below
+    # Node ids in preorder, taken with a stack: any depth parses.
+    preorder: list[dict] = []
+    stack: list[tuple[dict, int | None]] = [(root, None)]
+    while stack:
+        clade, parent = stack.pop()
         if not clade["children"] and not clade["name"]:
             raise InputError("newick error: a leaf has no name")
-        child_ids = [build(child, my_id) for child in clade["children"]]
-        nodes[my_id] = Node(
-            id=my_id,
-            name=clade["name"],
-            parent=parent,
-            children=tuple(child_ids),
-            length=clade["length"],
-        )
-        return my_id
-
-    build(root, None)
-    return Phylogeny(nodes=tuple(nodes), root=0)
+        clade["id"], clade["parent"] = len(preorder), parent
+        preorder.append(clade)
+        stack.extend((child, clade["id"]) for child in reversed(clade["children"]))
+    nodes = tuple(
+        Node(id=c["id"], name=c["name"], parent=c["parent"], length=c["length"],
+             children=tuple(child["id"] for child in c["children"]))
+        for c in preorder
+    )
+    return Phylogeny(nodes=nodes, root=0)
 
 
 def _clade(scanner: _NewickScanner) -> dict:
-    scanner.skip_ws()
-    children: list[dict] = []
-    if scanner.peek() == "(":
-        scanner.take()
-        children.append(_clade(scanner))
+    """The root clade; unnamed internal clades are named as they close.
+
+    The child lists of the clades still open are kept on a stack, not in
+    recursive calls, so nesting depth is not bounded by the recursion
+    limit.  Clades close in postorder.
+    """
+    open_children: list[list[dict]] = []
+    counter = 0
+    while True:
         scanner.skip_ws()
-        while scanner.peek() == ",":
+        if scanner.peek() == "(":
             scanner.take()
-            children.append(_clade(scanner))
+            open_children.append([])
+            continue
+        children: list[dict] = []
+        while True:  # close clades until a sibling follows
             scanner.skip_ws()
-        if scanner.peek() != ")":
-            scanner.fail("expected ',' or ')'")
-        scanner.take()
-    scanner.skip_ws()
-    name = scanner.name()
-    length = None
-    scanner.skip_ws()
-    if scanner.peek() == ":":
-        scanner.take()
-        scanner.skip_ws()
-        length = scanner.number()
-    return {"name": name, "children": children, "length": length}
+            name = scanner.name()
+            if children and not name:
+                counter += 1
+                name = f"anc{counter}"
+            length = None
+            scanner.skip_ws()
+            if scanner.peek() == ":":
+                scanner.take()
+                scanner.skip_ws()
+                length = scanner.number()
+            clade = {"name": name, "children": children, "length": length}
+            if not open_children:
+                return clade
+            open_children[-1].append(clade)
+            scanner.skip_ws()
+            if scanner.peek() == ",":
+                scanner.take()
+                break
+            if scanner.peek() != ")":
+                scanner.fail("expected ',' or ')'")
+            scanner.take()
+            children = open_children.pop()
 
 
 def parse_tree(path: str | Path) -> Phylogeny:
@@ -161,18 +164,23 @@ def parse_tree(path: str | Path) -> Phylogeny:
 
 def write_newick(tree: Phylogeny) -> str:
     """Render the tree with names and any stored branch lengths."""
-
-    def render(v: int) -> str:
-        node = tree.nodes[v]
-        text = ""
+    out: list[str] = []
+    stack: list[int | str] = [tree.root]  # node ids to render, text to emit
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node = tree.nodes[item]
+        tail = node.name if node.length is None else f"{node.name}:{node.length:.6f}"
         if node.children:
-            text = "(" + ",".join(render(c) for c in node.children) + ")"
-        text += node.name
-        if node.length is not None:
-            text += f":{node.length:.6f}"
-        return text
-
-    return render(tree.root) + ";"
+            stack.append(")" + tail)
+            for c in reversed(node.children):
+                stack.extend((c, ","))
+            stack[-1] = "("  # the comma before the first child opens the list
+        else:
+            out.append(tail)
+    return "".join(out) + ";"
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ then assembled into one labeling whose objective is re-checked against
 the direct definition before anything is written.
 
 Everything here is deterministic for a fixed (inputs, config, seed):
-iteration orders are sorted, sampling uses seeds derived per component,
-and worker threads only change wall-clock time, never bytes.
+iteration orders are sorted, the components are solved one after
+another in a fixed order, and sampling uses seeds derived per component.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +62,8 @@ class RunConfig:
     n_samples: int = 0
     seed: int = 0
     explosion_cap: int = DEFAULT_EXPLOSION_CAP
+    # Has no effect: components are solved in order.  Kept, with its
+    # check, because the benchmark harness still passes threads=1.
     threads: int = 1
     tree_path: str | None = None
     genomes_path: str | None = None
@@ -135,59 +135,40 @@ class SolveReport:
         return Fraction(self.discarded_micro, MICRO)
 
 
-class _DpSolver:
-    """The DP route, which solves one-adjacency components once per signature.
-
-    A one-adjacency component with the signature of one solved before
-    gets that component's solution and table, whose labels name the
-    other adjacency; :func:`_assemble` puts its own in their place.  So
-    the table and the solution's re-check are made once per signature.
-    Those tables are kept only when the run samples.
-    """
-
-    def __init__(self, tree: Phylogeny, weights: WeightTable, config: RunConfig) -> None:
-        self.tree = tree
-        self.weights = weights
-        self.config = config
-        self.leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
-        self.solved: dict[tuple, tuple[ComponentSolution, DpTable | None]] = {}
-        self.lock = threading.Lock()
-
-    def solve(self, component: Component) -> tuple[ComponentSolution, DpTable | None]:
-        if len(component.edges) > 1:
-            return self._solve(component)
-        ((adjacency, nodes),) = component.edges.items()
-        key = presence_signature(adjacency, nodes, self.leaves, self.weights)
-        with self.lock:
-            entry = self.solved.get(key)
-            if entry is None:
-                solution, table = self._solve(component)
-                entry = self.solved[key] = (
-                    solution, table if self.config.n_samples > 0 else None
-                )
-        return entry
-
-    def _solve(self, component: Component) -> tuple[ComponentSolution, DpTable]:
-        return solve_component(
-            component, self.tree, self.weights, self.config.alpha,
-            explosion_cap=self.config.explosion_cap,
-        )
-
-
 def _solve_one(
     component: Component,
     tree: Phylogeny,
     weights: WeightTable,
     config: RunConfig,
     index: int,
-    dp: _DpSolver,
+    leaves: list[frozenset[Adjacency]],
+    solved: dict[tuple, tuple[ComponentSolution, DpTable | None]],
 ) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
-    """Route, solution, samples and wall-clock seconds of one component."""
+    """Route, solution, samples and wall-clock seconds of one component.
+
+    On the DP route a one-adjacency component with the signature of one
+    solved before gets that component's solution and table from
+    ``solved``, whose labels name the other adjacency; :func:`_assemble`
+    puts its own in their place.  So the table and the solution's
+    re-check are made once per signature.  Those tables are kept only
+    when the run samples.
+    """
     bound = component.label_space_bound
-    use_dp = bound * bound <= config.explosion_cap
     started = time.perf_counter()
-    if use_dp:
-        solution, table = dp.solve(component)
+    if bound * bound <= config.explosion_cap:
+        key = None
+        if len(component.edges) == 1:
+            ((adjacency, nodes),) = component.edges.items()
+            key = presence_signature(adjacency, nodes, leaves, weights)
+        if key in solved:
+            solution, table = solved[key]
+        else:
+            solution, table = solve_component(
+                component, tree, weights, config.alpha,
+                explosion_cap=config.explosion_cap,
+            )
+            if key is not None:
+                solved[key] = (solution, table if config.n_samples > 0 else None)
         samples = []
         if config.n_samples > 0:
             samples = sample_component(
@@ -214,7 +195,7 @@ def _assemble(
     """Union of the component labels at every internal node.
 
     A one-adjacency component's solution may come from another component
-    with its signature (see :class:`_DpSolver`), so its own adjacency
+    with its signature (see :func:`_solve_one`), so its own adjacency
     goes wherever that solution holds one.
     """
     labels: dict[int, set[Adjacency]] = {v: set() for v in internal}
@@ -240,20 +221,12 @@ def solve_instance(
     candidates = candidate_adjacencies(tree)
     graph = build_global_graph(tree, candidates, weights, config.threshold_x)
     components = connected_components(graph)
-    dp = _DpSolver(tree, weights, config)
-
-    if config.threads == 1 or len(components) <= 1:
-        outcomes = [
-            _solve_one(component, tree, weights, config, i, dp)
-            for i, component in enumerate(components)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [
-                pool.submit(_solve_one, component, tree, weights, config, i, dp)
-                for i, component in enumerate(components)
-            ]
-            outcomes = [f.result() for f in futures]
+    leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+    solved: dict[tuple, tuple[ComponentSolution, DpTable | None]] = {}
+    outcomes = [
+        _solve_one(component, tree, weights, config, i, leaves, solved)
+        for i, component in enumerate(components)
+    ]
 
     solutions = [solution for _, solution, _, _ in outcomes]
     internal = tree.internal_ids()
@@ -398,8 +371,7 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
     """Write cars.tsv, stats.tsv, frequency.tsv, samples/, manifest.json.
 
     Content depends only on (inputs, config, seed): no timestamps, no
-    wall-clock times, no thread count, and no output directory paths
-    appear in any file.
+    wall-clock times and no output directory paths appear in any file.
 
     A sample file is written the first time its labeling appears in
     ``report.samples``; every repeat is a hard link to that file, so

@@ -1,8 +1,8 @@
 """Deterministic derivation of per-task random number streams.
 
-Every parallelizable unit of work (a graph component, a simulation
-replicate) gets its own stream derived from the global seed and a stable
-task key, so results never depend on scheduling or thread count.
+Every unit of work (a graph component, the simulated tree, its events)
+gets its own stream derived from the global seed and a stable task key,
+so its draws do not depend on which other units run or in what order.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -67,6 +68,61 @@ class TestImports:
         assert result.stdout.strip() == "[]"
 
 
+def global_state_calls(source: str) -> list[str]:
+    """Calls in ``source`` that change interpreter-wide state: any
+    ``sys.set*`` and any function of the shared ``random`` generator
+    (a ``random.Random(seed)`` instance is local, so it is allowed)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module, alias.name) for alias in node.names]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+        ):
+            names = [(node.func.value.id, node.func.attr)]
+        else:
+            continue
+        for module, name in names:
+            if (module == "sys" and name.startswith("set")) or (
+                module == "random" and name != "Random"
+            ):
+                found.append(f"line {node.lineno}: {module}.{name}")
+    return found
+
+
+class TestInterpreterState:
+    """No module of the package mutates interpreter-global state."""
+
+    def test_no_module_calls_sys_setters_or_the_shared_random(self):
+        package = Path(SRC) / "scjlabel"
+        found = {
+            path.name: calls
+            for path in sorted(package.glob("*.py"))
+            if (calls := global_state_calls(path.read_text(encoding="utf-8")))
+        }
+        assert len(list(package.glob("*.py"))) > 10
+        assert found == {}
+
+    def test_the_check_sees_each_kind_of_call(self):
+        source = (
+            "import random, sys\n"
+            "from random import shuffle\n"
+            "sys.setrecursionlimit(10**5)\n"
+            "def f(xs):\n"
+            "    random.seed(1)\n"
+            "    rng = random.Random(2)\n"
+            "    rng.shuffle(xs)\n"
+            "    return sys.getrecursionlimit()\n"
+        )
+        assert global_state_calls(source) == [
+            "line 2: random.shuffle",
+            "line 3: sys.setrecursionlimit",
+            "line 5: random.seed",
+        ]
+
+
 class TestParsing:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -84,6 +140,20 @@ class TestParsing:
 
     def test_missing_required_option(self, capsys):
         assert main(["solve", "--tree", "t.nwk"]) == 1
+
+    def test_threads_is_not_an_option(self, instance, tmp_path, capsys):
+        # Components are solved in one ordered pass; there is no pool to size.
+        tree, genomes = instance
+        for command in ("solve", "sample"):
+            code = main([
+                command, "--tree", tree, "--genomes", genomes,
+                "--threads", "2", "--out", str(tmp_path / command),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--threads" in err
+            assert len(err.splitlines()) == 1
+            assert not (tmp_path / command).exists()
 
 
 class TestSolve:

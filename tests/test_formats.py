@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from scjlabel.core import Adjacency, Genome, chromosome_adjacencies
@@ -83,6 +85,24 @@ class TestWriteNewick:
     def test_lengths_use_six_decimals(self):
         tree = parse_newick("(s1:1.5,s2:2)r;")
         assert write_newick(tree) == "(s1:1.500000,s2:2.000000)r;"
+
+    def test_a_deep_caterpillar_round_trips_without_recursion(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the Newick code changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        bare = named = "L0"
+        for i in range(1, 2000):
+            bare = f"({bare},L{i}:1)"
+            named = f"({named},L{i}:1.000000)anc{i}"
+        tree = parse_newick(bare + ";")
+        assert write_newick(tree) == named + ";"
+        assert write_newick(parse_newick(named + ";")) == named + ";"
+        # Ids in preorder: the root, then down the spine to L0, L1, L2, ...
+        assert tuple(tree.preorder()) == tuple(range(len(tree.nodes)))
+        assert [tree.name_of(v) for v in (0, 1, 1998, 1999, 2000, 3998)] == [
+            "anc1999", "anc1998", "anc1", "L0", "L1", "L1999",
+        ]
 
     def test_round_trip_preserves_structure(self):
         tree = parse_newick("((s1:1.25,s2:2)x:0.5,s3:3)r;")

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import importlib.util
 import json
 import os
 import random
-import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +32,7 @@ from scjlabel.formats import parse_labeling, parse_newick, write_labeling
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel import pipeline
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance, write_outputs
+from scjlabel.rng import derive_seed
 from scjlabel.sim import SimConfig, evolve
 from scjlabel.weights import boltzmann_weight_table
 
@@ -191,20 +189,6 @@ class TestSolveInstance:
                 RunConfig(explosion_cap=1, n_samples=5),
             )
 
-    def test_threads_do_not_change_the_report(self):
-        tree = two_component_instance()
-        reports = [
-            solve_instance(tree, WeightTable(), RunConfig(
-                n_samples=8, seed=5, threads=threads
-            ))
-            for threads in (1, 4)
-        ]
-        first, second = reports
-        assert first.objective == second.objective
-        assert first.labeling == second.labeling
-        assert first.samples == second.samples
-        assert first.sample_frequencies == second.sample_frequencies
-
 
 class TestSignatureMemo:
     def test_a_memoised_part_matches_its_own_dp_solution(self):
@@ -215,27 +199,34 @@ class TestSignatureMemo:
             tree, candidate_adjacencies(tree), weights, config.threshold_x
         )
         parts = [c for c in connected_components(graph) if len(c.edges) == 1]
-        solver = pipeline._DpSolver(tree, weights, config)
+        leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        solved = {}
         internal = tree.internal_ids()
 
         def labels(part, solutions):
             return [pipeline._assemble(internal, [part], [s]) for s in solutions]
 
+        shared = []
         for i, part in enumerate(parts):
-            shared, table = solver.solve(part)
-            own, own_table = solve_component(part, tree, weights, config.alpha)
-            assert labels(part, [shared]) == labels(part, [own])
-            assert shared.cooptimal_count == own.cooptimal_count
-            assert shared.objective_scaled == own.objective_scaled
-            assert labels(part, sample_component(table, 20, seed=i)) == labels(
-                part, sample_component(own_table, 20, seed=i)
+            route, solution, samples, _ = pipeline._solve_one(
+                part, tree, weights, config, i, leaves, solved
             )
+            own, own_table = solve_component(part, tree, weights, config.alpha)
+            assert route == "dp"
+            assert labels(part, [solution]) == labels(part, [own])
+            assert solution.cooptimal_count == own.cooptimal_count
+            assert solution.objective_scaled == own.objective_scaled
+            seed = derive_seed(config.seed, "component", i)
+            assert labels(part, samples) == labels(
+                part, sample_component(own_table, 20, seed)
+            )
+            shared.append(solution)
         # Most parts were answered from the memo, many of them with
         # several co-optima to sample from.
-        assert (len(parts), len(solver.solved)) == (47, 6)
-        assert sum(solver.solve(p)[0].cooptimal_count > 1 for p in parts) == 30
+        assert (len(parts), len(solved)) == (47, 6)
+        assert sum(solution.cooptimal_count > 1 for solution in shared) == 30
 
-    def test_threads_solve_each_signature_once(self, monkeypatch):
+    def test_a_run_solves_each_signature_once(self, monkeypatch):
         tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
         weights = boltzmann_weight_table(tree, 0.1)
         solved = []
@@ -243,24 +234,13 @@ class TestSignatureMemo:
 
         def counted(component, *args, **kwargs):
             solved.append(component)
-            time.sleep(0.002)  # lets another thread reach the same signature
             return original(component, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "solve_component", counted)
         config = RunConfig(alpha=0, threshold_x="0.5", n_samples=5, seed=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = solve_instance(
-                tree, weights, dataclasses.replace(config, threads=8)
-            )
-        finally:
-            sys.setswitchinterval(interval)
+        report = solve_instance(tree, weights, config)
         # 47 one-adjacency components with 6 signatures (see above).
-        assert (len(threaded.components), len(solved)) == (47, 6)
-        single = solve_instance(tree, weights, config)
-        assert threaded.labeling == single.labeling
-        assert threaded.samples == single.samples
+        assert (len(report.components), len(solved)) == (47, 6)
 
     def test_equal_leaves_with_other_weights_are_solved_apart(self):
         tree = parse_newick("((s1,s2)anc2,s3)anc1;")
@@ -278,13 +258,17 @@ class TestSignatureMemo:
         config = RunConfig(alpha="1/2")
         graph = build_global_graph(tree, candidate_adjacencies(tree), weights, 0)
         parts = connected_components(graph)
-        solver = pipeline._DpSolver(tree, weights, config)
-        got = [solver.solve(part)[0].objective for part in parts]
+        leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        solved = {}
+        got = [
+            pipeline._solve_one(part, tree, weights, config, i, leaves, solved)[1].objective
+            for i, part in enumerate(parts)
+        ]
         want = [
             solve_component(part, tree, weights, config.alpha)[0].objective
             for part in parts
         ]
-        assert len(solver.solved) == 2
+        assert len(solved) == 2
         assert got == want == [1, Fraction(3, 5)]
 
 
