@@ -20,7 +20,6 @@ from .errors import (
 )
 from .core import (
     Adjacency,
-    Car,
     Extremity,
     Genome,
     Node,
@@ -69,7 +68,6 @@ from .pipeline import RunConfig, SolveReport, run_solve, solve_instance
 __all__ = [
     "Adjacency",
     "CapacityExceeded",
-    "Car",
     "Component",
     "ComponentSolution",
     "DpTable",

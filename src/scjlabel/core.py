@@ -206,64 +206,6 @@ class Genome:
             raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
 
 
-def _reverse_complement(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-m for m in reversed(seq))
-
-
-@dataclass(frozen=True)
-class Car:
-    """A contiguous ancestral region: a signed marker run, linear or circular.
-
-    Construction canonicalizes the representation.  Linear runs keep the
-    orientation whose signed sequence is smaller under (marker id,
-    positive-before-negative) comparison; circular runs additionally pick
-    the rotation minimizing the same key, so structural equality is plain
-    field equality.
-    """
-
-    kind: str
-    markers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "circular"):
-            raise InputError(f"CAR kind must be 'linear' or 'circular', got {self.kind!r}")
-        seq = tuple(self.markers)
-        if not seq:
-            raise InputError("CAR must contain at least one marker")
-        if 0 in seq:
-            raise InputError("signed marker 0 is not allowed")
-        if len(set(map(abs, seq))) != len(seq):
-            raise InputError(f"CAR repeats a marker: {seq}")
-        if self.kind == "circular" and len(seq) == 1:
-            raise InputError("single-marker circular chromosomes are not representable")
-        object.__setattr__(self, "markers", self._canonical(self.kind, seq))
-
-    @staticmethod
-    def _canonical(kind: str, seq: tuple[int, ...]) -> tuple[int, ...]:
-        # The markers are distinct, so the smallest candidate under the
-        # (marker id, positive first) key is decided by its first signed
-        # marker: a linear run reads from the end whose key is smaller, a
-        # circular one from its smallest marker, forward.
-        if kind == "linear":
-            first, last = seq[0], seq[-1]
-            if (abs(first), first < 0) < (abs(last), last > 0):
-                return seq
-            return _reverse_complement(seq)
-        start = min(range(len(seq)), key=lambda i: abs(seq[i]))
-        if seq[start] > 0:
-            return seq[start:] + seq[:start]
-        flipped = _reverse_complement(seq)
-        start = len(seq) - 1 - start
-        return flipped[start:] + flipped[:start]
-
-    def __len__(self) -> int:
-        return len(self.markers)
-
-    def __str__(self) -> str:
-        body = " ".join(str(m) for m in self.markers)
-        return f"[{self.kind} {body}]"
-
-
 def chromosome_adjacencies(markers: Iterable[int], circular: bool = False) -> frozenset[Adjacency]:
     """Adjacencies of an explicitly ordered signed chromosome.
 
@@ -288,17 +230,24 @@ def chromosome_adjacencies(markers: Iterable[int], circular: bool = False) -> fr
     return frozenset(pairs)
 
 
-def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> list[Car]:
+def extract_cars(
+    adjacencies: Iterable[Adjacency], markers: Iterable[int]
+) -> list[tuple[str, tuple[int, ...]]]:
     """Decompose a consistent adjacency set over ``markers`` into CARs.
 
-    Every marker appears in exactly one returned CAR; markers untouched
-    by any adjacency come back as singleton linear CARs.  The list is
-    sorted canonically so equal inputs produce identical output.  Apart
-    from sorting the markers, time is linear in the markers and
-    adjacencies.
+    A CAR is a ``(kind, signed markers)`` pair, kind ``"linear"`` or
+    ``"circular"``, in canonical form: of both orientations (and, for a
+    circle, all rotations) the smallest under (marker id, positive
+    before negative).  Every marker appears in exactly one CAR; markers
+    untouched by any adjacency come back as singleton linear CARs.  The
+    list is sorted by kind, then first marker, so equal inputs produce
+    identical output.  Apart from sorting the markers, time is linear in
+    the markers and adjacencies.
     """
     adjs = list(adjacencies)
     universe = set(markers)
+    if any(m < 1 for m in universe):
+        raise InputError(f"marker ids are positive, got {min(universe)}")
     # Extremities are walked as plain (marker, end) tuples.
     link: dict[tuple[int, int], tuple[int, int]] = {}
     for adj in adjs:
@@ -328,8 +277,13 @@ def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> li
             if m == marker and e == end:
                 return tuple(seq), True
 
+    # Each walk comes out canonical because the markers are visited in
+    # increasing order.  A linear run is entered at its end with the
+    # smaller marker (the run's other end marker is larger, or the same
+    # marker for a singleton entered at its tail), and a cycle, once the
+    # linear runs are used, at its smallest marker's tail.
     used: set[int] = set()
-    cars: list[Car] = []
+    linear: list[tuple[str, tuple[int, ...]]] = []
     # Linear runs first: start only at free extremities, so a marker in
     # the middle of a run is never mistaken for the start of one.
     ordered = sorted(universe)
@@ -343,7 +297,8 @@ def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> li
         else:
             continue  # interior of a linear run, or on a cycle
         used.update(map(abs, seq))
-        cars.append(Car("linear", seq))
+        linear.append(("linear", seq))
+    circular: list[tuple[str, tuple[int, ...]]] = []
     for m in ordered:
         if m in used:
             continue
@@ -351,10 +306,10 @@ def extract_cars(adjacencies: Iterable[Adjacency], markers: Iterable[int]) -> li
         if not closed:
             raise AssertionError(f"open walk from marker {m} left after the linear pass")
         used.update(map(abs, seq))
-        cars.append(Car("circular", seq))
-    # CARs share no marker, so a canonical first marker orders each kind.
-    cars.sort(key=lambda c: (c.kind, abs(c.markers[0])))
-    return cars
+        circular.append(("circular", seq))
+    # Each pass appends in increasing first marker, and "circular" sorts
+    # before "linear".
+    return circular + linear
 
 
 def scj_distance(a: Genome, b: Genome) -> int:
@@ -546,10 +501,6 @@ class Phylogeny:
             return self._by_name[name]  # type: ignore[attr-defined]
         except KeyError:
             raise InputError(f"unknown node name {name!r}") from None
-
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
 
     @property
     def markers(self) -> frozenset[int]:

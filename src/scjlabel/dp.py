@@ -234,26 +234,18 @@ def _sweep(
 
 
 def presence_signature(
-    adjacency: Adjacency,
-    nodes: frozenset[int],
-    leaves: Sequence[frozenset[Adjacency]],
-    weights: WeightTable,
+    held: int, nodes: frozenset[int], row: Mapping[int, int]
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """All that the DP table of a one-adjacency component depends on,
     besides the tree and alpha.
 
-    That is the bitmask of the ``leaves`` (adjacency sets in a fixed
-    leaf order) that hold ``adjacency``, and its micro weight at each of
-    ``nodes``, the nodes that annotate it.  Two such components with
-    equal signatures have the same labels, costs and counts, and a
-    labeling of one is a labeling of the other, of equal value, once
-    the adjacency is renamed.
+    That is ``held``, the bitmask of the leaves that hold the adjacency
+    (see :func:`graph.candidate_adjacencies`), and its micro weight in
+    ``row`` at each of ``nodes``, the nodes that annotate it.  Two such
+    components with equal signatures have the same labels, costs and
+    counts, and a labeling of one is a labeling of the other, of equal
+    value, once the adjacency is renamed.
     """
-    held = 0
-    for i, adjacencies in enumerate(leaves):
-        if adjacency in adjacencies:
-            held |= 1 << i
-    row = weights.row(adjacency)
     return held, tuple([(v, row.get(v, 0)) for v in sorted(nodes)])
 
 

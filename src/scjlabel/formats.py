@@ -301,11 +301,10 @@ def parse_labeling(path: str | Path, tree: Phylogeny) -> dict[int, frozenset[Adj
 
 
 def _car_rows(name: str, adjacencies: frozenset[Adjacency], markers) -> list[str]:
-    rows = []
-    for car in extract_cars(adjacencies, markers):
-        kind = "C" if car.kind == "circular" else "L"
-        rows.append(f"{name}\t{kind}\t{' '.join(map(str, car.markers))}")
-    return rows
+    return [
+        f"{name}\t{'C' if kind == 'circular' else 'L'}\t{' '.join(map(str, seq))}"
+        for kind, seq in extract_cars(adjacencies, markers)
+    ]
 
 
 def write_genomes(path: str | Path, genomes: Mapping[str, Genome]) -> None:

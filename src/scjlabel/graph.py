@@ -12,7 +12,7 @@ the Cartesian product of the per-component sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction
 from .errors import InputError
@@ -26,18 +26,21 @@ def threshold_cutoff(threshold_x: object) -> int:
     return -((-x.numerator * MICRO) // x.denominator)
 
 
-def candidate_adjacencies(tree: Phylogeny) -> frozenset[Adjacency]:
+def candidate_adjacencies(tree: Phylogeny) -> dict[Adjacency, int]:
     """The candidates every internal node shares: adjacencies seen in any leaf.
 
-    Ancestral labels never invent adjacencies absent from all extant
-    genomes.
+    Each maps to the bitmask of the leaves, in ``tree.leaves()`` order,
+    that hold it.  Ancestral labels never invent adjacencies absent from
+    all extant genomes.
     """
     if not tree.leaf_genomes:
         raise InputError("cannot derive candidates: tree has no genomes attached")
-    union: set[Adjacency] = set()
-    for leaf in tree.leaves():
-        union |= tree.leaf_genomes[leaf].adjacencies
-    return frozenset(union)
+    held: dict[Adjacency, int] = {}
+    for i, leaf in enumerate(tree.leaves()):
+        bit = 1 << i
+        for adjacency in tree.leaf_genomes[leaf].adjacencies:
+            held[adjacency] = held.get(adjacency, 0) | bit
+    return held
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +62,7 @@ class GlobalAdjacencyGraph:
 
 def build_global_graph(
     tree: Phylogeny,
-    candidates: frozenset[Adjacency],
+    candidates: Iterable[Adjacency],
     weights: WeightTable,
     threshold_x: object = 0,
 ) -> GlobalAdjacencyGraph:

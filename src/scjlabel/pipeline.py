@@ -141,7 +141,7 @@ def _solve_one(
     weights: WeightTable,
     config: RunConfig,
     index: int,
-    leaves: list[frozenset[Adjacency]],
+    candidates: dict[Adjacency, int],
     solved: dict[tuple, tuple[ComponentSolution, DpTable | None]],
 ) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
     """Route, solution, samples and wall-clock seconds of one component.
@@ -159,7 +159,7 @@ def _solve_one(
         key = None
         if len(component.edges) == 1:
             ((adjacency, nodes),) = component.edges.items()
-            key = presence_signature(adjacency, nodes, leaves, weights)
+            key = presence_signature(candidates[adjacency], nodes, weights.row(adjacency))
         if key in solved:
             solution, table = solved[key]
         else:
@@ -221,10 +221,9 @@ def solve_instance(
     candidates = candidate_adjacencies(tree)
     graph = build_global_graph(tree, candidates, weights, config.threshold_x)
     components = connected_components(graph)
-    leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
     solved: dict[tuple, tuple[ComponentSolution, DpTable | None]] = {}
     outcomes = [
-        _solve_one(component, tree, weights, config, i, leaves, solved)
+        _solve_one(component, tree, weights, config, i, candidates, solved)
         for i, component in enumerate(components)
     ]
 

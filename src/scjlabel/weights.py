@@ -123,12 +123,7 @@ def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
     """Boltzmann weights of every candidate at every internal node, one sweep per leaf pattern."""
     _check_boltzmann_inputs(tree, kt)
     leaves = tree.leaves()
-    # Leaf presence pattern of every candidate, as a bitmask over ``leaves``.
-    pattern_of: dict[Adjacency, int] = dict.fromkeys(sorted(candidate_adjacencies(tree)), 0)
-    for i, v in enumerate(leaves):
-        bit = 1 << i
-        for adjacency in tree.leaf_genomes[v].adjacencies:
-            pattern_of[adjacency] |= bit
+    pattern_of = candidate_adjacencies(tree)
     rows: dict[int, dict[int, int]] = {}
     micro_of: dict[float, int] = {}  # each distinct weight quantized once
     for pattern in pattern_of.values():

@@ -67,6 +67,9 @@ class TestImports:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_every_public_name_resolves(self):
+        assert [name for name in scjlabel.__all__ if not hasattr(scjlabel, name)] == []
+
 
 def global_state_calls(source: str) -> list[str]:
     """Calls in ``source`` that change interpreter-wide state: any

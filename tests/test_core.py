@@ -20,7 +20,6 @@ from scjlabel.core import (
     MICRO,
     TAIL,
     Adjacency,
-    Car,
     Extremity,
     Genome,
     WeightTable,
@@ -212,8 +211,9 @@ class TestGenome:
     def test_empty_genome(self):
         g = Genome(frozenset(), frozenset({1, 2, 3}))
         assert g.adjacencies == frozenset()
-        cars = extract_cars(g.adjacencies, g.markers)
-        assert [c.markers for c in cars] == [(1,), (2,), (3,)]
+        assert extract_cars(g.adjacencies, g.markers) == [
+            ("linear", (1,)), ("linear", (2,)), ("linear", (3,)),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +221,20 @@ class TestGenome:
 
 
 class TestCar:
+    """Canonical form of the CARs that ``extract_cars`` returns."""
+
+    @staticmethod
+    def cars_of(seq, kind):
+        return extract_cars(chromosome_adjacencies(seq, kind == "circular"), map(abs, seq))
+
     def test_linear_orientation_is_canonical(self):
-        assert Car("linear", (-2, 3, -1)).markers == Car("linear", (1, -3, 2)).markers
-        assert Car("linear", (1, -3, 2)).markers == (1, -3, 2)
+        assert self.cars_of((-2, 3, -1), "linear") == [("linear", (1, -3, 2))]
+        assert self.cars_of((1, -3, 2), "linear") == [("linear", (1, -3, 2))]
 
     def test_circular_rotation_is_canonical(self):
         variants = [(1, 2, -3), (2, -3, 1), (-3, 1, 2), (3, -2, -1)]
-        canonical = {Car("circular", v).markers for v in variants}
-        assert len(canonical) == 1
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            Car("ring", (1, 2))
-        with pytest.raises(InputError):
-            Car("linear", ())
-        with pytest.raises(InputError):
-            Car("linear", (1, -1))
-        with pytest.raises(InputError):
-            Car("circular", (1,))
+        for seq in variants:
+            assert self.cars_of(seq, "circular") == [("circular", (1, 2, -3))]
 
     def test_canonical_form_matches_the_reference(self):
         rng = random.Random(41)
@@ -247,12 +243,7 @@ class TestCar:
             seq = tuple(m if rng.random() < 0.5 else -m for m in rng.sample(range(1, 31), n))
             kinds = ("linear", "circular") if n > 1 else ("linear",)
             for kind in kinds:
-                assert Car(kind, seq).markers == reference_car_markers(kind, seq)
-
-    def test_str_and_len(self):
-        car = Car("linear", (1, -3, 2))
-        assert len(car) == 3
-        assert str(car) == "[linear 1 -3 2]"
+                assert self.cars_of(seq, kind) == [(kind, reference_car_markers(kind, seq))]
 
 
 class TestChromosomeAdjacencies:
@@ -278,21 +269,16 @@ class TestChromosomeAdjacencies:
 
 class TestExtractCars:
     def test_untouched_markers_become_singletons(self):
-        cars = extract_cars([], {1, 2})
-        assert [(c.kind, c.markers) for c in cars] == [
-            ("linear", (1,)), ("linear", (2,)),
-        ]
+        assert extract_cars([], {1, 2}) == [("linear", (1,)), ("linear", (2,))]
 
     def test_linear_chain(self):
-        cars = extract_cars(chromosome_adjacencies((1, -3, 2)), {1, 2, 3, 4})
-        assert [(c.kind, c.markers) for c in cars] == [
+        assert extract_cars(chromosome_adjacencies((1, -3, 2)), {1, 2, 3, 4}) == [
             ("linear", (1, -3, 2)), ("linear", (4,)),
         ]
 
     def test_circular_component(self):
         adjacencies = chromosome_adjacencies((1, 2, 3), circular=True)
-        cars = extract_cars(adjacencies, {1, 2, 3})
-        assert [(c.kind, c.markers) for c in cars] == [("circular", (1, 2, 3))]
+        assert extract_cars(adjacencies, {1, 2, 3}) == [("circular", (1, 2, 3))]
 
     def test_mixed_decomposition_round_trips(self):
         rng = random.Random(5)
@@ -300,10 +286,8 @@ class TestExtractCars:
             n = rng.randint(2, 7)
             genome = random_genome(rng, frozenset(range(1, n + 1)))
             rebuilt = set()
-            for car in extract_cars(genome.adjacencies, genome.markers):
-                rebuilt |= chromosome_adjacencies(
-                    car.markers, car.kind == "circular"
-                )
+            for kind, seq in extract_cars(genome.adjacencies, genome.markers):
+                rebuilt |= chromosome_adjacencies(seq, kind == "circular")
             assert rebuilt == set(genome.adjacencies)
 
     def test_matches_the_reference_walk(self):
@@ -315,8 +299,7 @@ class TestExtractCars:
             # Dropping adjacencies keeps the set consistent and breaks runs.
             kept = [a for a in sorted(genome.adjacencies) if rng.random() < 0.8]
             universe = markers | frozenset(rng.sample(range(40, 50), rng.randint(0, 2)))
-            cars = extract_cars(kept, universe)
-            assert [(c.kind, c.markers) for c in cars] == reference_extract_cars(kept, universe)
+            assert extract_cars(kept, universe) == reference_extract_cars(kept, universe)
 
     def test_inconsistent_input_is_rejected(self):
         bad = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")]
@@ -326,6 +309,11 @@ class TestExtractCars:
     def test_unknown_marker_is_rejected(self):
         with pytest.raises(InputError):
             extract_cars([Adjacency.of("1h", "9t")], {1, 2})
+
+    @pytest.mark.parametrize("markers", [{-3, 2}, {0, 1}])
+    def test_marker_ids_below_1_are_rejected(self, markers):
+        with pytest.raises(InputError, match="marker ids are positive"):
+            extract_cars([], markers)
 
 
 # ---------------------------------------------------------------------------

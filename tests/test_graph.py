@@ -86,7 +86,13 @@ class TestCandidates:
         union = set()
         for leaf in tree.leaves():
             union |= tree.leaf_genomes[leaf].adjacencies
-        assert candidate_adjacencies(tree) == frozenset(union)
+        candidates = candidate_adjacencies(tree)
+        assert set(candidates) == union
+        for adjacency, held in candidates.items():
+            assert held == sum(
+                1 << i for i, leaf in enumerate(tree.leaves())
+                if adjacency in tree.leaf_genomes[leaf].adjacencies
+            )
         graph = build_global_graph(
             tree, candidate_adjacencies(tree), WeightTable(), 0
         )
@@ -102,8 +108,8 @@ class TestCandidates:
     def test_a_tree_without_internal_nodes(self):
         tree = parse_newick("s1;").with_genomes({"s1": genome_of({1, 2, 3}, (1, 2, 3))})
         candidates = candidate_adjacencies(tree)
-        assert candidates == tree.leaf_genomes[tree.root].adjacencies
-        assert len(candidates) == 2
+        assert set(candidates) == tree.leaf_genomes[tree.root].adjacencies
+        assert list(candidates.values()) == [1, 1]
         assert build_global_graph(tree, candidates, WeightTable(), 0).edges == {}
         assert len(boltzmann_weight_table(tree, 0.1)) == 0
         assert fitch_scj_labeling(tree) == ({}, 0)

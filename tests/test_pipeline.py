@@ -195,11 +195,9 @@ class TestSignatureMemo:
         tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
         weights = boltzmann_weight_table(tree, 0.1)
         config = RunConfig(alpha=0, threshold_x="0.5", n_samples=20, seed=5)
-        graph = build_global_graph(
-            tree, candidate_adjacencies(tree), weights, config.threshold_x
-        )
+        candidates = candidate_adjacencies(tree)
+        graph = build_global_graph(tree, candidates, weights, config.threshold_x)
         parts = [c for c in connected_components(graph) if len(c.edges) == 1]
-        leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
         solved = {}
         internal = tree.internal_ids()
 
@@ -209,7 +207,7 @@ class TestSignatureMemo:
         shared = []
         for i, part in enumerate(parts):
             route, solution, samples, _ = pipeline._solve_one(
-                part, tree, weights, config, i, leaves, solved
+                part, tree, weights, config, i, candidates, solved
             )
             own, own_table = solve_component(part, tree, weights, config.alpha)
             assert route == "dp"
@@ -256,12 +254,11 @@ class TestSignatureMemo:
             Adjacency.of("3h", "4t"): {anc1: 100_000, anc2: 100_000},
         })
         config = RunConfig(alpha="1/2")
-        graph = build_global_graph(tree, candidate_adjacencies(tree), weights, 0)
-        parts = connected_components(graph)
-        leaves = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
+        candidates = candidate_adjacencies(tree)
+        parts = connected_components(build_global_graph(tree, candidates, weights, 0))
         solved = {}
         got = [
-            pipeline._solve_one(part, tree, weights, config, i, leaves, solved)[1].objective
+            pipeline._solve_one(part, tree, weights, config, i, candidates, solved)[1].objective
             for i, part in enumerate(parts)
         ]
         want = [
