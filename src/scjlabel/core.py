@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
@@ -29,6 +29,8 @@ MAX_ALPHA_DENOMINATOR = 10**4
 
 TAIL = 0
 HEAD = 1
+
+_ONE = Decimal(1)
 
 
 def exact_fraction(value: object) -> Fraction:
@@ -103,70 +105,72 @@ def objective_units(alpha: object) -> ObjectiveUnits:
 
 
 def quantize_weight(value: object) -> int:
-    """Map a weight in [0, 1] to the integer grid 0..MICRO (round half up)."""
+    """Map a weight in [0, 1] to the integer grid 0..MICRO (round half up).
+
+    A float in range is rounded from the shortest decimal form that
+    :func:`exact_fraction` reads, without building the fraction.
+    """
+    if type(value) is float and 0 <= value <= 1:
+        return int(Decimal(repr(value)).scaleb(6).quantize(_ONE, ROUND_HALF_UP))  # 6: MICRO
     w = exact_fraction(value)
     if not 0 <= w <= 1:
         raise InputError(f"weight must lie in [0, 1], got {w}")
     return (2 * w.numerator * MICRO + w.denominator) // (2 * w.denominator)
 
 
-# Both classes extend a functional NamedTuple base because the class
-# syntax does not allow overriding ``__new__``, where they validate.
-class Extremity(NamedTuple("_ExtremityFields", [("marker", int), ("end", int)])):
+class Extremity:
     """One end of an oriented marker: its tail (t) or its head (h).
 
-    A plain ``(marker, end)`` tuple: ordering is (marker, end) with tail
-    before head, which fixes the canonical orientation used everywhere
-    else.
+    Calling the class validates and returns an exact ``(marker, end)``
+    tuple, never an instance.  Tail sorts before head, which fixes the
+    canonical orientation used everywhere else.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, marker: int, end: int) -> "Extremity":
+    def __new__(cls, marker: int, end: int) -> tuple[int, int]:  # type: ignore[misc]
         if not isinstance(marker, int) or marker < 1:
             raise InputError(f"marker ids are positive integers, got {marker!r}")
         if end not in (TAIL, HEAD):
             raise InputError(f"extremity end must be TAIL(0) or HEAD(1), got {end!r}")
-        return tuple.__new__(cls, (marker, end))
+        return (marker, end)
 
-    @classmethod
-    def parse(cls, text: str) -> "Extremity":
+    @staticmethod
+    def parse(text: str) -> tuple[int, int]:
         """Parse the compact form ``"12h"`` / ``"3t"``."""
         text = text.strip()
         if len(text) < 2 or text[-1] not in "ht" or not text[:-1].isdecimal():
             raise InputError(f"bad extremity {text!r}, expected e.g. '12h' or '3t'")
-        return cls(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
-
-    def __str__(self) -> str:
-        return f"{self.marker}{'h' if self.end == HEAD else 't'}"
+        return Extremity(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
 
 
-class Adjacency(NamedTuple("_AdjacencyFields", [("first", Extremity), ("second", Extremity)])):
+class Adjacency:
     """An unordered pair of extremities of two distinct markers.
 
-    A plain ``(first, second)`` tuple with ``first < second``; two
-    adjacencies over the same extremities always compare equal.  Pairing
-    the two ends of one marker (a single-marker circle) is rejected.
+    Calling the class returns an exact ``(first, second)`` tuple with
+    ``first < second``.  Pairing the two ends of one marker (a
+    single-marker circle) is rejected.
     """
 
-    __slots__ = ()
+    def __new__(cls, first: Extremity, second: Extremity) -> tuple:  # type: ignore[misc]
+        if first[0] == second[0]:
+            raise InputError(f"adjacency may not join two extremities of marker {first[0]}")
+        return (first, second) if first < second else (second, first)
 
-    def __new__(cls, first: Extremity, second: Extremity) -> "Adjacency":
-        if first.marker == second.marker:
-            raise InputError(f"adjacency may not join two extremities of marker {first.marker}")
-        return tuple.__new__(cls, (first, second) if first < second else (second, first))
-
-    @classmethod
-    def of(cls, a: "Extremity | str", b: "Extremity | str") -> "Adjacency":
+    @staticmethod
+    def of(a: "Extremity | str", b: "Extremity | str") -> tuple:
         """Build from extremities or their compact string forms."""
         if isinstance(a, str):
             a = Extremity.parse(a)
         if isinstance(b, str):
             b = Extremity.parse(b)
-        return cls(a, b)
+        return Adjacency(a, b)
 
-    def __str__(self) -> str:
-        return f"{self.first}-{self.second}"
+
+def fmt(item: tuple) -> str:
+    """The compact form of an extremity (``"12h"``) or an adjacency (``"3t-5h"``)."""
+    if type(item[0]) is int:
+        return f"{item[0]}{'th'[item[1]]}"
+    (m, e), (n, f) = item
+    return f"{m}{'th'[e]}-{n}{'th'[f]}"
 
 
 def check_consistency(adjacencies: Iterable[Adjacency]) -> tuple[bool, list[Extremity]]:
@@ -178,10 +182,7 @@ def check_consistency(adjacencies: Iterable[Adjacency]) -> tuple[bool, list[Extr
     adjacencies = tuple(adjacencies)
     if len(set().union(*adjacencies)) == 2 * len(adjacencies):
         return True, []  # only an inconsistent set pays for counting
-    seen: Counter[Extremity] = Counter()
-    for a, b in adjacencies:
-        seen[a] += 1
-        seen[b] += 1
+    seen = Counter(x for adjacency in adjacencies for x in adjacency)
     offenders = sorted(x for x, n in seen.items() if n > 1)
     return (not offenders, offenders)
 
@@ -197,36 +198,43 @@ class Genome:
         object.__setattr__(self, "adjacencies", frozenset(self.adjacencies))
         object.__setattr__(self, "markers", frozenset(self.markers))
         for adj in self.adjacencies:
-            for x in adj:
-                if x.marker not in self.markers:
-                    raise InputError(f"adjacency {adj} uses marker {x.marker} outside the universe")
+            for m, _ in adj:
+                if m not in self.markers:
+                    raise InputError(f"adjacency {fmt(adj)} uses marker {m} outside the universe")
         ok, offenders = check_consistency(self.adjacencies)
         if not ok:
-            listed = ", ".join(str(x) for x in offenders)
+            listed = ", ".join(map(fmt, offenders))
             raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
 
 
-def chromosome_adjacencies(markers: Iterable[int], circular: bool = False) -> frozenset[Adjacency]:
+def chromosome_adjacencies(
+    markers: Iterable[int], circular: bool = False, shared: dict | None = None
+) -> frozenset[Adjacency]:
     """Adjacencies of an explicitly ordered signed chromosome.
 
-    Each signed marker is checked once and its (left, right) extremities
-    built once; a marker next to itself is rejected.
+    Each signed marker is checked once; a marker next to itself is
+    rejected.  ``shared`` holds the (tail, head) extremities of each
+    marker id and one tuple per distinct adjacency: pass one dict to
+    every call of a parse, and all its genomes hold the same objects.
     """
-    new = tuple.__new__  # the values are checked here, not by the constructors
+    shared = {} if shared is None else shared
     ends: list[tuple[Extremity, Extremity]] = []
     for signed in markers:
         if type(signed) is not int or not signed:
             raise InputError(f"signed marker ids are non-zero integers, got {signed!r}")
         m = abs(signed)
-        tail, head = new(Extremity, (m, TAIL)), new(Extremity, (m, HEAD))
-        ends.append((tail, head) if signed > 0 else (head, tail))
+        pair = shared.get(m)
+        if pair is None:
+            pair = shared[m] = ((m, TAIL), (m, HEAD))
+        ends.append(pair if signed > 0 else pair[::-1])
     if circular and ends:
         ends.append(ends[0])
     pairs = []
     for (_, right), (left, _) in zip(ends, ends[1:]):
-        if right.marker == left.marker:
-            raise InputError(f"adjacency may not join two extremities of marker {left.marker}")
-        pairs.append(new(Adjacency, (right, left) if right < left else (left, right)))
+        if right[0] == left[0]:
+            raise InputError(f"adjacency may not join two extremities of marker {left[0]}")
+        adjacency = (right, left) if right < left else (left, right)
+        pairs.append(shared.setdefault(adjacency, adjacency))
     return frozenset(pairs)
 
 
@@ -248,7 +256,6 @@ def extract_cars(
     universe = set(markers)
     if any(m < 1 for m in universe):
         raise InputError(f"marker ids are positive, got {min(universe)}")
-    # Extremities are walked as plain (marker, end) tuples.
     link: dict[tuple[int, int], tuple[int, int]] = {}
     for adj in adjs:
         a, b = adj
@@ -256,12 +263,12 @@ def extract_cars(
         link[b] = a
     if len(link) != 2 * len(adjs):
         _, offenders = check_consistency(adjs)
-        listed = ", ".join(str(x) for x in offenders)
+        listed = ", ".join(map(fmt, offenders))
         raise InputError(f"cannot extract CARs, reused extremities: {listed}")
     for adj in adjs:
-        for x in adj:
-            if x.marker not in universe:
-                raise InputError(f"adjacency {adj} uses marker {x.marker} outside the universe")
+        for m, _ in adj:
+            if m not in universe:
+                raise InputError(f"adjacency {fmt(adj)} uses marker {m} outside the universe")
 
     def walk(marker: int, end: int) -> tuple[tuple[int, ...], bool]:
         # Enter ``marker`` at ``end``; follow internal marker connections
@@ -324,63 +331,36 @@ def dcj_distance(a: Genome, b: Genome) -> int:
 
     Computed as N - C - I/2 over the adjacency graph of ``a`` and ``b``,
     where N is the marker count, C the number of cycles and I the number
-    of odd paths (odd edge count).  Telomeres participate as degree-one
-    vertices.
+    of odd paths (odd edge count).  The vertices are the adjacencies and
+    telomeres of both genomes, and each extremity is an edge from its
+    vertex in ``a`` to its vertex in ``b``.  Every vertex has degree one
+    or two, so a component is a cycle exactly when it has as many edges
+    as vertices, and otherwise a path with one edge fewer.
     """
     if a.markers != b.markers:
         raise InputError("dcj distance needs genomes over the same marker universe")
-
-    def containers(genome: Genome, side: str) -> dict[Extremity, tuple]:
-        where: dict[Extremity, tuple] = {}
+    vertex_of: dict[tuple, tuple] = {}
+    for side, genome in (("A", a), ("B", b)):
         for adj in genome.adjacencies:
-            a, b = adj
-            where[a] = (side, adj)
-            where[b] = (side, adj)
-        return where
+            vertex_of[side, adj[0]] = vertex_of[side, adj[1]] = (side, adj)
+    edges = [
+        (vertex_of.get(("A", x), ("A", x)), vertex_of.get(("B", x), ("B", x)))
+        for m in a.markers
+        for x in ((m, TAIL), (m, HEAD))
+    ]
+    parent: dict[tuple, tuple] = {}
 
-    where_a = containers(a, "A")
-    where_b = containers(b, "B")
-    extremities = [Extremity(m, e) for m in a.markers for e in (TAIL, HEAD)]
-    incident: dict[tuple, list[Extremity]] = {}
-    endpoint: dict[Extremity, tuple[tuple, tuple]] = {}
-    for x in extremities:
-        na = where_a.get(x, ("A", x))
-        nb = where_b.get(x, ("B", x))
-        incident.setdefault(na, []).append(x)
-        incident.setdefault(nb, []).append(x)
-        endpoint[x] = (na, nb)
+    def find(v: tuple) -> tuple:
+        while (up := parent.get(v, v)) != v:
+            parent[v] = v = parent.get(up, up)  # path halving
+        return v
 
-    visited: set[Extremity] = set()
-
-    def walk_from(node: tuple, via: Extremity) -> int:
-        # Follow the unique unvisited trail starting at ``node``; returns
-        # its edge count.  Stops at a degree-one node or back at a cycle.
-        edges = 0
-        current, x = node, via
-        while x not in visited:
-            visited.add(x)
-            edges += 1
-            na, nb = endpoint[x]
-            nxt = nb if current == na else na
-            following = [y for y in incident[nxt] if y not in visited]
-            if not following:
-                break
-            x = following[0]
-            current = nxt
-        return edges
-
-    odd_paths = 0
-    cycles = 0
-    # paths start at telomere (degree one) vertices
-    for node, inc in sorted(incident.items(), key=lambda kv: str(kv[0])):
-        if len(inc) == 1 and inc[0] not in visited:
-            if walk_from(node, inc[0]) % 2 == 1:
-                odd_paths += 1
-    # whatever is left lies on cycles
-    for x in sorted(extremities):
-        if x not in visited:
-            walk_from(endpoint[x][0], x)
-            cycles += 1
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    n_edges = Counter(find(u) for u, _ in edges)
+    n_vertices = Counter(find(v) for v in {w for edge in edges for w in edge})
+    cycles = sum(n_edges[r] == n_vertices[r] for r in n_edges)
+    odd_paths = sum(n_edges[r] < n_vertices[r] and n_edges[r] % 2 for r in n_edges)
     if odd_paths % 2 != 0:
         raise AssertionError("odd path count must be even")
     return len(a.markers) - cycles - odd_paths // 2
@@ -418,6 +398,7 @@ class Phylogeny:
     _preorder: tuple[int, ...] = field(init=False, repr=False)
     _edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     _internal: tuple[int, ...] = field(init=False, repr=False)
+    _candidates: Mapping[Adjacency, int] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "leaf_genomes", dict(self.leaf_genomes))
@@ -502,6 +483,20 @@ class Phylogeny:
         except KeyError:
             raise InputError(f"unknown node name {name!r}") from None
 
+    def candidates(self) -> Mapping[Adjacency, int]:
+        """Adjacencies seen in any leaf, each with the bitmask of the leaves,
+        in :meth:`leaves` order, that hold it; read-only, taken once."""
+        if self._candidates is None:
+            if not self.leaf_genomes:
+                raise InputError("cannot derive candidates: tree has no genomes attached")
+            held: dict[Adjacency, int] = {}
+            for i, leaf in enumerate(self.leaves()):
+                bit = 1 << i
+                for adjacency in self.leaf_genomes[leaf].adjacencies:
+                    held[adjacency] = held.get(adjacency, 0) | bit
+            object.__setattr__(self, "_candidates", MappingProxyType(held))
+        return self._candidates
+
     @property
     def markers(self) -> frozenset[int]:
         if not self.leaf_genomes:
@@ -563,6 +558,12 @@ class WeightTable:
         """Read-only view of one adjacency's entries, node id -> micro."""
         return MappingProxyType(self._rows.get(adjacency, _NO_ROW))
 
+    def row_identity(self, adjacency: Adjacency) -> int:
+        """The same number for adjacencies that share one stored row
+        object (every absent adjacency shares the empty row), fixed
+        while the table lives."""
+        return id(self._rows.get(adjacency, _NO_ROW))
+
     def total_micro(self, node_id: int) -> int:
         """Sum of the stored micro weights at one node."""
         return self._totals.get(node_id, 0)
@@ -613,7 +614,7 @@ def labeling_objective(
                 raise InputError(f"labeling misses internal node {tree.name_of(v)}") from None
             ok, offenders = check_consistency(label)
             if not ok:
-                listed = ", ".join(str(x) for x in offenders)
+                listed = ", ".join(map(fmt, offenders))
                 raise InputError(
                     f"label at {tree.name_of(v)} is inconsistent, reused extremities: {listed}"
                 )

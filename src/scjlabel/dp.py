@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import Adjacency, ObjectiveUnits, Phylogeny, WeightTable, objective_units
+from .core import Adjacency, ObjectiveUnits, Phylogeny, WeightTable, fmt, objective_units
 from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .graph import Component
 
@@ -416,7 +416,7 @@ def evaluate_component_labeling(
             unannotated = label and [a for a in label if v not in component.edges[a]]
             if unannotated:
                 raise InputError(
-                    f"label of {tree.name_of(v)} holds {min(unannotated)}, which"
+                    f"label of {tree.name_of(v)} holds {fmt(min(unannotated))}, which"
                     " the component does not annotate there"
                 )
             labels[v] = label

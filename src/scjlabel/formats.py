@@ -20,6 +20,7 @@ from .core import (
     check_consistency,
     chromosome_adjacencies,
     extract_cars,
+    fmt,
 )
 from .errors import InputError
 
@@ -255,11 +256,12 @@ def parse_genomes(path: str | Path) -> dict[str, Genome]:
                 f"{path}: genome {name} has different marker content than {order[0]}"
             )
     genomes: dict[str, Genome] = {}
+    shared: dict = {}  # every genome holds the same extremity and adjacency tuples
     for name in order:
         adjacencies: set[Adjacency] = set()
         for circular, markers in chromosomes[name]:
             try:
-                adjacencies.update(chromosome_adjacencies(markers, circular=circular))
+                adjacencies.update(chromosome_adjacencies(markers, circular, shared))
             except InputError as exc:
                 raise InputError(f"{path}: genome {name}: {exc}") from exc
         genomes[name] = Genome(
@@ -275,6 +277,7 @@ def parse_labeling(path: str | Path, tree: Phylogeny) -> dict[int, frozenset[Adj
     Nodes without rows get the empty label; unknown names are rejected.
     """
     per_node: dict[int, set[Adjacency]] = {v: set() for v in tree.internal_ids()}
+    shared: dict = {}
     for lineno, row in _iter_rows(path):
         name, circular, markers = _parse_marker_row(path, lineno, row)
         node_id = tree.id_of(name)
@@ -285,9 +288,7 @@ def parse_labeling(path: str | Path, tree: Phylogeny) -> dict[int, frozenset[Adj
             if abs(m) not in universe:
                 raise InputError(f"{path}:{lineno}: unknown marker {abs(m)}")
         try:
-            per_node[node_id].update(
-                chromosome_adjacencies(markers, circular=circular)
-            )
+            per_node[node_id].update(chromosome_adjacencies(markers, circular, shared))
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     for v, adjacencies in per_node.items():
@@ -295,7 +296,7 @@ def parse_labeling(path: str | Path, tree: Phylogeny) -> dict[int, frozenset[Adj
         if not ok:
             raise InputError(
                 f"{path}: rows for {tree.name_of(v)} reuse extremities: "
-                + ", ".join(str(x) for x in offenders)
+                + ", ".join(map(fmt, offenders))
             )
     return {v: frozenset(s) for v, s in per_node.items()}
 

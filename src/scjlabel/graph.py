@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction
+from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction, fmt
 from .errors import InputError
 
 
@@ -26,21 +26,15 @@ def threshold_cutoff(threshold_x: object) -> int:
     return -((-x.numerator * MICRO) // x.denominator)
 
 
-def candidate_adjacencies(tree: Phylogeny) -> dict[Adjacency, int]:
+def candidate_adjacencies(tree: Phylogeny) -> Mapping[Adjacency, int]:
     """The candidates every internal node shares: adjacencies seen in any leaf.
 
     Each maps to the bitmask of the leaves, in ``tree.leaves()`` order,
-    that hold it.  Ancestral labels never invent adjacencies absent from
-    all extant genomes.
+    that hold it; the tree computes the map once and keeps it (see
+    :meth:`Phylogeny.candidates`).  Ancestral labels never invent
+    adjacencies absent from all extant genomes.
     """
-    if not tree.leaf_genomes:
-        raise InputError("cannot derive candidates: tree has no genomes attached")
-    held: dict[Adjacency, int] = {}
-    for i, leaf in enumerate(tree.leaves()):
-        bit = 1 << i
-        for adjacency in tree.leaf_genomes[leaf].adjacencies:
-            held[adjacency] = held.get(adjacency, 0) | bit
-    return held
+    return tree.candidates()
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +51,7 @@ class GlobalAdjacencyGraph:
         object.__setattr__(self, "edges", dict(self.edges))
         for adjacency, nodes in self.edges.items():
             if not nodes:
-                raise InputError(f"edge {adjacency} has an empty annotation set")
+                raise InputError(f"edge {fmt(adjacency)} has an empty annotation set")
 
 
 def build_global_graph(
@@ -71,20 +65,26 @@ def build_global_graph(
     The comparison is non-strict (``w >= x``), so the default ``x = 0``
     keeps every candidate at every node, including zero-weight ones.
     Candidates below the threshold everywhere are dropped entirely.
-    Candidates with equal weight rows share one annotation set.
+    Candidates with equal weight rows share one annotation set: a row
+    object is looked up by identity first, and by its entries only once.
     """
     cutoff = threshold_cutoff(threshold_x)
     internal = tree.internal_ids()
-    annotation_of: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
+    by_identity: dict[int, frozenset[int]] = {}
+    by_entries: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
     edges: dict[Adjacency, frozenset[int]] = {}
     for adjacency in candidates:
-        row = weights.row(adjacency)
-        key = tuple(row.items())
-        annotated = annotation_of.get(key)
+        identity = weights.row_identity(adjacency)
+        annotated = by_identity.get(identity)
         if annotated is None:
-            annotated = annotation_of[key] = frozenset(
-                v for v in internal if row.get(v, 0) >= cutoff
-            )
+            row = weights.row(adjacency)
+            key = tuple(row.items())
+            annotated = by_entries.get(key)
+            if annotated is None:
+                annotated = by_entries[key] = frozenset(
+                    v for v in internal if row.get(v, 0) >= cutoff
+                )
+            by_identity[identity] = annotated
         if annotated:
             edges[adjacency] = annotated
     return GlobalAdjacencyGraph(edges)

@@ -34,6 +34,7 @@ from .core import (
     Phylogeny,
     WeightTable,
     check_consistency,
+    fmt,
     objective_units,
 )
 from .errors import CapacityExceeded, InputError, InternalInvariantError
@@ -494,7 +495,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         ok, reused = check_consistency(label)
         if not ok:
             raise InternalInvariantError(
-                f"search result reuses {', '.join(map(str, reused))} at node "
+                f"search result reuses {', '.join(map(fmt, reused))} at node "
                 f"{tree.name_of(v)}"
             )
     scj, discarded = evaluate_component_labeling(

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .core import (
@@ -31,6 +32,7 @@ from .core import (
     WeightTable,
     as_alpha,
     exact_fraction,
+    fmt,
     labeling_objective,
     objective_units,
 )
@@ -141,7 +143,7 @@ def _solve_one(
     weights: WeightTable,
     config: RunConfig,
     index: int,
-    candidates: dict[Adjacency, int],
+    candidates: Mapping[Adjacency, int],
     solved: dict[tuple, tuple[ComponentSolution, DpTable | None]],
 ) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
     """Route, solution, samples and wall-clock seconds of one component.
@@ -475,7 +477,7 @@ def _write_frequency(path: Path, report: SolveReport, tree: Phylogeny) -> None:
     for v in tree.internal_ids():
         for a, fraction in sorted(by_node.get(v, ())):
             x, y = a
-            lines.append(f"{tree.name_of(v)}\t{x}\t{y}\t{_fmt(fraction)}")
+            lines.append(f"{tree.name_of(v)}\t{fmt(x)}\t{fmt(y)}\t{_fmt(fraction)}")
     write_lines(path, lines)
 
 

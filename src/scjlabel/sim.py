@@ -339,8 +339,9 @@ def evolve(config: SimConfig) -> SimResult:
     markers = frozenset(range(1, config.n_markers + 1))
     leaf_genomes: dict[str, Genome] = {}
     truth: dict[int, frozenset[Adjacency]] = {}
+    shared: dict = {}  # one tuple per extremity and per adjacency, for every node
     for v in tree.preorder():
-        adjacencies = _genome_adjacencies(genomes[v])
+        adjacencies = _genome_adjacencies(genomes[v], shared)
         if tree.is_leaf(v):
             leaf_genomes[tree.name_of(v)] = Genome(
                 adjacencies=adjacencies, markers=markers
@@ -355,10 +356,10 @@ def evolve(config: SimConfig) -> SimResult:
     )
 
 
-def _genome_adjacencies(genome: MultiChromosome) -> frozenset[Adjacency]:
+def _genome_adjacencies(genome: MultiChromosome, shared: dict) -> frozenset[Adjacency]:
     adjacencies: set[Adjacency] = set()
     for chromosome in genome:
-        adjacencies.update(chromosome_adjacencies(chromosome))
+        adjacencies.update(chromosome_adjacencies(chromosome, shared=shared))
     return frozenset(adjacencies)
 
 

@@ -18,6 +18,7 @@ from .core import (
     Extremity,
     Phylogeny,
     WeightTable,
+    fmt,
     quantize_weight,
 )
 from .errors import InputError
@@ -160,6 +161,7 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
     node_of: dict[str, int] = {}
     row_of: dict[tuple[str, str], dict[int, int]] = {}
     micro_of: dict[str, int] = {}
+    shared: dict[Extremity, Extremity] = {}  # one tuple per extremity
     path = Path(path)
     for lineno, line in _numbered_lines(path):
         stripped = line.lstrip()
@@ -179,11 +181,12 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
             if row is None:
                 a = Extremity.parse(ext_a)
                 b = Extremity.parse(ext_b)
-                for x in (a, b):
-                    if x.marker not in universe:
-                        raise InputError(f"unknown marker {x.marker}")
+                for m, _ in (a, b):
+                    if m not in universe:
+                        raise InputError(f"unknown marker {m}")
+                adjacency = Adjacency(shared.setdefault(a, a), shared.setdefault(b, b))
                 # Both orientations of a pair share the adjacency's one row.
-                row = row_of[ext_a, ext_b] = rows.setdefault(Adjacency(a, b), {})
+                row = row_of[ext_a, ext_b] = rows.setdefault(adjacency, {})
             micro = micro_of.get(weight_text)
             if micro is None:
                 try:
@@ -192,7 +195,7 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
                     raise InputError(f"bad weight {weight_text.strip()!r}") from None
             if node in row:
                 adjacency = Adjacency.of(ext_a, ext_b)
-                raise InputError(f"duplicate weight for {name.strip()} {adjacency}")
+                raise InputError(f"duplicate weight for {name.strip()} {fmt(adjacency)}")
             if micro is None:
                 micro = micro_of[weight_text] = quantize_weight(weight)
         except InputError as exc:
@@ -213,15 +216,5 @@ def _numbered_lines(path: Path):
 def write_weight_table(path: str | Path, tree: Phylogeny, table: WeightTable) -> None:
     """Write a weight TSV with one row per stored entry, sorted."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for node, adjacency, micro in table.micro_items():
-            handle.write(
-                "\t".join(
-                    (
-                        tree.name_of(node),
-                        str(adjacency.first),
-                        str(adjacency.second),
-                        f"{micro / MICRO:.6f}",
-                    )
-                )
-                + "\n"
-            )
+        for node, (x, y), micro in table.micro_items():
+            handle.write(f"{tree.name_of(node)}\t{fmt(x)}\t{fmt(y)}\t{micro / MICRO:.6f}\n")

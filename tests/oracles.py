@@ -30,6 +30,7 @@ from scjlabel.core import (
     check_consistency,
     chromosome_adjacencies,
     exact_fraction,
+    fmt,
 )
 from scjlabel.dp import evaluate_component_labeling
 from scjlabel.errors import InputError, InternalInvariantError
@@ -353,7 +354,7 @@ def fitch_scj(tree: Phylogeny, adjacency: Adjacency) -> FitchHistory:
     best = min(root_cost)
     if changes != best:
         raise InternalInvariantError(
-            f"fitch history for {adjacency} has {changes} changes, expected {best}"
+            f"fitch history for {fmt(adjacency)} has {changes} changes, expected {best}"
         )
     return FitchHistory(presence, changes)
 
@@ -377,7 +378,7 @@ def fitch_scj_labeling(tree: Phylogeny) -> tuple[dict[int, frozenset[Adjacency]]
     for v, label in labeling.items():
         ok, offenders = check_consistency(label)
         if not ok:
-            listed = ", ".join(str(x) for x in offenders)
+            listed = ", ".join(map(fmt, offenders))
             raise InternalInvariantError(
                 f"fitch labeling conflicts at {tree.name_of(v)}: {listed}"
             )
@@ -442,7 +443,7 @@ def _dcj_neighbors(state: frozenset[Adjacency], markers) -> list[frozenset[Adjac
     def join(x: Extremity, y: Extremity) -> Adjacency | None:
         # the genome model has no single-marker circles, so pairing the
         # two ends of one marker is not a reachable state
-        if x.marker == y.marker:
+        if x[0] == y[0]:
             return None
         return Adjacency(x, y)
 
@@ -529,7 +530,7 @@ def reference_car_markers(kind: str, seq: tuple[int, ...]) -> tuple[int, ...]:
 
 def reference_extract_cars(adjacencies, markers) -> list[tuple[str, tuple[int, ...]]]:
     """CARs of a consistent adjacency set as sorted (kind, canonical
-    markers) pairs, walking :class:`Extremity` objects step by step."""
+    markers) pairs, walking ``(marker, end)`` extremities step by step."""
     link: dict[Extremity, Extremity] = {}
     for a, b in adjacencies:
         assert a not in link and b not in link, "oracle guard: inconsistent set"
@@ -540,8 +541,9 @@ def reference_extract_cars(adjacencies, markers) -> list[tuple[str, tuple[int, .
         seq: list[int] = []
         entry = start
         while True:
-            seq.append(entry.marker if entry.end == 0 else -entry.marker)
-            nxt = link.get(Extremity(entry.marker, 1 - entry.end))
+            marker, end = entry
+            seq.append(marker if end == 0 else -marker)
+            nxt = link.get(Extremity(marker, 1 - end))
             if nxt is None or nxt == start:
                 return seq
             entry = nxt

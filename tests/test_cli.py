@@ -73,8 +73,10 @@ class TestImports:
 
 def global_state_calls(source: str) -> list[str]:
     """Calls in ``source`` that change interpreter-wide state: any
-    ``sys.set*`` and any function of the shared ``random`` generator
-    (a ``random.Random(seed)`` instance is local, so it is allowed)."""
+    ``sys.set*``, the collector switches ``gc.disable``, ``gc.freeze``
+    and ``gc.set_threshold``, and any function of the shared ``random``
+    generator (a ``random.Random(seed)`` instance is local, so it is
+    allowed)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -88,8 +90,10 @@ def global_state_calls(source: str) -> list[str]:
         else:
             continue
         for module, name in names:
-            if (module == "sys" and name.startswith("set")) or (
-                module == "random" and name != "Random"
+            if (
+                (module == "sys" and name.startswith("set"))
+                or (module == "gc" and name in ("disable", "freeze", "set_threshold"))
+                or (module == "random" and name != "Random")
             ):
                 found.append(f"line {node.lineno}: {module}.{name}")
     return found
@@ -110,19 +114,26 @@ class TestInterpreterState:
 
     def test_the_check_sees_each_kind_of_call(self):
         source = (
-            "import random, sys\n"
+            "import gc, random, sys\n"
             "from random import shuffle\n"
             "sys.setrecursionlimit(10**5)\n"
             "def f(xs):\n"
             "    random.seed(1)\n"
             "    rng = random.Random(2)\n"
             "    rng.shuffle(xs)\n"
-            "    return sys.getrecursionlimit()\n"
+            "    gc.disable()\n"
+            "    gc.freeze()\n"
+            "    gc.set_threshold(10**6)\n"
+            "    gc.collect()\n"
+            "    return sys.getrecursionlimit(), gc.isenabled()\n"
         )
         assert global_state_calls(source) == [
             "line 2: random.shuffle",
             "line 3: sys.setrecursionlimit",
             "line 5: random.seed",
+            "line 8: gc.disable",
+            "line 9: gc.freeze",
+            "line 10: gc.set_threshold",
         ]
 
 

@@ -29,6 +29,7 @@ from scjlabel.core import (
     dcj_distance,
     exact_fraction,
     extract_cars,
+    fmt,
     labeling_objective,
     objective_units,
     quantize_weight,
@@ -95,6 +96,18 @@ class TestExactNumbers:
         # round half up: 0.0000005 sits exactly between 0 and 1 micro
         assert quantize_weight(Fraction(5, 10**7)) == 1
 
+    def test_quantize_float_path_matches_the_exact_fraction_path(self):
+        # A float in [0, 1] is rounded by Decimal; the grid point must equal
+        # round-half-up of the exact fraction its shortest form reads as.
+        rng = random.Random(59)
+        floats = [rng.random() for _ in range(200_000)]
+        floats += [(k + 0.5) / MICRO for k in range(0, MICRO, 7)]  # half-micro ties
+        floats += [5e-324, 1 - 2**-53, 0.0, 1.0]
+        for x in floats:
+            f = exact_fraction(x)
+            expected = (2 * f.numerator * MICRO + f.denominator) // (2 * f.denominator)
+            assert quantize_weight(x) == expected, x
+
     def test_quantize_rejects_out_of_range(self):
         with pytest.raises(InputError):
             quantize_weight("1.0000001")
@@ -121,7 +134,9 @@ class TestExactNumbers:
 class TestExtremity:
     def test_parse_round_trips(self):
         for text in ("1t", "1h", "12h", "307t"):
-            assert str(Extremity.parse(text)) == text
+            assert fmt(Extremity.parse(text)) == text
+        for x in (Extremity(1, TAIL), Extremity(1, HEAD), Extremity(307, TAIL)):
+            assert Extremity.parse(fmt(x)) == x
 
     def test_tail_orders_before_head(self):
         assert Extremity(3, TAIL) < Extremity(3, HEAD)
@@ -143,8 +158,8 @@ class TestExtremity:
 class TestAdjacency:
     def test_constructor_normalizes_order(self):
         a = Adjacency(Extremity(2, HEAD), Extremity(1, TAIL))
-        assert a.first == Extremity(1, TAIL)
-        assert a.second == Extremity(2, HEAD)
+        assert a[0] == Extremity(1, TAIL)
+        assert a[1] == Extremity(2, HEAD)
         assert Adjacency.of("2h", "1t") == Adjacency.of("1t", "2h")
 
     def test_same_marker_is_rejected(self):
@@ -158,7 +173,7 @@ class TestAdjacency:
 
     def test_is_a_plain_tuple(self):
         adj = Adjacency.of("2h", "1t")
-        assert isinstance(adj, tuple)
+        assert type(adj) is tuple
         assert adj == ((1, 0), (2, 1))
         assert hash(adj) == hash(((1, 0), (2, 1)))
         a, b = adj
@@ -166,8 +181,8 @@ class TestAdjacency:
         adjs = [Adjacency.of("3t", "4h"), Adjacency.of("1h", "5t"), Adjacency.of("1h", "2t")]
         assert sorted(adjs) == sorted(tuple(tuple(x) for x in a) for a in adjs)
         back = pickle.loads(pickle.dumps(adj))
-        assert back == adj and type(back) is Adjacency
-        assert type(back.first) is Extremity
+        assert back == adj and type(back) is tuple
+        assert type(back[0]) is tuple
         with pytest.raises(InputError):
             Adjacency(Extremity(3, HEAD), Extremity(3, TAIL))
 
@@ -207,6 +222,18 @@ class TestGenome:
         bad = {Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")}
         with pytest.raises(InputError):
             Genome(frozenset(bad), frozenset({1, 2, 3}))
+
+    def test_messages_name_extremities_in_the_compact_form(self):
+        bad = frozenset({Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")})
+        with pytest.raises(InputError, match="^inconsistent adjacency set, reused extremities: 1h$"):
+            Genome(bad, frozenset({1, 2, 3}))
+        with pytest.raises(InputError, match="^cannot extract CARs, reused extremities: 1h$"):
+            extract_cars(bad, {1, 2, 3})
+        outside = frozenset({Adjacency.of("1h", "5t")})
+        with pytest.raises(InputError, match="^adjacency 1h-5t uses marker 5 outside the universe$"):
+            Genome(outside, frozenset({1, 2}))
+        with pytest.raises(InputError, match="^adjacency 1h-5t uses marker 5 outside the universe$"):
+            extract_cars(outside, {1, 2})
 
     def test_empty_genome(self):
         g = Genome(frozenset(), frozenset({1, 2, 3}))
@@ -256,8 +283,19 @@ class TestChromosomeAdjacencies:
         }
         assert chromosome_adjacencies((), circular=True) == frozenset()
         (adjacency,) = chromosome_adjacencies((2, 1))
-        assert str(adjacency) == "1t-2h"
-        assert adjacency.first.marker == 1
+        assert fmt(adjacency) == "1t-2h"
+        assert adjacency[0][0] == 1
+
+    def test_a_shared_dict_gives_one_tuple_per_extremity_and_adjacency(self):
+        shared: dict = {}
+        (a,) = chromosome_adjacencies((1, 2), shared=shared)
+        (b,) = chromosome_adjacencies((-2, -1), shared=shared)
+        c, d = sorted(chromosome_adjacencies((3, -1, 4), shared=shared))
+        assert a is b and a == Adjacency.of("1h", "2t")
+        assert type(a) is tuple and type(a[0]) is tuple
+        assert c == Adjacency.of("1t", "4t") and c[0] is shared[1][0]
+        assert d == Adjacency.of("1h", "3h") and d[0] is a[0]
+        assert chromosome_adjacencies((1, 2)) == {a}
 
     @pytest.mark.parametrize("markers, circular", [
         ((1, 0), False), ((1, 2.0), False), ((1, 1), False), ((2, -2), False), ((1,), True),
@@ -428,7 +466,7 @@ class TestLabelingObjective:
             tree = random_instance(rng, n_leaves=rng.randint(2, 5), n_markers=rng.randint(2, 6))
             ends = [Extremity(m, e) for m in sorted(tree.markers) for e in (0, 1)]
             pool = sorted(
-                {Adjacency(x, y) for x in ends for y in ends if x.marker != y.marker}
+                {Adjacency(x, y) for x in ends for y in ends if x[0] != y[0]}
             )[: rng.randint(1, 12)]
             rows, entries = {}, {}
             for _ in range(rng.randint(0, 40)):
@@ -492,6 +530,15 @@ class TestWeightTable:
         assert len(table) == 1 and dict(table.row(b)) == {}
         assert table.get_micro(0, b) == 0 and table.total_micro(1) == 0
         assert len(WeightTable()) == 0 and WeightTable().micro_items() == []
+
+    def test_row_identity_follows_the_stored_row_object(self):
+        a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")
+        shared = {1: 7}
+        table = WeightTable({a: shared, b: shared, c: {1: 7}})
+        assert table.row_identity(a) == table.row_identity(b) != table.row_identity(c)
+        absent = Adjacency.of("5h", "6t")
+        assert table.row_identity(absent) == table.row_identity(Adjacency.of("6h", "7t"))
+        assert table.row_identity(absent) not in {table.row_identity(a), table.row_identity(c)}
 
     def test_a_shared_row_counts_once_per_adjacency(self):
         a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")

@@ -22,6 +22,7 @@ from scjlabel.core import (
     Genome,
     WeightTable,
     chromosome_adjacencies,
+    fmt,
     objective_units,
 )
 from scjlabel.dp import (
@@ -606,12 +607,12 @@ class TestEvaluateLabeling:
         graph = build_global_graph(tree, candidate_adjacencies(tree), weights, "0.5")
         (component,) = union_components(graph)
         assert component.edges == {a: frozenset({anc1}), b: frozenset({anc2})}
-        with pytest.raises(InputError, match=f"anc1 holds {b}"):
+        with pytest.raises(InputError, match=f"anc1 holds {fmt(b)}"):
             evaluate_component_labeling(
                 component, tree, weights,
                 {anc1: frozenset({a, b}), anc2: frozenset({a})},
             )
-        with pytest.raises(InputError, match=f"anc2 holds {a}"):
+        with pytest.raises(InputError, match=f"anc2 holds {fmt(a)}"):
             evaluate_component_labeling(
                 component, tree, weights,
                 {anc1: frozenset({a}), anc2: frozenset({a})},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -152,6 +153,26 @@ class TestParseGenomes:
         genomes = parse_genomes(path)
         assert set(genomes) == {"a", "b"}
         assert genomes["a"].markers == genomes["b"].markers
+
+    def test_genomes_share_untracked_tuples(self, tmp_path):
+        # The tuples are exact, so the collector stops tracking them, and
+        # an adjacency held by two genomes is one object.
+        path = write_text(tmp_path / "g.tsv", "a\tL\t1 2 3", "b\tL\t3 1 2", "c\tC\t-2 -1 3")
+        genomes = parse_genomes(path)
+        (a12,) = [x for x in genomes["a"].adjacencies if x == Adjacency.of("1h", "2t")]
+        (b12,) = [x for x in genomes["b"].adjacencies if x == a12]
+        (c12,) = [x for x in genomes["c"].adjacencies if x == a12]
+        assert a12 is b12 is c12
+        # A pass untracks a tuple only if its items already are, and it may
+        # reach an adjacency before its extremities: the second pass ends it.
+        gc.collect()
+        gc.collect()
+        held = [adj for g in genomes.values() for adj in g.adjacencies]
+        assert len(held) == 7
+        for adjacency in held:
+            assert type(adjacency) is tuple and not gc.is_tracked(adjacency)
+            for x in adjacency:
+                assert type(x) is tuple and not gc.is_tracked(x)
 
     def test_marker_content_must_match(self, tmp_path):
         path = write_text(tmp_path / "g.tsv", "a\tL\t1 2", "b\tL\t1 3")

@@ -12,6 +12,7 @@ from scjlabel.core import (
     Genome,
     WeightTable,
     chromosome_adjacencies,
+    fmt,
 )
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
@@ -100,6 +101,17 @@ class TestCandidates:
         internal = frozenset(tree.internal_ids())
         assert all(nodes == internal for nodes in graph.edges.values())
 
+    def test_the_tree_keeps_one_read_only_map(self):
+        tree = random_instance(random.Random(2), n_leaves=4, n_markers=5)
+        candidates = candidate_adjacencies(tree)
+        assert candidate_adjacencies(tree) is candidates
+        with pytest.raises(TypeError):
+            candidates[Adjacency.of("1h", "2t")] = 1
+        by_name = {tree.name_of(v): tree.leaf_genomes[v] for v in tree.leaves()}
+        again = tree.with_genomes(by_name)
+        assert candidate_adjacencies(again) is not candidates
+        assert candidate_adjacencies(again) == candidates
+
     def test_genomes_are_required(self):
         tree = parse_newick("(s1,s2)anc1;")
         with pytest.raises(InputError):
@@ -153,6 +165,18 @@ class TestGlobalGraph:
         )
         assert graph.edges[a] == frozenset({anc2})
 
+    def test_equal_rows_share_one_annotation_set(self):
+        # One row object shared by two candidates, and an equal row held
+        # separately (as a weight file gives), all map to one set.
+        tree = two_leaf_instance()
+        anc1 = tree.id_of("anc1")
+        a, b, c, d = sorted(candidate_adjacencies(tree))
+        shared = {anc1: 700_000}
+        weights = WeightTable({a: shared, b: shared, c: {anc1: 700_000}, d: {anc1: 100_000}})
+        graph = build_global_graph(tree, candidate_adjacencies(tree), weights, "0.5")
+        assert graph.edges[a] is graph.edges[b] is graph.edges[c]
+        assert graph.edges[a] == frozenset({anc1}) and d not in graph.edges
+
     def test_empty_annotation_sets_are_rejected(self):
         with pytest.raises(InputError):
             GlobalAdjacencyGraph({Adjacency.of("1h", "2t"): frozenset()})
@@ -169,7 +193,7 @@ class TestComponents:
             tree, candidate_adjacencies(tree), WeightTable(), 0
         )
         components = connected_components(graph)
-        assert [sorted(str(a) for a in c.edges) for c in components] == [
+        assert [sorted(map(fmt, c.edges)) for c in components] == [
             ["1h-2t", "1h-3t"],
             ["2h-4t", "3h-4t"],
         ]

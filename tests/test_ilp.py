@@ -148,7 +148,7 @@ class TestBuildModel:
         group = model.packing_groups[0]
         shared = set(model.variables[group[0]].adjacency)
         shared &= set(model.variables[group[1]].adjacency)
-        assert shared == {Adjacency.of("1h", "2t").first}
+        assert shared == {Adjacency.of("1h", "2t")[0]}
 
 
 class TestEvaluate:

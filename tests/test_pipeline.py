@@ -24,6 +24,7 @@ from scjlabel.core import (
     WeightTable,
     chromosome_adjacencies,
     extract_cars,
+    fmt,
     labeling_objective,
 )
 from scjlabel.dp import sample_component, solve_component
@@ -598,7 +599,7 @@ class TestSharedRendering:
         for v in internal:
             for a in sorted(a for node, a in tally if node == v):
                 x, y = a
-                want.append(f"{tree.name_of(v)}\t{x}\t{y}\t{tally[(v, a)] / n:.6f}")
+                want.append(f"{tree.name_of(v)}\t{fmt(x)}\t{fmt(y)}\t{tally[(v, a)] / n:.6f}")
         assert (out / "frequency.tsv").read_text(encoding="utf-8").splitlines() == want
 
         stats = (out / "stats.tsv").read_text(encoding="utf-8").splitlines()

@@ -170,6 +170,18 @@ class TestEvolve:
         assert result.total_events == sum(result.events_per_edge.values())
         assert result.total_events > 0
 
+    def test_nodes_share_one_tuple_per_adjacency(self):
+        result = evolve(SMALL)
+        seen = {}
+        labels = [result.tree.leaf_genomes[v].adjacencies for v in result.tree.leaves()]
+        for label in labels:
+            for adjacency in label:
+                assert seen.setdefault(adjacency, adjacency) is adjacency
+        assert len(seen) < sum(map(len, labels))  # some adjacency is in two leaves
+        for label in result.truth.values():
+            for adjacency in label:
+                assert seen.setdefault(adjacency, adjacency) is adjacency
+
     def test_truth_covers_exactly_the_internal_nodes(self):
         result = evolve(SMALL)
         assert set(result.truth) == set(result.tree.internal_ids())

@@ -21,6 +21,7 @@ from scjlabel.core import (
     Genome,
     WeightTable,
     chromosome_adjacencies,
+    fmt,
     labeling_objective,
     quantize_weight,
 )
@@ -335,6 +336,24 @@ class TestWeightFiles:
         write_weight_table(path, tree, table)
         back = load_weight_table(path, tree)
         assert back.micro_items() == table.micro_items()
+
+    def test_loaded_adjacencies_share_their_extremities(self, tmp_path):
+        markers = {1, 2, 3}
+        tree = parse_newick("((s1,s2)anc2,s3)anc1;").with_genomes({
+            "s1": genome_of(markers, (1, 2, 3)),
+            "s2": genome_of(markers, (2, 1, 3)),
+            "s3": genome_of(markers, (1,), (2, 3)),
+        })
+        path = tmp_path / "weights.tsv"
+        path.write_text("anc1\t1h\t2t\t0.5\nanc2\t3t\t1h\t0.25\nanc2\t2t\t1h\t0.5\n")
+        items = load_weight_table(path, tree).micro_items()
+        (_, a, _), (_, _, _), (_, c, _) = items
+        assert [(v, fmt(x), w) for v, x, w in items] == [
+            (tree.id_of("anc1"), "1h-2t", 500_000),
+            (tree.id_of("anc2"), "1h-2t", 500_000),
+            (tree.id_of("anc2"), "1h-3t", 250_000),
+        ]
+        assert type(a) is tuple and a[0] is c[0]
 
     def test_errors_carry_line_numbers(self, tmp_path):
         tree = quartet_instance({"s1"})
