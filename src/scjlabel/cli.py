@@ -139,7 +139,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"(scj {report.scj_total}, discarded weight {float(report.discarded_weight):.6f})"
     )
     print(
-        f"{len(report.components)} components, "
+        f"{len(report.component_solvers)} components, "
         f"co-optimal labelings: {co if co is not None else 'not counted (ilp route)'}"
     )
     if report.samples:

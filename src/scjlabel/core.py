@@ -618,10 +618,11 @@ def labeling_objective(
                 raise InputError(
                     f"label at {tree.name_of(v)} is inconsistent, reused extremities: {listed}"
                 )
-            labels[v] = label
+            # ``^`` below takes sets; a label of another kind is frozen once.
+            labels[v] = label if isinstance(label, (set, frozenset)) else frozenset(label)
     scj = 0
     for u, v in tree.edges():
-        scj += len(set(labels[u]) ^ set(labels[v]))
+        scj += len(labels[u] ^ labels[v])
     # Discarded weight is the internal nodes' total less what their labels keep.
     internal = [v for v in labels if not tree.is_leaf(v)]
     kept = sum(weights.get_micro(v, a) for v in internal for a in labels[v])

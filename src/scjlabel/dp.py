@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .core import Adjacency, ObjectiveUnits, Phylogeny, WeightTable, fmt, objective_units
@@ -68,6 +69,11 @@ class DpTable:
     @property
     def optimum_scaled(self) -> int:
         return min(self.cost[self.tree.root])
+
+    @cached_property
+    def present_label(self) -> frozenset[Adjacency]:
+        """The label that holds every edge; made once per table."""
+        return frozenset(self.edge_order)
 
 
 def _conflict_masks(edges: Sequence[Adjacency]) -> list[int]:
@@ -250,8 +256,6 @@ def presence_signature(
 
 
 def _mask_to_set(mask: int, edges: Sequence[Adjacency]) -> frozenset[Adjacency]:
-    if not mask:
-        return _EMPTY  # the label of most nodes
     return frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
 
 
@@ -306,7 +310,15 @@ def _finish_solution(
 ) -> ComponentSolution:
     tree = table.tree
     edges = table.edge_order
-    node_labels = {v: _mask_to_set(chosen_mask[v], edges) for v in tree.internal_ids()}
+    if len(edges) == 1:
+        held = (_EMPTY, table.present_label)  # by mask
+        node_labels = {v: held[chosen_mask[v]] for v in tree.internal_ids()}
+    else:
+        # The empty label, that of most nodes, is shared.
+        node_labels = {
+            v: _mask_to_set(mask, edges) if (mask := chosen_mask[v]) else _EMPTY
+            for v in tree.internal_ids()
+        }
     scj, discarded = evaluate_component_labeling(
         table.component, tree, table.weights, node_labels
     )

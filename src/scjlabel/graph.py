@@ -98,6 +98,8 @@ class Component:
     from the edges once, at construction.  The bound is the product of
     (1 + degree) over the extremities: no node can have more joint
     labels, since each extremity picks one incident edge or nothing.
+    A one-edge mapping is kept as given: its two extremities have degree
+    1, so its counts are 2, 1 and 4.
     """
 
     edges: Mapping[Adjacency, frozenset[int]]
@@ -106,6 +108,11 @@ class Component:
     label_space_bound: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if len(self.edges) == 1:
+            object.__setattr__(self, "n_extremities", 2)
+            object.__setattr__(self, "max_degree", 1)
+            object.__setattr__(self, "label_space_bound", 4)
+            return
         edges = dict(self.edges)
         if not edges:
             raise InputError("a component needs at least one edge")
@@ -163,5 +170,6 @@ def connected_components(graph: GlobalAdjacencyGraph) -> list[Component]:
     # so the components come out ordered by it.
     members: dict[Adjacency, dict[Adjacency, frozenset[int]]] = {}
     for adjacency in sorted(edges):
-        members.setdefault(find(adjacency), {})[adjacency] = edges[adjacency]
+        root = find(adjacency) if adjacency in parent else adjacency
+        members.setdefault(root, {})[adjacency] = edges[adjacency]
     return [Component(part) for part in members.values()]

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable
 
 from . import __version__
 from .core import (
@@ -39,7 +39,6 @@ from .core import (
 from .dp import (
     DEFAULT_EXPLOSION_CAP,
     ComponentSolution,
-    DpTable,
     presence_signature,
     sample_component,
     solve_component,
@@ -92,9 +91,16 @@ class RunConfig:
 
 @dataclass(frozen=True, slots=True)
 class ComponentReport:
-    """What the solver did with one component."""
+    """What the solver did in one solve.
 
-    index: int
+    ``indices`` are the components the solve stands for, by their rank
+    in :func:`graph.connected_components`: the one component solved, or
+    every one-adjacency component of a signature class on the DP route
+    (see :func:`solve_instance`).  The other fields are those of one of
+    them, and each of the others has the same.
+    """
+
+    indices: tuple[int, ...]
     n_edges: int
     n_extremities: int
     max_degree: int
@@ -136,50 +142,56 @@ class SolveReport:
     def discarded_weight(self) -> Fraction:
         return Fraction(self.discarded_micro, MICRO)
 
+    @property
+    def component_solvers(self) -> list[str]:
+        """The route of every component, by index."""
+        solvers = [""] * sum(len(c.indices) for c in self.components)
+        for c in self.components:
+            for i in c.indices:
+                solvers[i] = c.solver
+        return solvers
+
+
+def _on_dp_route(component: Component, config: RunConfig) -> bool:
+    bound = component.label_space_bound
+    return bound * bound <= config.explosion_cap
+
 
 def _solve_one(
     component: Component,
+    members: list[int],
     tree: Phylogeny,
     weights: WeightTable,
     config: RunConfig,
-    index: int,
-    candidates: Mapping[Adjacency, int],
-    solved: dict[tuple, tuple[ComponentSolution, DpTable | None]],
-) -> tuple[str, ComponentSolution, list[ComponentSolution], float]:
-    """Route, solution, samples and wall-clock seconds of one component.
+) -> tuple[str, ComponentSolution, list[list[ComponentSolution]], float]:
+    """Route, solution, samples per member and wall-clock seconds of one solve.
 
-    On the DP route a one-adjacency component with the signature of one
-    solved before gets that component's solution and table from
-    ``solved``, whose labels name the other adjacency; :func:`_assemble`
-    puts its own in their place.  So the table and the solution's
-    re-check are made once per signature.  Those tables are kept only
-    when the run samples.
+    ``members`` are the indices of the components that ``component``
+    stands for: itself, or its whole signature class.  Each member draws
+    its samples from the class table with its own seed stream, so it
+    gets the labelings its own table would give, under the class's
+    adjacency.
     """
-    bound = component.label_space_bound
     started = time.perf_counter()
-    if bound * bound <= config.explosion_cap:
-        key = None
-        if len(component.edges) == 1:
-            ((adjacency, nodes),) = component.edges.items()
-            key = presence_signature(candidates[adjacency], nodes, weights.row(adjacency))
-        if key in solved:
-            solution, table = solved[key]
-        else:
-            solution, table = solve_component(
-                component, tree, weights, config.alpha,
-                explosion_cap=config.explosion_cap,
-            )
-            if key is not None:
-                solved[key] = (solution, table if config.n_samples > 0 else None)
+    if _on_dp_route(component, config):
+        solution, table = solve_component(
+            component, tree, weights, config.alpha,
+            explosion_cap=config.explosion_cap,
+        )
         samples = []
         if config.n_samples > 0:
-            samples = sample_component(
-                table, config.n_samples, derive_seed(config.seed, "component", index)
-            )
+            samples = [
+                sample_component(
+                    table, config.n_samples, derive_seed(config.seed, "component", i)
+                )
+                for i in members
+            ]
         return "dp", solution, samples, time.perf_counter() - started
+    (index,) = members
     if config.n_samples > 0:
         raise CapacityExceeded(
-            f"component {index} needs the ilp route (label bound {bound}),"
+            f"component {index} needs the ilp route"
+            f" (label bound {component.label_space_bound}),"
             " which cannot sample; raise --cap or drop --samples"
         )
     try:
@@ -191,47 +203,80 @@ def _solve_one(
 
 def _assemble(
     internal: list[int],
-    components: list[Component],
-    solutions: list[ComponentSolution],
+    parts: Iterable[tuple[tuple[Adjacency, ...] | None, ComponentSolution]],
 ) -> Labeling:
-    """Union of the component labels at every internal node.
+    """Union of the part labels at every internal node.
 
-    A one-adjacency component's solution may come from another component
-    with its signature (see :func:`_solve_one`), so its own adjacency
-    goes wherever that solution holds one.
+    A part is ``(names, solution)``.  With ``names`` None the solution's
+    own labels go in.  Otherwise ``names`` are the adjacencies of a
+    signature class, and all of them go wherever the class solution
+    holds its one adjacency.
     """
     labels: dict[int, set[Adjacency]] = {v: set() for v in internal}
-    for component, solution in zip(components, solutions):
-        edges = component.edges
-        if len(edges) == 1:
-            (adjacency,) = edges
-            for v, label in solution.node_labels.items():
-                if label:
-                    labels[v].add(adjacency)
-        else:
-            for v, label in solution.node_labels.items():
-                labels[v].update(label)
+    for names, solution in parts:
+        for v, label in solution.node_labels.items():
+            if label:
+                labels[v].update(label if names is None else names)
     return {v: frozenset(label) for v, label in labels.items()}
 
 
 def solve_instance(
     tree: Phylogeny, weights: WeightTable, config: RunConfig
 ) -> SolveReport:
-    """Solve one labeled instance end to end (no file output)."""
+    """Solve one labeled instance end to end (no file output).
+
+    A one-adjacency component's DP table depends only on its presence
+    signature (see :func:`dp.presence_signature`), so the components
+    on the DP route that hold one adjacency are grouped by signature in
+    one ordered pass, and each class is solved once, through its first
+    member.  Its objective, discarded and annotated weight count once
+    per member, and its co-optimal count multiplies in once per member.
+    Every other component is solved on its own.
+    """
     if not tree.leaf_genomes:
         raise InputError("the tree has no genomes attached")
     candidates = candidate_adjacencies(tree)
     graph = build_global_graph(tree, candidates, weights, config.threshold_x)
     components = connected_components(graph)
-    solved: dict[tuple, tuple[ComponentSolution, DpTable | None]] = {}
+    solves: list[tuple[Component, list[int]]] = []
+    classes: dict[tuple, list[int]] = {}
+    # One held mask, annotation set object and row object make one
+    # signature, so it is built once per such triple.
+    by_identity: dict[tuple[int, int, int], list[int]] = {}
+    for i, component in enumerate(components):
+        edges = component.edges
+        if len(edges) == 1 and _on_dp_route(component, config):
+            ((adjacency, nodes),) = edges.items()
+            held = candidates[adjacency]
+            identity = (held, id(nodes), weights.row_identity(adjacency))
+            members = by_identity.get(identity)
+            if members is None:
+                key = presence_signature(held, nodes, weights.row(adjacency))
+                members = classes.get(key)
+                if members is None:
+                    members = classes[key] = []
+                    solves.append((component, members))
+                by_identity[identity] = members
+            members.append(i)
+        else:
+            solves.append((component, [i]))
     outcomes = [
-        _solve_one(component, tree, weights, config, i, candidates, solved)
-        for i, component in enumerate(components)
+        _solve_one(component, members, tree, weights, config)
+        for component, members in solves
     ]
 
-    solutions = [solution for _, solution, _, _ in outcomes]
+    def names(members: list[int]) -> tuple[Adjacency, ...] | None:
+        # A solve of one component names its own adjacencies.
+        if len(members) == 1:
+            return None
+        return tuple([a for i in members for a in components[i].edges])
+
     internal = tree.internal_ids()
-    labeling = _assemble(internal, components, solutions)
+    labeling = _assemble(
+        internal,
+        [(names(members), solution)
+         for (_, members), (_, solution, _, _) in zip(solves, outcomes)],
+    )
 
     alpha = config.alpha
     edge_set = set(graph.edges)
@@ -241,15 +286,23 @@ def solve_instance(
         for _, v in tree.edges()
         if tree.is_leaf(v)
     )
+    scaled_sum = discarded_micro = annotated_micro = 0
+    cooptimal: int | None = 1
+    for (component, members), (_, solution, _, _) in zip(solves, outcomes):
+        k = len(members)
+        scaled_sum += k * solution.objective_scaled
+        discarded_micro += k * solution.discarded_micro
+        for a, nodes in component.edges.items():
+            row = weights.row(a)
+            annotated_micro += k * sum(row.get(v, 0) for v in nodes)
+        if cooptimal is not None and solution.cooptimal_count is not None:
+            cooptimal *= solution.cooptimal_count**k
+        else:
+            cooptimal = None
     # Filtered weight: the internal nodes' total less the annotated weight.
-    annotated_micro = 0
-    for a, nodes in graph.edges.items():
-        row = weights.row(a)
-        annotated_micro += sum(row.get(v, 0) for v in nodes)
     filtered_micro = sum(weights.total_micro(v) for v in internal) - annotated_micro
 
     units = objective_units(alpha)
-    scaled_sum = sum(sol.objective_scaled for sol in solutions)
     total = Fraction(
         scaled_sum + units.scaled(unsupported, filtered_micro), units.scale
     )
@@ -260,27 +313,26 @@ def solve_instance(
             f"{direct.total}"
         )
 
-    cooptimal: int | None = 1
-    for solution in solutions:
-        if solution.cooptimal_count is None:
-            cooptimal = None
-            break
-        cooptimal *= solution.cooptimal_count
-
     samples: tuple[Labeling, ...] = ()
     frequencies: dict[tuple[int, Adjacency], Fraction] = {}
     if config.n_samples > 0:
+        # Every component's draws; a class member's name its own adjacency.
+        own: list[tuple[Adjacency, ...] | None] = []
+        per_component = []
+        for (_, members), (_, _, per_member, _) in zip(solves, outcomes):
+            for i, sampled in zip(members, per_member):
+                own.append(None if len(members) == 1 else tuple(components[i].edges))
+                per_component.append(sampled)
         # Samples that drew the same solution of every component share
         # one assembled labeling; the sampler shares the solution objects.
         assembled: dict[tuple[int, ...], Labeling] = {}
         drawn: dict[tuple[int, ...], int] = {}
-        per_component = [sampled for _, _, sampled, _ in outcomes]
         picked = []
         for s in range(config.n_samples):
             picks = [sampled[s] for sampled in per_component]
             key = tuple(map(id, picks))
             if key not in assembled:
-                assembled[key] = _assemble(internal, components, picks)
+                assembled[key] = _assemble(internal, zip(own, picks))
             drawn[key] = drawn.get(key, 0) + 1
             picked.append(assembled[key])
         samples = tuple(picked)
@@ -294,40 +346,37 @@ def solve_instance(
             for key, count in tally.items()
         }
 
+    reports = tuple(
+        ComponentReport(
+            indices=tuple(members),
+            n_edges=len(component.edges),
+            n_extremities=component.n_extremities,
+            max_degree=component.max_degree,
+            label_space_bound=component.label_space_bound,
+            solver=route,
+            objective_scaled=solution.objective_scaled,
+            scj_changes=solution.scj_changes,
+            discarded_micro=solution.discarded_micro,
+            cooptimal_count=solution.cooptimal_count,
+            bb_nodes=solution.nodes_explored,
+            seconds=seconds,
+        )
+        for (component, members), (route, solution, _, seconds) in zip(solves, outcomes)
+    )
     return SolveReport(
         alpha=alpha,
         threshold_x=config.threshold_x,
         n_markers=len(tree.markers),
         n_nodes=len(tree.nodes),
-        max_component_extremities=max(
-            (c.n_extremities for c in components), default=0
-        ),
-        max_degree=max((c.max_degree for c in components), default=0),
+        max_component_extremities=max((r.n_extremities for r in reports), default=0),
+        max_degree=max((r.max_degree for r in reports), default=0),
         objective=direct.total,
         scj_total=direct.scj_changes,
-        discarded_micro=sum(sol.discarded_micro for sol in solutions) + filtered_micro,
+        discarded_micro=discarded_micro + filtered_micro,
         cooptimal_count=cooptimal,
         unsupported_leaf_scj=unsupported,
         filtered_weight_micro=filtered_micro,
-        components=tuple(
-            ComponentReport(
-                index=i,
-                n_edges=len(component.edges),
-                n_extremities=component.n_extremities,
-                max_degree=component.max_degree,
-                label_space_bound=component.label_space_bound,
-                solver=route,
-                objective_scaled=solution.objective_scaled,
-                scj_changes=solution.scj_changes,
-                discarded_micro=solution.discarded_micro,
-                cooptimal_count=solution.cooptimal_count,
-                bb_nodes=solution.nodes_explored,
-                seconds=seconds,
-            )
-            for i, (component, (route, solution, _, seconds)) in enumerate(
-                zip(components, outcomes)
-            )
-        ),
+        components=reports,
         labeling=labeling,
         samples=samples,
         sample_frequencies=frequencies,
@@ -433,6 +482,7 @@ def _write_stats(
     tree: Phylogeny,
     rows: dict[tuple[int, frozenset[Adjacency]], list[str]],
 ) -> None:
+    solvers = report.component_solvers
     lines = [
         f"# objective\t{_fmt(report.objective)}",
         f"# objective_exact\t{report.objective.numerator}/{report.objective.denominator}",
@@ -441,8 +491,8 @@ def _write_stats(
         f"# alpha\t{report.alpha.numerator}/{report.alpha.denominator}",
         f"# threshold\t{_fmt(report.threshold_x)}",
         f"# cooptimal_count\t{report.cooptimal_count if report.cooptimal_count is not None else 'NA'}",
-        f"# components\t{len(report.components)}",
-        f"# component_solvers\t{','.join(c.solver for c in report.components) or '-'}",
+        f"# components\t{len(solvers)}",
+        f"# component_solvers\t{','.join(solvers) or '-'}",
         f"# max_component_extremities\t{report.max_component_extremities}",
         f"# max_degree\t{report.max_degree}",
         f"# unsupported_leaf_scj\t{report.unsupported_leaf_scj}",

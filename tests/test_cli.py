@@ -137,6 +137,14 @@ class TestInterpreterState:
         ]
 
 
+class TestLineBudget:
+    def test_the_source_stays_within_its_line_cap(self):
+        # Lines as ``wc -l src/scjlabel/*.py`` counts them: newlines.
+        package = Path(scjlabel.__file__).resolve().parent
+        lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+        assert lines <= 3_819
+
+
 class TestParsing:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -221,6 +229,26 @@ class TestSolve:
         ])
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_the_printed_count_is_that_of_stats(self, tmp_path, capsys):
+        # 47 one-adjacency components in 6 signature classes: the count
+        # is of components, not of solves.
+        sim = tmp_path / "sim"
+        assert main([
+            "simulate", "--markers", "30", "--leaves", "5",
+            "--seed", "2", "--out", str(sim),
+        ]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main([
+            "solve", "--tree", str(sim / "tree.nwk"),
+            "--genomes", str(sim / "genomes.tsv"), "--boltzmann",
+            "--threshold", "0.5", "--out", str(out),
+        ]) == 0
+        assert "47 components," in capsys.readouterr().out
+        stats = read_stats(out)
+        assert stats["components"] == "47"
+        assert stats["component_solvers"] == ",".join(["dp"] * 47)
 
     def test_capacity_exit_code(self, instance, tmp_path, capsys):
         tree, genomes = instance

@@ -437,6 +437,18 @@ class TestLabelingObjective:
         assert labeling_objective(tree, labeling, weights, 0).total == 1
         assert labeling_objective(tree, labeling, weights, 1).total == Fraction(2, 5)
 
+    def test_labels_of_any_set_kind_give_one_value(self):
+        tree = three_leaf_instance()
+        a = Adjacency.of("1h", "2t")
+        anc1, anc2 = tree.id_of("anc1"), tree.id_of("anc2")
+        weights = WeightTable({a: {anc1: 400_000, anc2: 800_000}})
+        want = labeling_objective(
+            tree, {anc1: frozenset(), anc2: frozenset({a})}, weights, "1/2"
+        )
+        for kind in (set, tuple, list, lambda labels: dict.fromkeys(labels).keys()):
+            labeling = {anc1: kind(()), anc2: kind([a])}
+            assert labeling_objective(tree, labeling, weights, "1/2") == want
+
     def test_weight_entries_at_leaves_never_count(self):
         tree = three_leaf_instance()
         a = Adjacency.of("1h", "2t")

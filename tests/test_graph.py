@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -228,6 +229,29 @@ class TestComponents:
                 }
             assert sorted(seen) == sorted(graph.edges)
             assert len(seen) == len(set(seen))
+
+    def test_statistics_match_a_recount(self):
+        # One-edge components take their counts without a degree count.
+        rng = random.Random(23)
+        one_edge = 0
+        for _ in range(20):
+            tree = random_instance(
+                rng, n_leaves=rng.randint(2, 5), n_markers=rng.randint(2, 6)
+            )
+            graph = build_global_graph(
+                tree, candidate_adjacencies(tree), random_weights(rng, tree), "0.5"
+            )
+            for component in connected_components(graph):
+                degrees = Counter(x for adjacency in component.edges for x in adjacency)
+                bound = 1
+                for d in degrees.values():
+                    bound *= 1 + d
+                assert (
+                    component.n_extremities, component.max_degree,
+                    component.label_space_bound,
+                ) == (len(degrees), max(degrees.values()), bound)
+                one_edge += len(component.edges) == 1
+        assert one_edge > 0
 
     def test_empty_component_is_rejected(self):
         with pytest.raises(InputError):

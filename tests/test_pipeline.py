@@ -15,7 +15,9 @@ import pytest
 from oracles import (
     brute_instance_optimum,
     joint_assignment_count,
+    random_genome,
     random_instance,
+    random_topology,
     random_weights,
 )
 from scjlabel.core import (
@@ -31,6 +33,7 @@ from scjlabel.dp import sample_component, solve_component
 from scjlabel.errors import CapacityExceeded, InputError
 from scjlabel.formats import parse_labeling, parse_newick, write_labeling
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
+from scjlabel.ilp import build_model, solve_bb
 from scjlabel import pipeline
 from scjlabel.pipeline import RunConfig, run_solve, solve_instance, write_outputs
 from scjlabel.rng import derive_seed
@@ -172,11 +175,14 @@ class TestSolveInstance:
     def test_solver_routing(self):
         tree = two_component_instance()
         auto = solve_instance(tree, WeightTable(), RunConfig())
+        # Two signatures, so one solve each.
+        assert [c.indices for c in auto.components] == [(0,), (1,)]
         assert [c.solver for c in auto.components] == ["dp", "dp"]
         assert [c.bb_nodes for c in auto.components] == [None, None]
         forced = solve_instance(
             tree, WeightTable(), RunConfig(explosion_cap=1)
         )
+        assert [c.indices for c in forced.components] == [(0,), (1,)]
         assert [c.solver for c in forced.components] == ["ilp", "ilp"]
         assert all(c.bb_nodes >= 1 for c in forced.components)
         assert forced.cooptimal_count is None
@@ -191,39 +197,126 @@ class TestSolveInstance:
             )
 
 
+def solve_each_alone(tree, weights, config):
+    """``solve_instance``'s answer with every component solved on its own.
+
+    Routes as the pipeline does: ``solve_component`` and
+    ``sample_component`` with the component's own seed stream on the DP
+    route, ``solve_bb`` otherwise.  Returns the labeling, the co-optimal
+    count, the route of each component, the samples and the summed
+    objective and discarded weight of the components.
+    """
+    graph = build_global_graph(
+        tree, candidate_adjacencies(tree), weights, config.threshold_x
+    )
+    internal = tree.internal_ids()
+    labeling = {v: set() for v in internal}
+    samples = [{v: set() for v in internal} for _ in range(config.n_samples)]
+    solvers, cooptimal, scaled, discarded = [], 1, 0, 0
+    for i, part in enumerate(connected_components(graph)):
+        if part.label_space_bound ** 2 <= config.explosion_cap:
+            solution, table = solve_component(
+                part, tree, weights, config.alpha, explosion_cap=config.explosion_cap
+            )
+            drawn = sample_component(
+                table, config.n_samples, derive_seed(config.seed, "component", i)
+            )
+            solvers.append("dp")
+        else:
+            if config.n_samples:
+                raise CapacityExceeded(f"component {i} cannot sample")
+            solution, drawn = solve_bb(build_model(part, tree, weights, config.alpha)), []
+            solvers.append("ilp")
+        for v, label in solution.node_labels.items():
+            labeling[v] |= label
+        for sample, sampled in zip(samples, drawn):
+            for v, label in sampled.node_labels.items():
+                sample[v] |= label
+        if cooptimal is not None and solution.cooptimal_count is not None:
+            cooptimal *= solution.cooptimal_count
+        else:
+            cooptimal = None
+        scaled += solution.objective_scaled
+        discarded += solution.discarded_micro
+
+    def frozen(labels):
+        return {v: frozenset(label) for v, label in labels.items()}
+
+    return (
+        frozen(labeling), cooptimal, solvers, [frozen(s) for s in samples],
+        scaled, discarded,
+    )
+
+
+def derived_instance(rng):
+    """A random tree whose leaves mostly hold parts of one genome.
+
+    Most leaves keep each adjacency of a random base genome with
+    probability 0.9, so many candidates are one-adjacency components
+    with the same leaves; a quarter of the leaves hold a random genome
+    of their own, whose adjacencies conflict with the base's.
+    """
+    topology = random_topology(rng, rng.randint(3, 6))
+    markers = frozenset(range(1, rng.randint(5, 12)))
+    base = random_genome(rng, markers)
+    genomes = {}
+    for v in topology.leaves():
+        if rng.random() < 0.25:
+            genome = random_genome(rng, markers)
+        else:
+            kept = frozenset(a for a in base.adjacencies if rng.random() < 0.9)
+            genome = Genome(kept, markers)
+        genomes[topology.name_of(v)] = genome
+    return topology.with_genomes(genomes)
+
+
+def per_component_totals(report):
+    """Objective and discarded weight of the components, from the reports."""
+    parts = report.components
+    return (
+        sum(len(c.indices) * c.objective_scaled for c in parts),
+        sum(len(c.indices) * c.discarded_micro for c in parts),
+    )
+
+
 class TestSignatureMemo:
     def test_a_memoised_part_matches_its_own_dp_solution(self):
         tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
         weights = boltzmann_weight_table(tree, 0.1)
         config = RunConfig(alpha=0, threshold_x="0.5", n_samples=20, seed=5)
-        candidates = candidate_adjacencies(tree)
-        graph = build_global_graph(tree, candidates, weights, config.threshold_x)
-        parts = [c for c in connected_components(graph) if len(c.edges) == 1]
-        solved = {}
-        internal = tree.internal_ids()
+        report = solve_instance(tree, weights, config)
+        graph = build_global_graph(
+            tree, candidate_adjacencies(tree), weights, config.threshold_x
+        )
+        parts = connected_components(graph)
+        assert all(len(part.edges) == 1 for part in parts)
 
-        def labels(part, solutions):
-            return [pipeline._assemble(internal, [part], [s]) for s in solutions]
+        def restricted(labeling, part):
+            return {v: label & part.edges.keys() for v, label in labeling.items()}
 
-        shared = []
+        own_counts = []
         for i, part in enumerate(parts):
-            route, solution, samples, _ = pipeline._solve_one(
-                part, tree, weights, config, i, candidates, solved
-            )
             own, own_table = solve_component(part, tree, weights, config.alpha)
-            assert route == "dp"
-            assert labels(part, [solution]) == labels(part, [own])
-            assert solution.cooptimal_count == own.cooptimal_count
-            assert solution.objective_scaled == own.objective_scaled
+            assert restricted(report.labeling, part) == own.node_labels
             seed = derive_seed(config.seed, "component", i)
-            assert labels(part, samples) == labels(
-                part, sample_component(own_table, 20, seed)
-            )
-            shared.append(solution)
-        # Most parts were answered from the memo, many of them with
-        # several co-optima to sample from.
-        assert (len(parts), len(solved)) == (47, 6)
-        assert sum(solution.cooptimal_count > 1 for solution in shared) == 30
+            own_samples = sample_component(own_table, 20, seed)
+            assert [restricted(sample, part) for sample in report.samples] == [
+                sample.node_labels for sample in own_samples
+            ]
+            own_counts.append(own.cooptimal_count)
+        # One solve per signature stands for its whole class; many of
+        # the parts have several co-optima to sample from.
+        assert (len(parts), len(report.components)) == (47, 6)
+        assert sorted(i for c in report.components for i in c.indices) == list(range(47))
+        assert report.component_solvers == ["dp"] * 47
+        assert sum(count > 1 for count in own_counts) == 30
+        assert sum(
+            len(c.indices) for c in report.components if c.cooptimal_count > 1
+        ) == 30
+        cooptimal = 1
+        for count in own_counts:
+            cooptimal *= count
+        assert report.cooptimal_count == cooptimal
 
     def test_a_run_solves_each_signature_once(self, monkeypatch):
         tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
@@ -239,7 +332,8 @@ class TestSignatureMemo:
         config = RunConfig(alpha=0, threshold_x="0.5", n_samples=5, seed=1)
         report = solve_instance(tree, weights, config)
         # 47 one-adjacency components with 6 signatures (see above).
-        assert (len(report.components), len(solved)) == (47, 6)
+        assert (len(report.component_solvers), len(solved)) == (47, 6)
+        assert len(report.components) == 6
 
     def test_equal_leaves_with_other_weights_are_solved_apart(self):
         tree = parse_newick("((s1,s2)anc2,s3)anc1;")
@@ -255,19 +349,62 @@ class TestSignatureMemo:
             Adjacency.of("3h", "4t"): {anc1: 100_000, anc2: 100_000},
         })
         config = RunConfig(alpha="1/2")
-        candidates = candidate_adjacencies(tree)
-        parts = connected_components(build_global_graph(tree, candidates, weights, 0))
-        solved = {}
-        got = [
-            pipeline._solve_one(part, tree, weights, config, i, candidates, solved)[1].objective
-            for i, part in enumerate(parts)
-        ]
+        report = solve_instance(tree, weights, config)
+        parts = connected_components(
+            build_global_graph(tree, candidate_adjacencies(tree), weights, 0)
+        )
         want = [
-            solve_component(part, tree, weights, config.alpha)[0].objective
+            solve_component(part, tree, weights, config.alpha)[0]
             for part in parts
         ]
-        assert len(solved) == 2
-        assert got == want == [1, Fraction(3, 5)]
+        assert [c.indices for c in report.components] == [(0,), (1,)]
+        assert [c.objective_scaled for c in report.components] == [
+            solution.objective_scaled for solution in want
+        ]
+        assert [solution.objective for solution in want] == [1, Fraction(3, 5)]
+
+    def test_matches_every_component_solved_alone(self):
+        rng = random.Random(22)
+        grouped = ilp_parts = sampled = refused = 0
+        for _ in range(40):
+            tree = derived_instance(rng)
+            # Sparse weights of one value, so that signatures repeat.
+            weights = WeightTable({
+                a: {v: rng.choice((0, 0, 800_000)) for v in tree.internal_ids()}
+                for a in candidate_adjacencies(tree)
+            })
+            threshold = rng.choice(("0", "0.5"))
+            alpha = rng.choice(("0", "1/2", "9/10"))
+            # Cap 15 sends every component to branch and bound, cap 16
+            # only those with several adjacencies.
+            for cap in (15, 16, 10**7):
+                for n_samples in (0, 6):
+                    config = RunConfig(
+                        alpha=alpha, threshold_x=threshold, explosion_cap=cap,
+                        n_samples=n_samples, seed=3,
+                    )
+                    try:
+                        want = solve_each_alone(tree, weights, config)
+                    except CapacityExceeded:
+                        with pytest.raises(CapacityExceeded, match="cannot sample"):
+                            solve_instance(tree, weights, config)
+                        refused += 1
+                        continue
+                    labeling, cooptimal, solvers, samples, scaled, discarded = want
+                    report = solve_instance(tree, weights, config)
+                    assert report.labeling == labeling
+                    direct = labeling_objective(tree, labeling, weights, alpha)
+                    assert report.objective == direct.total
+                    assert report.discarded_weight == direct.discarded_weight
+                    assert report.cooptimal_count == cooptimal
+                    assert report.component_solvers == solvers
+                    assert list(report.samples) == samples
+                    assert per_component_totals(report) == (scaled, discarded)
+                    grouped += any(len(c.indices) > 1 for c in report.components)
+                    ilp_parts += solvers.count("ilp")
+                    sampled += bool(samples)
+        # Every path ran: classes, branch and bound, sampling, refusal.
+        assert min(grouped, ilp_parts, sampled, refused) > 0
 
 
 class TestSampling:
@@ -575,6 +712,8 @@ class TestSharedRendering:
         out = tmp_path / "out"
         config = RunConfig(n_samples=n, seed=1, threads=threads, out_dir=str(out))
         report = solve_instance(tree, WeightTable(), config)
+        # Two two-adjacency components, each solved on its own.
+        assert [c.indices for c in report.components] == [(0,), (1,)]
         assert [c.cooptimal_count for c in report.components] == [3, 3]
         write_outputs(report, tree, config)
         plain = tmp_path / "plain.tsv"
