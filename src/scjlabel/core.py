@@ -108,9 +108,14 @@ def quantize_weight(value: object) -> int:
     """Map a weight in [0, 1] to the integer grid 0..MICRO (round half up).
 
     A float in range is rounded from the shortest decimal form that
-    :func:`exact_fraction` reads, without building the fraction.
+    :func:`exact_fraction` reads, without building the fraction.  That
+    form and the product ``value * MICRO`` differ by under 2e-10 micro,
+    so a product more than 1e-9 from a half micro rounds the same way.
     """
     if type(value) is float and 0 <= value <= 1:
+        scaled = value * MICRO
+        if abs(scaled - int(scaled) - 0.5) > 1e-9:
+            return int(scaled + 0.5)
         return int(Decimal(repr(value)).scaleb(6).quantize(_ONE, ROUND_HALF_UP))  # 6: MICRO
     w = exact_fraction(value)
     if not 0 <= w <= 1:
@@ -398,6 +403,8 @@ class Phylogeny:
     _preorder: tuple[int, ...] = field(init=False, repr=False)
     _edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     _internal: tuple[int, ...] = field(init=False, repr=False)
+    _masks: tuple[int, ...] = field(init=False, repr=False)
+    _postorder_items: tuple[tuple[int, tuple[int, ...], int], ...] = field(init=False, repr=False)
     _candidates: Mapping[Adjacency, int] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -429,6 +436,16 @@ class Phylogeny:
         object.__setattr__(self, "_internal", tuple(
             v for v in reversed(order) if self.nodes[v].children
         ))
+        # Leaf bits in preorder, the order of ``leaves()`` and ``candidates()``.
+        bit_of = dict.fromkeys(order, 0)
+        bit_of.update((v, 1 << i) for i, v in enumerate(self.leaves()))
+        masks = [0] * len(self.nodes)
+        for v in reversed(order):  # subtrees are disjoint, so a sum is their union
+            masks[v] = bit_of[v] + sum([masks[c] for c in self.nodes[v].children])
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_postorder_items", tuple(
+            (v, self.nodes[v].children, bit_of[v]) for v in reversed(order)
+        ))
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -451,6 +468,16 @@ class Phylogeny:
 
     def postorder(self) -> Iterator[int]:
         return reversed(self._preorder)
+
+    def postorder_items(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """``(node, children, leaf bit)`` in postorder; the bit is the node's
+        in :meth:`subtree_masks`, and 0 at an internal node."""
+        return self._postorder_items
+
+    def subtree_masks(self) -> tuple[int, ...]:
+        """Per node id, the bitmask of the leaves of its subtree, in
+        :meth:`leaves` order (that of :meth:`candidates`)."""
+        return self._masks
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """(parent, child) pairs in preorder of the parent."""
@@ -490,8 +517,8 @@ class Phylogeny:
             if not self.leaf_genomes:
                 raise InputError("cannot derive candidates: tree has no genomes attached")
             held: dict[Adjacency, int] = {}
-            for i, leaf in enumerate(self.leaves()):
-                bit = 1 << i
+            for leaf in self.leaves():
+                bit = self._masks[leaf]
                 for adjacency in self.leaf_genomes[leaf].adjacencies:
                     held[adjacency] = held.get(adjacency, 0) | bit
             object.__setattr__(self, "_candidates", MappingProxyType(held))
@@ -558,11 +585,12 @@ class WeightTable:
         """Read-only view of one adjacency's entries, node id -> micro."""
         return MappingProxyType(self._rows.get(adjacency, _NO_ROW))
 
-    def row_identity(self, adjacency: Adjacency) -> int:
-        """The same number for adjacencies that share one stored row
-        object (every absent adjacency shares the empty row), fixed
-        while the table lives."""
-        return id(self._rows.get(adjacency, _NO_ROW))
+    def row_identities(self, adjacencies: Iterable[Adjacency]) -> list[int]:
+        """Per adjacency, in order, a number that is the same for
+        adjacencies that share one stored row object (every absent
+        adjacency shares the empty row), fixed while the table lives."""
+        get = self._rows.get
+        return [id(get(a, _NO_ROW)) for a in adjacencies]
 
     def total_micro(self, node_id: int) -> int:
         """Sum of the stored micro weights at one node."""

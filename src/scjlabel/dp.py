@@ -208,35 +208,66 @@ def _sweep(
 ) -> tuple[ComponentSolution, DpTable]:
     """:func:`_solve_joint`'s table and labeling of one adjacency: absent (0) or present (1)."""
     ((adjacency, annotating),) = component.edges.items()
-    unit, nodes, row = units.change_unit, tree.nodes, weights.row(adjacency)
+    unit, row = units.change_unit, weights.row(adjacency)
+    held = tree.candidates().get(adjacency, 0)
+    zero, one = [0], [1]  # a leaf's label, cost and count; shared by the leaves
     labels, cost, count = {}, {}, {}  # as in DpTable
-    for v in tree.postorder():
-        if not nodes[v].children:
-            labels[v], cost[v], count[v] = [int(adjacency in tree.leaf_genomes[v].adjacencies)], [0], [1]
+    for v, children, bit in tree.postorder_items():
+        if not children:
+            labels[v], cost[v], count[v] = one if held & bit else zero, zero, one
             continue
-        sub, ways = [0, 0], [1, 1]  # subtree cost and co-optima, v absent then present
-        for child in nodes[v].children:
-            c, n = cost[child], count[child]
-            for up in (0, 1):
-                if len(c) == 1:
-                    sub[up] += c[0] + unit * (up ^ labels[child][0])
-                    ways[up] *= n[0]
-                else:
-                    off, on = c[0] + unit * up, c[1] + unit * (1 - up)  # child absent, present
-                    sub[up] += min(off, on)
-                    ways[up] *= n[0] if off < on else n[1] if on < off else n[0] + n[1]
+        cost0 = cost1 = 0  # subtree cost, v absent then present
+        ways0 = ways1 = 1  # its co-optima
+        for c in children:
+            child_cost, child_count = cost[c], count[c]
+            if len(child_cost) == 1:  # a fixed state
+                k, n, state = child_cost[0], child_count[0], labels[c][0]
+                cost0 += k + unit * state
+                cost1 += k + unit * (1 - state)
+                ways0 *= n
+                ways1 *= n
+                continue
+            # Each parent state takes the cheaper child state, absent on a tie.
+            (off, on), (n_off, n_on) = child_cost, child_count
+            changed = on + unit
+            cost0 += off if off <= changed else changed
+            ways0 *= n_off if off < changed else n_on if changed < off else n_off + n_on
+            changed = off + unit
+            cost1 += on if on <= changed else changed
+            ways1 *= n_on if on < changed else n_off if changed < on else n_off + n_on
         if v in annotating:
-            sub[0] += units.weight_unit * row.get(v, 0)
-            labels[v], cost[v], count[v] = [0, 1], sub, ways
+            cost0 += units.weight_unit * row.get(v, 0)
+            labels[v], cost[v], count[v] = [0, 1], [cost0, cost1], [ways0, ways1]
         else:
-            labels[v], cost[v], count[v] = [0], sub[:1], ways[:1]
+            labels[v], cost[v], count[v] = [0], [cost0], [ways0]
     chosen: dict[int, int] = {}
     for v in reversed(tree.internal_ids()):  # preorder
-        c, up = cost[v], chosen.get(nodes[v].parent)  # None at the root
+        c, up = cost[v], chosen.get(tree.nodes[v].parent)  # None at the root
         extra = 0 if up is None else unit * (1 - 2 * up)  # present's change cost over absent's
         chosen[v] = int(len(c) == 2 and c[1] + extra < c[0])
     table = DpTable(component, tree, weights, units, (adjacency,), labels, cost, count)
     return _finish_solution(table, chosen, count_cooptimal(table)), table
+
+
+def _evaluate_one(table: DpTable, chosen: Mapping[int, int]) -> tuple[int, int]:
+    """:func:`evaluate_component_labeling` of a one-adjacency labeling,
+    given as its state (0 absent, 1 present) at each internal node.
+
+    Leaves take their states from their genomes.  Presence at a node
+    that does not annotate the adjacency is an internal fault.
+    """
+    ((adjacency, annotating),) = table.component.edges.items()
+    tree, row = table.tree, table.weights.row(adjacency)
+    state: dict[int, bool] = {}
+    for v, children, _ in tree.postorder_items():
+        if not children:
+            state[v] = adjacency in tree.leaf_genomes[v].adjacencies
+        elif chosen[v] and v not in annotating:
+            raise InternalInvariantError(f"{fmt(adjacency)} held at unannotated {tree.name_of(v)}")
+        else:
+            state[v] = bool(chosen[v])
+    scj = sum([state[u] != state[v] for u, v in tree.edges()])
+    return scj, sum([row.get(v, 0) for v in annotating if not state[v]])
 
 
 def presence_signature(
@@ -313,15 +344,16 @@ def _finish_solution(
     if len(edges) == 1:
         held = (_EMPTY, table.present_label)  # by mask
         node_labels = {v: held[chosen_mask[v]] for v in tree.internal_ids()}
+        scj, discarded = _evaluate_one(table, chosen_mask)
     else:
         # The empty label, that of most nodes, is shared.
         node_labels = {
             v: _mask_to_set(mask, edges) if (mask := chosen_mask[v]) else _EMPTY
             for v in tree.internal_ids()
         }
-    scj, discarded = evaluate_component_labeling(
-        table.component, tree, table.weights, node_labels
-    )
+        scj, discarded = evaluate_component_labeling(
+            table.component, tree, table.weights, node_labels
+        )
     scaled = table.units.scaled(scj, discarded)
     if scaled != table.optimum_scaled:
         raise InternalInvariantError(

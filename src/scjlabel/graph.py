@@ -73,8 +73,8 @@ def build_global_graph(
     by_identity: dict[int, frozenset[int]] = {}
     by_entries: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
     edges: dict[Adjacency, frozenset[int]] = {}
-    for adjacency in candidates:
-        identity = weights.row_identity(adjacency)
+    candidates = list(candidates)
+    for adjacency, identity in zip(candidates, weights.row_identities(candidates)):
         annotated = by_identity.get(identity)
         if annotated is None:
             row = weights.row(adjacency)

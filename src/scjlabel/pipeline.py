@@ -241,14 +241,16 @@ def solve_instance(
     solves: list[tuple[Component, list[int]]] = []
     classes: dict[tuple, list[int]] = {}
     # One held mask, annotation set object and row object make one
-    # signature, so it is built once per such triple.
+    # signature, so it is built once per such triple.  A component's
+    # row identity is that of its first adjacency.
     by_identity: dict[tuple[int, int, int], list[int]] = {}
-    for i, component in enumerate(components):
+    row_identities = weights.row_identities([next(iter(c.edges)) for c in components])
+    for i, (component, row_identity) in enumerate(zip(components, row_identities)):
         edges = component.edges
         if len(edges) == 1 and _on_dp_route(component, config):
             ((adjacency, nodes),) = edges.items()
             held = candidates[adjacency]
-            identity = (held, id(nodes), weights.row_identity(adjacency))
+            identity = (held, id(nodes), row_identity)
             members = by_identity.get(identity)
             if members is None:
                 key = presence_signature(held, nodes, weights.row(adjacency))

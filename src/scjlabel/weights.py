@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .core import (
     MICRO,
@@ -51,8 +52,9 @@ def boltzmann_weights(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[
     does not underflow.
     """
     _check_boltzmann_inputs(tree, kt)
-    present = {v: adjacency in tree.leaf_genomes[v].adjacencies for v in tree.leaves()}
-    return _boltzmann_sweep(tree, present, kt)
+    masks, genomes = tree.subtree_masks(), tree.leaf_genomes
+    pattern = sum(masks[v] for v in tree.leaves() if adjacency in genomes[v].adjacencies)
+    return {v: weights[pattern] for v, weights in _posteriors(tree, [pattern], kt)}
 
 
 def check_kt(kt: object) -> None:
@@ -67,76 +69,104 @@ def _check_boltzmann_inputs(tree: Phylogeny, kt: float) -> None:
         raise InputError("Boltzmann weights need genomes attached to the tree")
 
 
-def _boltzmann_sweep(tree: Phylogeny, present: dict[int, bool], kt: float) -> dict[int, float]:
-    """Inside-outside sweep of ``boltzmann_weights`` for one leaf presence."""
+def _posteriors(
+    tree: Phylogeny, patterns: Iterable[int], kt: float
+) -> Iterator[tuple[int, dict[int, float]]]:
+    """The inside-outside sweep of :func:`boltzmann_weights` for each leaf
+    pattern (a bitmask in ``tree.leaves()`` order): per internal node, in
+    preorder, the node and its weight under each pattern.
+
+    A node's inside pair depends only on the pattern within its subtree,
+    and its outside pair only on the pattern outside it, so each pair is
+    computed once per distinct sub-pattern, and each pattern's weight at
+    a node combines one of each.  Every pair takes the float operations
+    of a sweep of one pattern, in the same order: children in order,
+    sums from 0.0, the sibling sum before the parent's outside term.
+    Each weight is the same float as that sweep's.  Each table is
+    dropped after its last use, so few outside tables live at once.
+    """
     penalty = 1.0 / float(kt)
+    patterns = set(patterns)
     nodes = tree.nodes
-    order = list(tree.preorder())
+    masks = tree.subtree_masks()
 
-    up: dict[int, tuple[float, float]] = {}
-    # Each child's term in its parent's inside sum, per parent state.
-    message: dict[int, tuple[float, float]] = {}
-    for v in reversed(order):
-        children = nodes[v].children
-        if not children:
-            up[v] = (-_INF, 0.0) if present[v] else (0.0, -_INF)
-            continue
-        total0 = total1 = 0.0
-        for c in children:
-            c0, c1 = up[c]
-            m = message[c] = (_log_add(c0, c1 - penalty), _log_add(c1, c0 - penalty))
-            total0 += m[0]
-            total1 += m[1]
-        up[v] = (total0, total1)
+    # Per node, sub-pattern -> the node's term in its parent's inside sum,
+    # per parent state; and per internal node, sub-pattern -> inside pair.
+    message: dict[int, dict[int, tuple[float, float]]] = {}
+    up: dict[int, dict[int, tuple[float, float]]] = {}
+    for v, children, _ in tree.postorder_items():
+        mask = masks[v]
+        keys = {p & mask for p in patterns}
+        if children:
+            pairs = up[v] = {}
+            for key in keys:
+                total0 = total1 = 0.0
+                for c in children:
+                    m0, m1 = message[c][key & masks[c]]
+                    total0 += m0
+                    total1 += m1
+                pairs[key] = (total0, total1)
+        else:
+            pairs = {key: (-_INF, 0.0) if key else (0.0, -_INF) for key in keys}
+        message[v] = {
+            key: (_log_add(c0, c1 - penalty), _log_add(c1, c0 - penalty))
+            for key, (c0, c1) in pairs.items()
+        }
 
-    # Outside sums, needed at internal nodes only.
-    down: dict[int, tuple[float, float]] = {tree.root: (0.0, 0.0)}
-    for u in order:
+    # Per internal node, sub-pattern outside its subtree -> outside pair.
+    everything = masks[tree.root]
+    down: dict[int, dict[int, tuple[float, float]]] = {tree.root: {0: (0.0, 0.0)}}
+    for u in reversed(tree.internal_ids()):  # preorder
         children = nodes[u].children
+        inside, outside_u = masks[u], everything ^ masks[u]
+        up_u, down_u = up.pop(u), down.pop(u)
         for v in children:
             if not nodes[v].children:
                 continue
-            sibling0 = sibling1 = 0.0
-            for w in children:
-                if w != v:
-                    sibling0 += message[w][0]
-                    sibling1 += message[w][1]
-            out0 = down[u][0] + sibling0
-            out1 = down[u][1] + sibling1
-            down[v] = (_log_add(out0, out1 - penalty), _log_add(out0 - penalty, out1))
-
-    result: dict[int, float] = {}
-    for v in reversed(order):
-        if not nodes[v].children:
-            continue
-        l0 = up[v][0] + down[v][0]
-        l1 = up[v][1] + down[v][1]
-        if l1 == -_INF or l0 - l1 > _EXP_MAX:
-            result[v] = 0.0
-        elif l0 == -_INF:
-            result[v] = 1.0
-        else:
-            result[v] = 1.0 / (1.0 + math.exp(l0 - l1))
-    return result
+            outside = everything ^ masks[v]
+            pairs = down[v] = {}
+            for key in {p & outside for p in patterns}:
+                sibling0 = sibling1 = 0.0
+                for w in children:
+                    if w != v:
+                        m0, m1 = message[w][key & masks[w]]
+                        sibling0 += m0
+                        sibling1 += m1
+                d0, d1 = down_u[key & outside_u]
+                out0 = d0 + sibling0
+                out1 = d1 + sibling1
+                pairs[key] = (_log_add(out0, out1 - penalty), _log_add(out0 - penalty, out1))
+        for v in children:
+            del message[v]  # its last use: as a sibling term above
+        weights: dict[int, float] = {}
+        for p in patterns:
+            u0, u1 = up_u[p & inside]
+            d0, d1 = down_u[p & outside_u]
+            l0 = u0 + d0
+            l1 = u1 + d1
+            if l1 == -_INF or l0 - l1 > _EXP_MAX:
+                weights[p] = 0.0
+            elif l0 == -_INF:
+                weights[p] = 1.0
+            else:
+                weights[p] = 1.0 / (1.0 + math.exp(l0 - l1))
+        yield u, weights
 
 
 def boltzmann_weight_table(tree: Phylogeny, kt: float) -> WeightTable:
-    """Boltzmann weights of every candidate at every internal node, one sweep per leaf pattern."""
+    """Boltzmann weights of every candidate at every internal node,
+    computed once per distinct leaf pattern (see :func:`_posteriors`)."""
     _check_boltzmann_inputs(tree, kt)
-    leaves = tree.leaves()
     pattern_of = candidate_adjacencies(tree)
-    rows: dict[int, dict[int, int]] = {}
+    internal = sorted(tree.internal_ids())
+    rows = {pattern: dict.fromkeys(internal) for pattern in set(pattern_of.values())}
     micro_of: dict[float, int] = {}  # each distinct weight quantized once
-    for pattern in pattern_of.values():
-        if pattern in rows:
-            continue
-        present = {v: bool(pattern >> i & 1) for i, v in enumerate(leaves)}
-        row = rows[pattern] = {}
-        for v, w in sorted(_boltzmann_sweep(tree, present, kt).items()):
+    for v, weights in _posteriors(tree, rows, kt):
+        for pattern, w in weights.items():
             micro = micro_of.get(w)
             if micro is None:
                 micro = micro_of[w] = quantize_weight(w)
-            row[v] = micro
+            rows[pattern][v] = micro
     # Candidates with one leaf pattern share that pattern's row object.
     return WeightTable({adjacency: rows[pattern] for adjacency, pattern in pattern_of.items()})
 

@@ -4,7 +4,9 @@ Nothing in this module shares logic with the package: label spaces are
 listed outright, the DCJ distance comes from breadth-first search over
 whole adjacency sets, and Boltzmann marginals from summing every
 scenario.  ``fitch_scj`` and ``fitch_scj_labeling``, one parsimony
-sweep per adjacency, are the alpha-0 reference.  The one exception is
+sweep per adjacency, are the alpha-0 reference, and ``boltzmann_sweep``,
+one inside-outside sweep per adjacency, the bit-exact reference of the
+package's Boltzmann kernel.  The one exception is
 ``milp_optimum``, which values the point HiGHS picks with the package's
 component evaluator; the enumeration oracles here pin that evaluator.
 Guards assert that inputs stay small enough for that to be instant, so
@@ -426,6 +428,77 @@ def brute_boltzmann(
     return {v: mass[v] / total for v in internal}
 
 
+def _log_add(a: float, b: float) -> float:
+    if a == -_INF:
+        return b
+    if b == -_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def boltzmann_sweep(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[int, float]:
+    """Presence marginals of one adjacency by one inside-outside sweep.
+
+    The package computes each inside and outside pair once per distinct
+    leaf sub-pattern and promises the same float operations in the same
+    order as this plain sweep over the whole tree, so its weights must
+    equal these exactly, with no tolerance; ``brute_boltzmann`` pins
+    this sweep on small trees.
+    """
+    present = {v: adjacency in tree.leaf_genomes[v].adjacencies for v in tree.leaves()}
+    penalty = 1.0 / float(kt)
+    nodes = tree.nodes
+    order = list(tree.preorder())
+
+    up: dict[int, tuple[float, float]] = {}
+    # Each child's term in its parent's inside sum, per parent state.
+    message: dict[int, tuple[float, float]] = {}
+    for v in reversed(order):
+        children = nodes[v].children
+        if not children:
+            up[v] = (-_INF, 0.0) if present[v] else (0.0, -_INF)
+            continue
+        total0 = total1 = 0.0
+        for c in children:
+            c0, c1 = up[c]
+            m = message[c] = (_log_add(c0, c1 - penalty), _log_add(c1, c0 - penalty))
+            total0 += m[0]
+            total1 += m[1]
+        up[v] = (total0, total1)
+
+    # Outside sums, needed at internal nodes only.
+    down: dict[int, tuple[float, float]] = {tree.root: (0.0, 0.0)}
+    for u in order:
+        children = nodes[u].children
+        for v in children:
+            if not nodes[v].children:
+                continue
+            sibling0 = sibling1 = 0.0
+            for w in children:
+                if w != v:
+                    sibling0 += message[w][0]
+                    sibling1 += message[w][1]
+            out0 = down[u][0] + sibling0
+            out1 = down[u][1] + sibling1
+            down[v] = (_log_add(out0, out1 - penalty), _log_add(out0 - penalty, out1))
+
+    result: dict[int, float] = {}
+    for v in reversed(order):
+        if not nodes[v].children:
+            continue
+        l0 = up[v][0] + down[v][0]
+        l1 = up[v][1] + down[v][1]
+        if l1 == -_INF or l0 - l1 > 709.0:  # math.exp overflows above 709
+            result[v] = 0.0
+        elif l0 == -_INF:
+            result[v] = 1.0
+        else:
+            result[v] = 1.0 / (1.0 + math.exp(l0 - l1))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Distances
 
@@ -575,8 +648,14 @@ def reference_extract_cars(adjacencies, markers) -> list[tuple[str, tuple[int, .
 # Random instances
 
 
-def random_topology(rng, n_leaves: int) -> Phylogeny:
-    """Random rooted binary tree; leaves s1.., internal nodes anc1.."""
+def random_topology(rng, n_leaves: int, *, non_binary: bool = False) -> Phylogeny:
+    """Random rooted tree; leaves s1.., internal nodes anc1..
+
+    The tree is binary unless ``non_binary`` is set.  Then a merge joins
+    two to four subtrees, and about one merge in five is a unary node
+    over one subtree (at most ``n_leaves`` of them), as Newick input
+    may hold.  The binary mode draws exactly what it always drew.
+    """
     assert n_leaves >= 2
     next_id = 0
     children: dict[int, list[int]] = {}
@@ -586,12 +665,18 @@ def random_topology(rng, n_leaves: int) -> Phylogeny:
         children[next_id] = []
         roots.append(next_id)
         next_id += 1
+    unary = 0
     while len(roots) > 1:
-        a = roots.pop(rng.randrange(len(roots)))
-        b = roots.pop(rng.randrange(len(roots)))
-        children[next_id] = [a, b]
-        parents[a] = next_id
-        parents[b] = next_id
+        k = 2
+        if non_binary:
+            if unary < n_leaves and rng.random() < 0.2:
+                k, unary = 1, unary + 1
+            else:
+                k = rng.randint(2, min(4, len(roots)))
+        merged = [roots.pop(rng.randrange(len(roots))) for _ in range(k)]
+        children[next_id] = merged
+        for c in merged:
+            parents[c] = next_id
         roots.append(next_id)
         next_id += 1
     root = roots[0]
@@ -642,9 +727,11 @@ def random_genome(rng, markers, *, max_chromosomes: int = 2,
     return Genome(frozenset(adjacencies), frozenset(markers))
 
 
-def random_instance(rng, *, n_leaves: int, n_markers: int) -> Phylogeny:
-    """Random topology with a random genome at every leaf."""
-    topology = random_topology(rng, n_leaves)
+def random_instance(
+    rng, *, n_leaves: int, n_markers: int, non_binary: bool = False
+) -> Phylogeny:
+    """Random topology (see :func:`random_topology`) with a random genome at every leaf."""
+    topology = random_topology(rng, n_leaves, non_binary=non_binary)
     markers = frozenset(range(1, n_markers + 1))
     genomes = {
         topology.name_of(v): random_genome(rng, markers)

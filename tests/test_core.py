@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -102,6 +103,13 @@ class TestExactNumbers:
         rng = random.Random(59)
         floats = [rng.random() for _ in range(200_000)]
         floats += [(k + 0.5) / MICRO for k in range(0, MICRO, 7)]  # half-micro ties
+        # Floats a few units in the last place, and 1e-9 micro, from a tie.
+        for k in range(0, MICRO, 997):
+            below = above = (k + 0.5) / MICRO
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                floats += [below, above]
+            floats += [(k + 0.5 + d) / MICRO for d in (-2e-9, -1e-9, 1e-9, 2e-9)]
         floats += [5e-324, 1 - 2**-53, 0.0, 1.0]
         for x in floats:
             f = exact_fraction(x)
@@ -547,10 +555,15 @@ class TestWeightTable:
         a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")
         shared = {1: 7}
         table = WeightTable({a: shared, b: shared, c: {1: 7}})
-        assert table.row_identity(a) == table.row_identity(b) != table.row_identity(c)
-        absent = Adjacency.of("5h", "6t")
-        assert table.row_identity(absent) == table.row_identity(Adjacency.of("6h", "7t"))
-        assert table.row_identity(absent) not in {table.row_identity(a), table.row_identity(c)}
+        absent, other = Adjacency.of("5h", "6t"), Adjacency.of("6h", "7t")
+        id_a, id_b, id_c, id_absent, id_other = table.row_identities(
+            iter([a, b, c, absent, other])
+        )
+        assert id_a == id_b != id_c
+        assert id_absent == id_other
+        assert id_absent not in {id_a, id_c}
+        assert table.row_identities([c, a]) == [id_c, id_a]
+        assert table.row_identities([]) == []
 
     def test_a_shared_row_counts_once_per_adjacency(self):
         a, b, c = Adjacency.of("1h", "2t"), Adjacency.of("2h", "3t"), Adjacency.of("3h", "4t")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -31,7 +33,7 @@ from scjlabel.dp import (
     sample_component,
     solve_component,
 )
-from scjlabel.errors import CapacityExceeded, InputError
+from scjlabel.errors import CapacityExceeded, InputError, InternalInvariantError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 
@@ -245,15 +247,21 @@ def fork_gadget():
 
 
 def count_rechecks(monkeypatch) -> list:
-    """Arguments of every exact re-evaluation the DP runs from now on."""
+    """Arguments of every exact re-evaluation the DP runs from now on,
+    by the general evaluator or the one-adjacency one."""
     calls = []
-    original = dp.evaluate_component_labeling
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def count(name):
+        original = getattr(dp, name)
 
-    monkeypatch.setattr(dp, "evaluate_component_labeling", counted)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dp, name, counted)
+
+    count("evaluate_component_labeling")
+    count("_evaluate_one")
     return calls
 
 
@@ -393,14 +401,15 @@ def joint_reference(component, tree, weights, alpha):
     return dp._solve_joint(component, tree, weights, objective_units(alpha))
 
 
-def one_adjacency_cases(seeds, n_instances):
+def one_adjacency_cases(seeds, n_instances, *, non_binary=False):
     """(tree, weights, component) for every one-adjacency component of
     the oracle generator at thresholds 0 to 0.3."""
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(n_instances):
             tree = random_instance(
-                rng, n_leaves=rng.randint(2, 8), n_markers=rng.randint(3, 7)
+                rng, n_leaves=rng.randint(2, 8), n_markers=rng.randint(3, 7),
+                non_binary=non_binary,
             )
             weights = random_weights(rng, tree)
             for threshold in ("0", "0.1", "0.2", "0.3"):
@@ -444,7 +453,12 @@ class TestSweep:
 
     def test_tables_and_solutions_match_the_joint_dp(self):
         checked = 0
-        for tree, weights, component in one_adjacency_cases((79, 83, 89, 101, 103), 30):
+        cases = itertools.chain(
+            one_adjacency_cases((79, 83, 89, 101, 103), 30),
+            # Unary nodes and multifurcations, as Newick input may hold.
+            one_adjacency_cases((107, 109), 30, non_binary=True),
+        )
+        for tree, weights, component in cases:
             for alpha in ("0", "1/4", "1/2", "3/4", "1"):
                 solution, table = solve_component(component, tree, weights, alpha)
                 want, reference = joint_reference(component, tree, weights, alpha)
@@ -454,7 +468,7 @@ class TestSweep:
                 assert solution.cooptimal_count == want.cooptimal_count
                 assert solution == want
                 checked += 1
-        assert checked >= 500
+        assert checked >= 700
 
     def test_ties_take_the_absent_state(self):
         tree, weights, component = tie_gadget()
@@ -506,6 +520,31 @@ class TestSweep:
                     s.node_labels for s in sample_component(reference, 40, seed)
                 ]
                 assert len({frozenset(s.node_labels.items()) for s in drawn}) >= 3
+
+
+    def test_a_tampered_table_fails_the_recheck(self):
+        tree, weights, component = tie_gadget()
+        _, table = solve_component(component, tree, weights, "1/2")
+        # A root row one unit too cheap: every labeling re-evaluates to more.
+        table.cost[tree.root] = [c - 1 for c in table.cost[tree.root]]
+        with pytest.raises(InternalInvariantError, match="table optimum"):
+            sample_component(table, 1, seed=0)
+
+    def test_the_recheck_reads_the_leaves_from_their_genomes(self):
+        tree, weights, component = tie_gadget()
+        (adjacency,) = component.edges
+        # The sweep reads leaf states from the tree's candidate masks;
+        # claim that no leaf holds the adjacency.
+        object.__setattr__(tree, "_candidates", MappingProxyType({adjacency: 0}))
+        with pytest.raises(InternalInvariantError, match="table optimum"):
+            solve_component(component, tree, weights, "1/2")
+
+    def test_presence_where_not_annotated_fails_the_recheck(self):
+        tree, weights, _ = tie_gadget()
+        (component,) = components_of(tree, weights, "0.5")  # anc2 only
+        _, table = solve_component(component, tree, weights, "1/2")
+        with pytest.raises(InternalInvariantError, match="held at unannotated anc1"):
+            dp._finish_solution(table, {v: 1 for v in tree.internal_ids()}, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from oracles import (
+    boltzmann_sweep,
     brute_boltzmann,
     brute_max_weight_micro,
     brute_min_changes,
@@ -15,7 +16,6 @@ from oracles import (
     random_instance,
     random_weights,
 )
-from scjlabel import weights as weights_module
 from scjlabel.core import (
     Adjacency,
     Genome,
@@ -116,6 +116,10 @@ class TestFitch:
 # Boltzmann posteriors
 
 
+#: Temperatures from parsimony-like (0.001) to nearly uniform (10).
+BOLTZMANN_KTS = (0.001, 0.05, 0.1, 1, 10)
+
+
 class TestBoltzmann:
     def test_even_split_is_exactly_half(self):
         tree = parse_newick("(s1,s2)anc1;")
@@ -143,6 +147,32 @@ class TestBoltzmann:
                     want = brute_boltzmann(tree, adjacency, kt)
                     for v in want:
                         assert abs(got[v] - want[v]) < 1e-9
+                    assert boltzmann_sweep(tree, adjacency, kt) == got
+
+    @pytest.mark.parametrize("non_binary", [False, True])
+    def test_equals_the_plain_sweep_exactly(self, non_binary):
+        # Equal floats, no tolerance: the kernel shares inside and outside
+        # pairs across patterns but keeps the sweep's float operations.
+        rng = random.Random(53 if non_binary else 59)
+        arities = set()
+        for _ in range(15):
+            tree = random_instance(
+                rng, n_leaves=rng.randint(2, 9), n_markers=rng.randint(3, 8),
+                non_binary=non_binary,
+            )
+            arities |= {len(tree.nodes[v].children) for v in tree.internal_ids()}
+            for kt in BOLTZMANN_KTS:
+                table = boltzmann_weight_table(tree, kt)
+                for a in candidate_adjacencies(tree):
+                    want = boltzmann_sweep(tree, a, kt)
+                    assert boltzmann_weights(tree, a, kt) == want
+                    assert dict(table.row(a)) == {
+                        v: quantize_weight(w) for v, w in want.items()
+                    }
+        if non_binary:
+            assert {1, 3} <= arities  # unary and multifurcating nodes were drawn
+        else:
+            assert arities == {2}
 
     def test_unanimous_presence_pins_the_weight_high(self):
         tree = quartet_instance({"s1", "s2", "s3", "s4"})
@@ -196,29 +226,28 @@ class TestBoltzmannTable:
         candidates = sorted_candidates(tree)
         internal = sorted(tree.internal_ids())
         for a in candidates:
-            weights = boltzmann_weights(tree, a, kt)
+            weights = boltzmann_sweep(tree, a, kt)
             for v in internal:
                 assert table.get_micro(v, a) == quantize_weight(weights[v])
         assert [(v, a) for v, a, _ in table.micro_items()] == [
             (v, a) for v in internal for a in candidates
         ]
 
-    def test_sweeps_once_per_leaf_pattern(self, monkeypatch):
+    @pytest.mark.parametrize("kt", BOLTZMANN_KTS)
+    def test_one_row_per_leaf_pattern_equals_the_plain_sweep(self, kt):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
-        sweep = weights_module._boltzmann_sweep
-        calls = []
-
-        def counting_sweep(*args):
-            calls.append(args)
-            return sweep(*args)
-
-        monkeypatch.setattr(weights_module, "_boltzmann_sweep", counting_sweep)
-        boltzmann_weight_table(tree, 0.1)
+        table = boltzmann_weight_table(tree, kt)
         candidates = sorted_candidates(tree)
         genomes = [tree.leaf_genomes[v].adjacencies for v in tree.leaves()]
-        patterns = {tuple(a in genome for genome in genomes) for a in candidates}
+        by_pattern = {}
+        for a in candidates:
+            by_pattern.setdefault(tuple(a in g for g in genomes), []).append(a)
         assert len(candidates) == 420
-        assert len(calls) == len(patterns) == 27
+        assert len(by_pattern) == 27
+        for group in by_pattern.values():
+            (row,) = {id(table._rows[a]): table._rows[a] for a in group}.values()
+            want = boltzmann_sweep(tree, group[0], kt)
+            assert row == {v: quantize_weight(w) for v, w in want.items()}
 
     def test_one_row_object_per_leaf_pattern(self):
         tree = evolve(SimConfig(n_markers=100, n_leaves=6, seed=0)).tree
