@@ -466,9 +466,6 @@ class Phylogeny:
     def preorder(self) -> Iterator[int]:
         return iter(self._preorder)
 
-    def postorder(self) -> Iterator[int]:
-        return reversed(self._preorder)
-
     def postorder_items(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
         """``(node, children, leaf bit)`` in postorder; the bit is the node's
         in :meth:`subtree_masks`, and 0 at an internal node."""

@@ -98,15 +98,6 @@ def _matching_masks(edge_indices: Sequence[int], conflicts: Sequence[int]) -> li
     return masks
 
 
-def _leaf_mask(tree: Phylogeny, leaf_id: int, edges: Sequence[Adjacency]) -> int:
-    genome = tree.leaf_genomes[leaf_id]
-    mask = 0
-    for i, e in enumerate(edges):
-        if e in genome.adjacencies:
-            mask |= 1 << i
-    return mask
-
-
 def solve_component(
     component: Component,
     tree: Phylogeny,
@@ -150,13 +141,14 @@ def _solve_joint(
             if v in annotated:
                 annotated[v].append((i, row.get(v, 0)))
 
+    candidates = tree.candidates()
+    held = [(candidates.get(e, 0), 1 << i) for i, e in enumerate(edges)]
     labels: dict[int, list[int]] = {}
     cost: dict[int, list[int]] = {}
     count: dict[int, list[int]] = {}
-    for v in tree.postorder():
-        node = tree.nodes[v]
-        if not node.children:
-            labels[v] = [_leaf_mask(tree, v, edges)]
+    for v, children, leaf_bit in tree.postorder_items():
+        if not children:
+            labels[v] = [sum([bit for mask, bit in held if mask & leaf_bit])]
             cost[v] = [0]
             count[v] = [1]
             continue
@@ -169,7 +161,7 @@ def _solve_joint(
             kept = sum(micro for i, micro in here if mask >> i & 1)
             c = wunit * (total_micro - kept)
             ways = 1
-            for child in node.children:
+            for child in children:
                 child_labels = labels[child]
                 child_cost = cost[child]
                 best = None

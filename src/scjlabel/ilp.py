@@ -57,9 +57,9 @@ class IlpModel:
 
     ``adjacencies`` are the component's edges in sorted order.  For the
     adjacency at index ``ai``, ``var_at[ai]`` maps each internal node
-    where it is annotated to its variable's index, and
-    ``leaf_states[ai]`` maps each leaf to 1 if the leaf holds it, else
-    0.  Variable ``j`` belongs to adjacency ``adjacency_of_var[j]``.
+    where it is annotated to its variable's index; the leaves that hold
+    it are those of ``tree.candidates()``.  Variable ``j`` belongs to
+    adjacency ``adjacency_of_var[j]``.
     """
 
     component: Component
@@ -70,7 +70,6 @@ class IlpModel:
     packing_groups: tuple[tuple[int, ...], ...]
     adjacencies: tuple[Adjacency, ...]
     var_at: tuple[dict[int, int], ...]
-    leaf_states: tuple[dict[int, int], ...]
     adjacency_of_var: tuple[int, ...]
 
     def node_labels(self, vector: Sequence[int]) -> dict[int, frozenset[Adjacency]]:
@@ -122,7 +121,6 @@ def build_model(
             tuple(incident[x]) for x in sorted(incident) if len(incident[x]) >= 2
         )
 
-    leaves = [(v, tree.leaf_genomes[v].adjacencies) for v in tree.leaves()]
     return IlpModel(
         component=component,
         tree=tree,
@@ -132,9 +130,6 @@ def build_model(
         packing_groups=tuple(groups),
         adjacencies=adjacencies,
         var_at=tuple(var_at),
-        leaf_states=tuple(
-            {v: int(a in held) for v, held in leaves} for a in adjacencies
-        ),
         adjacency_of_var=tuple(adjacency_of_var),
     )
 
@@ -236,9 +231,6 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     internal_postorder = tree.internal_ids()
     internal_preorder = internal_postorder[::-1]
     node_parent = [tree.nodes[v].parent for v in range(n_nodes)]
-    leaf_children = [
-        [c for c in tree.nodes[v].children if tree.is_leaf(c)] for v in range(n_nodes)
-    ]
     internal_children = [
         [c for c in tree.nodes[v].children if not tree.is_leaf(c)]
         for v in range(n_nodes)
@@ -248,15 +240,18 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     adjacency_of_var = model.adjacency_of_var
     # A leaf's state is fixed, so each leaf child adds one change to the
     # state of its parent that differs from it.  Per adjacency, in
-    # ``internal_postorder``: the changes to a node's leaf children when
-    # it is absent and when present.
-    leaf_changes: list[list[tuple[int, int]]] = []
-    for held in model.leaf_states:
-        row = []
-        for v in internal_postorder:
-            present = sum(held[c] for c in leaf_children[v])
-            row.append((unit * present, unit * (len(leaf_children[v]) - present)))
-        leaf_changes.append(row)
+    # ``internal_postorder``: the changes to a node's leaf children (a
+    # leaf bitmask) when it is absent and when present.
+    masks, candidates = tree.subtree_masks(), tree.candidates()
+    leaf_children = [
+        sum([masks[c] for c in tree.nodes[v].children if tree.is_leaf(c)])
+        for v in internal_postorder
+    ]
+    leaf_changes = [
+        [(unit * (held & leaves).bit_count(), unit * (leaves & ~held).bit_count())
+         for leaves in leaf_children]
+        for held in [candidates.get(a, 0) for a in model.adjacencies]
+    ]
 
     BIG = 1 << 62
     down0 = [0] * n_nodes

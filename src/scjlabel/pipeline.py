@@ -79,8 +79,8 @@ class RunConfig:
             raise InputError(f"threshold must lie in [0, 1], got {self.threshold_x}")
         object.__setattr__(self, "threshold_x", x)
         check_kt(self.kt)
-        if self.n_samples < 0:
-            raise InputError(f"sample count must be non-negative, got {self.n_samples}")
+        if type(self.n_samples) is not int or self.n_samples < 0:  # bool too
+            raise InputError(f"sample count must be a non-negative integer, got {self.n_samples!r}")
         if self.explosion_cap < 1:
             raise InputError(f"capacity must be at least 1, got {self.explosion_cap}")
         if self.threads < 1:
@@ -96,21 +96,16 @@ class ComponentReport:
     ``indices`` are the components the solve stands for, by their rank
     in :func:`graph.connected_components`: the one component solved, or
     every one-adjacency component of a signature class on the DP route
-    (see :func:`solve_instance`).  The other fields are those of one of
-    them, and each of the others has the same.
+    (see :func:`solve_instance`).  ``component`` is the first of them
+    and ``solution`` its solution on route ``solver``; each of the
+    others has the same size, route and solution values under its own
+    adjacency.
     """
 
     indices: tuple[int, ...]
-    n_edges: int
-    n_extremities: int
-    max_degree: int
-    label_space_bound: int
+    component: Component
     solver: str
-    objective_scaled: int
-    scj_changes: int
-    discarded_micro: int
-    cooptimal_count: int | None
-    bb_nodes: int | None  # branch-and-bound visits; None on the dp route
+    solution: ComponentSolution
     seconds: float  # wall clock; kept out of all written outputs
 
 
@@ -163,8 +158,8 @@ def _solve_one(
     tree: Phylogeny,
     weights: WeightTable,
     config: RunConfig,
-) -> tuple[str, ComponentSolution, list[list[ComponentSolution]], float]:
-    """Route, solution, samples per member and wall-clock seconds of one solve.
+) -> tuple[ComponentReport, list[list[ComponentSolution]]]:
+    """Report and samples per member of one solve.
 
     ``members`` are the indices of the components that ``component``
     stands for: itself, or its whole signature class.  Each member draws
@@ -173,12 +168,13 @@ def _solve_one(
     adjacency.
     """
     started = time.perf_counter()
+    samples = []
     if _on_dp_route(component, config):
+        route = "dp"
         solution, table = solve_component(
             component, tree, weights, config.alpha,
             explosion_cap=config.explosion_cap,
         )
-        samples = []
         if config.n_samples > 0:
             samples = [
                 sample_component(
@@ -186,19 +182,21 @@ def _solve_one(
                 )
                 for i in members
             ]
-        return "dp", solution, samples, time.perf_counter() - started
-    (index,) = members
-    if config.n_samples > 0:
-        raise CapacityExceeded(
-            f"component {index} needs the ilp route"
-            f" (label bound {component.label_space_bound}),"
-            " which cannot sample; raise --cap or drop --samples"
-        )
-    try:
-        solution = solve_bb(build_model(component, tree, weights, config.alpha))
-    except CapacityExceeded as exc:
-        raise CapacityExceeded(f"component {index}: {exc}") from exc
-    return "ilp", solution, [], time.perf_counter() - started
+    else:
+        route = "ilp"
+        (index,) = members
+        if config.n_samples > 0:
+            raise CapacityExceeded(
+                f"component {index} needs the ilp route"
+                f" (label bound {component.label_space_bound}),"
+                " which cannot sample; raise --cap or drop --samples"
+            )
+        try:
+            solution = solve_bb(build_model(component, tree, weights, config.alpha))
+        except CapacityExceeded as exc:
+            raise CapacityExceeded(f"component {index}: {exc}") from exc
+    seconds = time.perf_counter() - started
+    return ComponentReport(tuple(members), component, route, solution, seconds), samples
 
 
 def _assemble(
@@ -262,36 +260,26 @@ def solve_instance(
             members.append(i)
         else:
             solves.append((component, [i]))
-    outcomes = [
-        _solve_one(component, members, tree, weights, config)
-        for component, members in solves
-    ]
-
-    def names(members: list[int]) -> tuple[Adjacency, ...] | None:
-        # A solve of one component names its own adjacencies.
-        if len(members) == 1:
-            return None
-        return tuple([a for i in members for a in components[i].edges])
-
     internal = tree.internal_ids()
-    labeling = _assemble(
-        internal,
-        [(names(members), solution)
-         for (_, members), (_, solution, _, _) in zip(solves, outcomes)],
-    )
-
-    alpha = config.alpha
-    edge_set = set(graph.edges)
-    # Each leaf adjacency outside the graph is absent at the leaf's parent.
-    unsupported = sum(
-        len(tree.leaf_genomes[v].adjacencies - edge_set)
-        for _, v in tree.edges()
-        if tree.is_leaf(v)
-    )
+    reports: list[ComponentReport] = []
+    parts: list[tuple[tuple[Adjacency, ...] | None, ComponentSolution]] = []
+    # When sampling, every component's draws, each under its own name: a
+    # class member's is its own adjacency.
+    own: list[tuple[Adjacency, ...] | None] = []
+    per_component: list[list[ComponentSolution]] = []
     scaled_sum = discarded_micro = annotated_micro = 0
     cooptimal: int | None = 1
-    for (component, members), (_, solution, _, _) in zip(solves, outcomes):
+    for component, members in solves:
+        report, per_member = _solve_one(component, members, tree, weights, config)
+        reports.append(report)
+        solution = report.solution
         k = len(members)
+        # A solve of one component names its own adjacencies.
+        names = None if k == 1 else tuple([a for i in members for a in components[i].edges])
+        parts.append((names, solution))
+        if per_member:
+            own.extend([None] if k == 1 else [tuple(components[i].edges) for i in members])
+            per_component.extend(per_member)
         scaled_sum += k * solution.objective_scaled
         discarded_micro += k * solution.discarded_micro
         for a, nodes in component.edges.items():
@@ -301,6 +289,16 @@ def solve_instance(
             cooptimal *= solution.cooptimal_count**k
         else:
             cooptimal = None
+    labeling = _assemble(internal, parts)
+
+    alpha = config.alpha
+    edge_set = set(graph.edges)
+    # Each leaf adjacency outside the graph is absent at the leaf's parent.
+    unsupported = sum(
+        len(tree.leaf_genomes[v].adjacencies - edge_set)
+        for _, v in tree.edges()
+        if tree.is_leaf(v)
+    )
     # Filtered weight: the internal nodes' total less the annotated weight.
     filtered_micro = sum(weights.total_micro(v) for v in internal) - annotated_micro
 
@@ -318,13 +316,6 @@ def solve_instance(
     samples: tuple[Labeling, ...] = ()
     frequencies: dict[tuple[int, Adjacency], Fraction] = {}
     if config.n_samples > 0:
-        # Every component's draws; a class member's name its own adjacency.
-        own: list[tuple[Adjacency, ...] | None] = []
-        per_component = []
-        for (_, members), (_, _, per_member, _) in zip(solves, outcomes):
-            for i, sampled in zip(members, per_member):
-                own.append(None if len(members) == 1 else tuple(components[i].edges))
-                per_component.append(sampled)
         # Samples that drew the same solution of every component share
         # one assembled labeling; the sampler shares the solution objects.
         assembled: dict[tuple[int, ...], Labeling] = {}
@@ -348,37 +339,20 @@ def solve_instance(
             for key, count in tally.items()
         }
 
-    reports = tuple(
-        ComponentReport(
-            indices=tuple(members),
-            n_edges=len(component.edges),
-            n_extremities=component.n_extremities,
-            max_degree=component.max_degree,
-            label_space_bound=component.label_space_bound,
-            solver=route,
-            objective_scaled=solution.objective_scaled,
-            scj_changes=solution.scj_changes,
-            discarded_micro=solution.discarded_micro,
-            cooptimal_count=solution.cooptimal_count,
-            bb_nodes=solution.nodes_explored,
-            seconds=seconds,
-        )
-        for (component, members), (route, solution, _, seconds) in zip(solves, outcomes)
-    )
     return SolveReport(
         alpha=alpha,
         threshold_x=config.threshold_x,
         n_markers=len(tree.markers),
         n_nodes=len(tree.nodes),
-        max_component_extremities=max((r.n_extremities for r in reports), default=0),
-        max_degree=max((r.max_degree for r in reports), default=0),
+        max_component_extremities=max((r.component.n_extremities for r in reports), default=0),
+        max_degree=max((r.component.max_degree for r in reports), default=0),
         objective=direct.total,
         scj_total=direct.scj_changes,
         discarded_micro=discarded_micro + filtered_micro,
         cooptimal_count=cooptimal,
         unsupported_leaf_scj=unsupported,
         filtered_weight_micro=filtered_micro,
-        components=reports,
+        components=tuple(reports),
         labeling=labeling,
         samples=samples,
         sample_frequencies=frequencies,

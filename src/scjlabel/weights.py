@@ -52,14 +52,13 @@ def boltzmann_weights(tree: Phylogeny, adjacency: Adjacency, kt: float) -> dict[
     does not underflow.
     """
     _check_boltzmann_inputs(tree, kt)
-    masks, genomes = tree.subtree_masks(), tree.leaf_genomes
-    pattern = sum(masks[v] for v in tree.leaves() if adjacency in genomes[v].adjacencies)
+    pattern = tree.candidates().get(adjacency, 0)
     return {v: weights[pattern] for v, weights in _posteriors(tree, [pattern], kt)}
 
 
 def check_kt(kt: object) -> None:
     """Reject a Boltzmann temperature that is not a finite positive number."""
-    if not (isinstance(kt, (int, float)) and 0 < kt < _INF):
+    if isinstance(kt, bool) or not (isinstance(kt, (int, float)) and 0 < kt < _INF):
         raise InputError(f"temperature kT (--kt) must be a finite positive number, got {kt!r}")
 
 

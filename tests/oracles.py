@@ -333,7 +333,7 @@ def fitch_scj(tree: Phylogeny, adjacency: Adjacency) -> FitchHistory:
     if not tree.leaf_genomes:
         raise InputError("fitch_scj needs genomes attached to the tree")
     cost: dict[int, list[float]] = {}
-    for v in tree.postorder():
+    for v in reversed(list(tree.preorder())):
         node = tree.nodes[v]
         if node.is_leaf:
             present = adjacency in tree.leaf_genomes[v].adjacencies

@@ -36,6 +36,7 @@ from scjlabel.dp import (
 from scjlabel.errors import CapacityExceeded, InputError, InternalInvariantError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
+from scjlabel.ilp import build_model, solve_bb
 
 
 def genome_of(markers, *chromosomes):
@@ -531,13 +532,25 @@ class TestSweep:
             sample_component(table, 1, seed=0)
 
     def test_the_recheck_reads_the_leaves_from_their_genomes(self):
-        tree, weights, component = tie_gadget()
-        (adjacency,) = component.edges
-        # The sweep reads leaf states from the tree's candidate masks;
-        # claim that no leaf holds the adjacency.
-        object.__setattr__(tree, "_candidates", MappingProxyType({adjacency: 0}))
-        with pytest.raises(InternalInvariantError, match="table optimum"):
-            solve_component(component, tree, weights, "1/2")
+        def branch_and_bound(component, tree, weights, alpha):
+            return solve_bb(build_model(component, tree, weights, alpha))
+
+        tie_tree, tie_weights, one = tie_gadget()
+        fork = fork_gadget()
+        (two,) = components_of(fork)
+        assert len(two.edges) == 2
+        for tree, weights, component, solve, message in [
+            (tie_tree, tie_weights, one, solve_component, "table optimum"),  # the sweep
+            (fork, WeightTable(), two, solve_component, "table optimum"),  # the joint DP
+            (fork, WeightTable(), two, branch_and_bound, "bound bookkeeping drifted"),
+        ]:
+            # The solvers read leaf states from the tree's candidate masks;
+            # claim that no leaf holds any adjacency of the component.
+            object.__setattr__(
+                tree, "_candidates", MappingProxyType(dict.fromkeys(component.edges, 0))
+            )
+            with pytest.raises(InternalInvariantError, match=message):
+                solve(component, tree, weights, "1/2")
 
     def test_presence_where_not_annotated_fails_the_recheck(self):
         tree, weights, _ = tie_gadget()

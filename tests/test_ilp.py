@@ -138,7 +138,8 @@ class TestBuildModel:
         a, b = Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")
         assert model.adjacencies == model.component.sorted_edges == (a, b)
         assert model.var_at == ({anc1: 0}, {anc1: 1})
-        assert model.leaf_states == ({s1: 1, s2: 0}, {s1: 0, s2: 1})
+        masks = tree.subtree_masks()
+        assert [tree.candidates()[x] for x in model.adjacencies] == [masks[s1], masks[s2]]
         assert model.adjacency_of_var == (0, 1)
 
     def test_packing_groups_only_for_shared_extremities(self):

@@ -100,8 +100,11 @@ class TestRunConfig:
             RunConfig(kt=float("nan"))
         with pytest.raises(InputError, match="kT"):
             RunConfig(kt=float("inf"))
-        with pytest.raises(InputError, match="sample count"):
-            RunConfig(n_samples=-1)
+        with pytest.raises(InputError, match="kT"):
+            RunConfig(kt=True)
+        for n_samples in (-1, 1.5, True):
+            with pytest.raises(InputError, match="sample count"):
+                RunConfig(n_samples=n_samples)
         with pytest.raises(InputError, match="capacity"):
             RunConfig(explosion_cap=0)
         with pytest.raises(InputError, match="thread count"):
@@ -178,13 +181,13 @@ class TestSolveInstance:
         # Two signatures, so one solve each.
         assert [c.indices for c in auto.components] == [(0,), (1,)]
         assert [c.solver for c in auto.components] == ["dp", "dp"]
-        assert [c.bb_nodes for c in auto.components] == [None, None]
+        assert [c.solution.nodes_explored for c in auto.components] == [None, None]
         forced = solve_instance(
             tree, WeightTable(), RunConfig(explosion_cap=1)
         )
         assert [c.indices for c in forced.components] == [(0,), (1,)]
         assert [c.solver for c in forced.components] == ["ilp", "ilp"]
-        assert all(c.bb_nodes >= 1 for c in forced.components)
+        assert all(c.solution.nodes_explored >= 1 for c in forced.components)
         assert forced.cooptimal_count is None
         assert forced.objective == auto.objective
 
@@ -274,8 +277,8 @@ def per_component_totals(report):
     """Objective and discarded weight of the components, from the reports."""
     parts = report.components
     return (
-        sum(len(c.indices) * c.objective_scaled for c in parts),
-        sum(len(c.indices) * c.discarded_micro for c in parts),
+        sum(len(c.indices) * c.solution.objective_scaled for c in parts),
+        sum(len(c.indices) * c.solution.discarded_micro for c in parts),
     )
 
 
@@ -311,7 +314,7 @@ class TestSignatureMemo:
         assert report.component_solvers == ["dp"] * 47
         assert sum(count > 1 for count in own_counts) == 30
         assert sum(
-            len(c.indices) for c in report.components if c.cooptimal_count > 1
+            len(c.indices) for c in report.components if c.solution.cooptimal_count > 1
         ) == 30
         cooptimal = 1
         for count in own_counts:
@@ -358,7 +361,7 @@ class TestSignatureMemo:
             for part in parts
         ]
         assert [c.indices for c in report.components] == [(0,), (1,)]
-        assert [c.objective_scaled for c in report.components] == [
+        assert [c.solution.objective_scaled for c in report.components] == [
             solution.objective_scaled for solution in want
         ]
         assert [solution.objective for solution in want] == [1, Fraction(3, 5)]
@@ -714,7 +717,7 @@ class TestSharedRendering:
         report = solve_instance(tree, WeightTable(), config)
         # Two two-adjacency components, each solved on its own.
         assert [c.indices for c in report.components] == [(0,), (1,)]
-        assert [c.cooptimal_count for c in report.components] == [3, 3]
+        assert [c.solution.cooptimal_count for c in report.components] == [3, 3]
         write_outputs(report, tree, config)
         plain = tmp_path / "plain.tsv"
 

@@ -193,6 +193,8 @@ class TestBoltzmann:
         tree = quartet_instance({"s1"})
         with pytest.raises(InputError):
             boltzmann_weights(tree, Adjacency.of("1h", "2t"), 0)
+        with pytest.raises(InputError, match="kT"):
+            boltzmann_weights(tree, Adjacency.of("1h", "2t"), True)
 
     def test_table_covers_every_candidate_everywhere(self):
         tree = quartet_instance({"s1", "s3"})
