@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
 
@@ -192,6 +193,15 @@ def check_consistency(adjacencies: Iterable[Adjacency]) -> tuple[bool, list[Extr
     return (not offenders, offenders)
 
 
+def _raise_outside(adjacencies: Iterable[Adjacency], universe: AbstractSet[int]) -> None:
+    """Name the first adjacency, in iteration order, with a marker outside
+    ``universe``; callers find that one exists with a check in C."""
+    for adj in adjacencies:
+        for m, _ in adj:
+            if m not in universe:
+                raise InputError(f"adjacency {fmt(adj)} uses marker {m} outside the universe")
+
+
 @dataclass(frozen=True)
 class Genome:
     """A consistent adjacency set over a fixed marker universe."""
@@ -202,14 +212,15 @@ class Genome:
     def __post_init__(self) -> None:
         object.__setattr__(self, "adjacencies", frozenset(self.adjacencies))
         object.__setattr__(self, "markers", frozenset(self.markers))
-        for adj in self.adjacencies:
-            for m, _ in adj:
-                if m not in self.markers:
-                    raise InputError(f"adjacency {fmt(adj)} uses marker {m} outside the universe")
-        ok, offenders = check_consistency(self.adjacencies)
-        if not ok:
-            listed = ", ".join(map(fmt, offenders))
-            raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
+        # Both checks run in C; only a failing one loops for its message.
+        extremities = set().union(*self.adjacencies)
+        if not self.markers.issuperset(map(itemgetter(0), extremities)):
+            _raise_outside(self.adjacencies, self.markers)
+        if len(extremities) != 2 * len(self.adjacencies):
+            ok, offenders = check_consistency(self.adjacencies)
+            if not ok:
+                listed = ", ".join(map(fmt, offenders))
+                raise InputError(f"inconsistent adjacency set, reused extremities: {listed}")
 
 
 def chromosome_adjacencies(
@@ -254,26 +265,23 @@ def extract_cars(
     before negative).  Every marker appears in exactly one CAR; markers
     untouched by any adjacency come back as singleton linear CARs.  The
     list is sorted by kind, then first marker, so equal inputs produce
-    identical output.  Apart from sorting the markers, time is linear in
-    the markers and adjacencies.
+    identical output.  The cost is one pass over the sorted markers,
+    plus work per adjacency and per CAR: an untouched marker becomes its
+    singleton without a walk.
     """
     adjs = list(adjacencies)
     universe = set(markers)
-    if any(m < 1 for m in universe):
+    if universe and min(universe) < 1:
         raise InputError(f"marker ids are positive, got {min(universe)}")
-    link: dict[tuple[int, int], tuple[int, int]] = {}
-    for adj in adjs:
-        a, b = adj
-        link[a] = b
-        link[b] = a
+    link: dict[tuple[int, int], tuple[int, int]] = dict(adjs)
+    link.update(zip(map(itemgetter(1), adjs), map(itemgetter(0), adjs)))
     if len(link) != 2 * len(adjs):
         _, offenders = check_consistency(adjs)
         listed = ", ".join(map(fmt, offenders))
         raise InputError(f"cannot extract CARs, reused extremities: {listed}")
-    for adj in adjs:
-        for m, _ in adj:
-            if m not in universe:
-                raise InputError(f"adjacency {fmt(adj)} uses marker {m} outside the universe")
+    touched = set(map(itemgetter(0), link))
+    if not touched <= universe:
+        _raise_outside(adjs, universe)
 
     def walk(marker: int, end: int) -> tuple[tuple[int, ...], bool]:
         # Enter ``marker`` at ``end``; follow internal marker connections
@@ -291,15 +299,16 @@ def extract_cars(
 
     # Each walk comes out canonical because the markers are visited in
     # increasing order.  A linear run is entered at its end with the
-    # smaller marker (the run's other end marker is larger, or the same
-    # marker for a singleton entered at its tail), and a cycle, once the
-    # linear runs are used, at its smallest marker's tail.
+    # smaller marker (the run's other end marker is larger), and a cycle,
+    # once the linear runs are used, at its smallest marker's tail.
     used: set[int] = set()
     linear: list[tuple[str, tuple[int, ...]]] = []
     # Linear runs first: start only at free extremities, so a marker in
     # the middle of a run is never mistaken for the start of one.
-    ordered = sorted(universe)
-    for m in ordered:
+    for m in sorted(universe):
+        if m not in touched:  # no adjacency: a singleton, with no walk
+            linear.append(("linear", (m,)))
+            continue
         if m in used:
             continue
         if (m, TAIL) not in link:
@@ -311,7 +320,7 @@ def extract_cars(
         used.update(map(abs, seq))
         linear.append(("linear", seq))
     circular: list[tuple[str, tuple[int, ...]]] = []
-    for m in ordered:
+    for m in sorted(touched - used):
         if m in used:
             continue
         seq, closed = walk(m, TAIL)

@@ -213,16 +213,20 @@ def _parse_marker_row(path, lineno: int, row: str) -> tuple[str, bool, tuple[int
         raise InputError(f"{path}:{lineno}: chromosome kind must be L or C, got {kind!r}")
     if not order:
         raise InputError(f"{path}:{lineno}: empty marker order")
-    markers = []
-    for token in order.split():
-        try:
-            value = int(token)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad marker id {token!r}") from None
-        if value == 0:
-            raise InputError(f"{path}:{lineno}: marker ids must be non-zero")
-        markers.append(value)
-    return name, _KINDS[kind], tuple(markers)
+    tokens = order.split()
+    try:
+        markers = tuple(map(int, tokens))
+    except ValueError:
+        markers = (0,)  # sends the read below to the bad token
+    if 0 in markers:  # name the first bad token, as a token-by-token read does
+        for token in tokens:
+            try:
+                value = int(token)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: bad marker id {token!r}") from None
+            if value == 0:
+                raise InputError(f"{path}:{lineno}: marker ids must be non-zero")
+    return name, _KINDS[kind], markers
 
 
 def parse_genomes(path: str | Path) -> dict[str, Genome]:
@@ -231,42 +235,43 @@ def parse_genomes(path: str | Path) -> dict[str, Genome]:
     Signs choose the joined extremities, so "1 -2 3" yields the
     adjacencies (1h,2h) and (2t,3t).
     """
-    chromosomes: dict[str, list[tuple[bool, tuple[int, ...]]]] = {}
+    chromosomes: dict[str, list[tuple[tuple[int, ...], bool]]] = {}
     seen_markers: dict[str, set[int]] = {}
-    order: list[str] = []
     for lineno, row in _iter_rows(path):
         name, circular, markers = _parse_marker_row(path, lineno, row)
-        if name not in chromosomes:
+        seen = seen_markers.get(name)
+        if seen is None:
             chromosomes[name] = []
-            seen_markers[name] = set()
-            order.append(name)
-        for m in markers:
-            if abs(m) in seen_markers[name]:
-                raise InputError(
-                    f"{path}:{lineno}: marker {abs(m)} repeats in genome {name}"
-                )
-            seen_markers[name].add(abs(m))
-        chromosomes[name].append((circular, markers))
+            seen = seen_markers[name] = set()
+        ids = set(map(abs, markers))
+        if len(ids) != len(markers) or not seen.isdisjoint(ids):
+            for m in markers:  # find the first repeat for the message
+                if abs(m) in seen:
+                    raise InputError(
+                        f"{path}:{lineno}: marker {abs(m)} repeats in genome {name}"
+                    )
+                seen.add(abs(m))
+        seen |= ids
+        chromosomes[name].append((markers, circular))
     if not chromosomes:
         raise InputError(f"{path}: no genome rows found")
-    universe = seen_markers[order[0]]
-    for name in order[1:]:
+    first, *others = chromosomes
+    universe = frozenset(seen_markers[first])  # one object, shared by every genome
+    for name in others:
         if seen_markers[name] != universe:
             raise InputError(
-                f"{path}: genome {name} has different marker content than {order[0]}"
+                f"{path}: genome {name} has different marker content than {first}"
             )
     genomes: dict[str, Genome] = {}
     shared: dict = {}  # every genome holds the same extremity and adjacency tuples
-    for name in order:
-        adjacencies: set[Adjacency] = set()
-        for circular, markers in chromosomes[name]:
-            try:
-                adjacencies.update(chromosome_adjacencies(markers, circular, shared))
-            except InputError as exc:
-                raise InputError(f"{path}: genome {name}: {exc}") from exc
-        genomes[name] = Genome(
-            adjacencies=frozenset(adjacencies), markers=frozenset(universe)
-        )
+    for name, rows in chromosomes.items():
+        try:
+            parts = [chromosome_adjacencies(m, circular, shared) for m, circular in rows]
+        except InputError as exc:
+            raise InputError(f"{path}: genome {name}: {exc}") from exc
+        # A one-chromosome genome keeps its frozenset uncopied.
+        adjacencies = parts[0] if len(parts) == 1 else frozenset().union(*parts)
+        genomes[name] = Genome(adjacencies=adjacencies, markers=universe)
     return genomes
 
 
@@ -302,8 +307,10 @@ def parse_labeling(path: str | Path, tree: Phylogeny) -> dict[int, frozenset[Adj
 
 
 def _car_rows(name: str, adjacencies: frozenset[Adjacency], markers) -> list[str]:
+    # Most CARs of a sparse label are single markers, formatted without a join.
+    start = {"linear": f"{name}\tL\t", "circular": f"{name}\tC\t"}
     return [
-        f"{name}\t{'C' if kind == 'circular' else 'L'}\t{' '.join(map(str, seq))}"
+        start[kind] + (str(seq[0]) if len(seq) == 1 else " ".join(map(str, seq)))
         for kind, seq in extract_cars(adjacencies, markers)
     ]
 

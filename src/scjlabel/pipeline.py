@@ -81,8 +81,12 @@ class RunConfig:
         check_kt(self.kt)
         if type(self.n_samples) is not int or self.n_samples < 0:  # bool too
             raise InputError(f"sample count must be a non-negative integer, got {self.n_samples!r}")
-        if self.explosion_cap < 1:
-            raise InputError(f"capacity must be at least 1, got {self.explosion_cap}")
+        if type(self.seed) is not int:  # bool too: True would draw as "True"
+            raise InputError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.explosion_cap) is not int or self.explosion_cap < 1:
+            raise InputError(
+                f"capacity must be an integer of at least 1, got {self.explosion_cap!r}"
+            )
         if self.threads < 1:
             raise InputError(f"thread count must be at least 1, got {self.threads}")
         if self.weights_path is not None and self.boltzmann:
@@ -484,11 +488,13 @@ def _write_stats(
             up = ""
         else:
             up = str(len(label ^ labels[node.parent]))
-        leaf_scj = sum(
-            len(label ^ tree.leaf_genomes[c].adjacencies)
-            for c in node.children
-            if tree.is_leaf(c)
-        )
+        # ``label & leaf`` hashes only the label's adjacencies, where
+        # ``label ^ leaf`` would hash all of the leaf's.
+        leaf_scj = 0
+        for c in node.children:
+            if tree.is_leaf(c):
+                leaf = tree.leaf_genomes[c].adjacencies
+                leaf_scj += len(label) + len(leaf) - 2 * len(label & leaf)
         lines.append(
             f"{tree.name_of(v)}\t{n_cars}\t{len(label)}\t{up}\t{leaf_scj}"
         )

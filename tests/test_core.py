@@ -243,6 +243,17 @@ class TestGenome:
         with pytest.raises(InputError, match="^adjacency 1h-5t uses marker 5 outside the universe$"):
             extract_cars(outside, {1, 2})
 
+    def test_universe_is_checked_before_consistency(self):
+        # 4h is reused and marker 9 lies outside: the universe check reports.
+        both = frozenset({Adjacency.of("4h", "5t"), Adjacency.of("4h", "9t")})
+        with pytest.raises(InputError, match="^adjacency 4h-9t uses marker 9 outside the universe$"):
+            Genome(both, frozenset(range(1, 8)))
+        chain = set(chromosome_adjacencies(range(1, 200)))
+        reused = frozenset(chain | {Adjacency.of("3t", "150h")})
+        with pytest.raises(InputError, match="^inconsistent adjacency set, reused extremities: 3t, 150h$"):
+            Genome(reused, frozenset(range(1, 200)))
+        assert Genome(frozenset(chain), range(1, 200)).adjacencies == chain
+
     def test_empty_genome(self):
         g = Genome(frozenset(), frozenset({1, 2, 3}))
         assert g.adjacencies == frozenset()
@@ -312,6 +323,15 @@ class TestChromosomeAdjacencies:
         with pytest.raises(InputError):
             chromosome_adjacencies(markers, circular=circular)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+    def test_a_shared_dict_does_not_admit_a_non_int_marker(self, bad):
+        # The dict already holds marker 1 (True == 1) and 2 (2.0 == 2).
+        shared: dict = {}
+        chromosome_adjacencies((1, 2, 3), shared=shared)
+        message = f"^signed marker ids are non-zero integers, got {bad!r}$"
+        with pytest.raises(InputError, match=message):
+            chromosome_adjacencies((4, bad), shared=shared)
+
 
 class TestExtractCars:
     def test_untouched_markers_become_singletons(self):
@@ -346,6 +366,51 @@ class TestExtractCars:
             kept = [a for a in sorted(genome.adjacencies) if rng.random() < 0.8]
             universe = markers | frozenset(rng.sample(range(40, 50), rng.randint(0, 2)))
             assert extract_cars(kept, universe) == reference_extract_cars(kept, universe)
+
+    @pytest.mark.parametrize("as_markers", [
+        list, lambda markers: (m for m in markers), frozenset,
+    ], ids=["list", "generator", "frozenset"])
+    def test_sparse_labels_over_large_universes_match_the_reference(self, as_markers):
+        rng = random.Random(53)
+        kinds = {"singleton": 0, "long linear": 0, "circular": 0}
+        for _ in range(12):
+            n = rng.randint(300, 1500)
+            universe = rng.sample(range(1, 10 * n), n)
+            adjacencies: set = set()
+            start = 0
+            while start < n:  # mostly singletons, some long runs and cycles
+                size = 1 if rng.random() < 0.8 else rng.randint(2, 80)
+                piece = [m if rng.random() < 0.5 else -m for m in universe[start:start + size]]
+                adjacencies |= chromosome_adjacencies(piece, len(piece) > 2 and rng.random() < 0.3)
+                start += size
+            cars = extract_cars(adjacencies, as_markers(universe))
+            assert cars == reference_extract_cars(adjacencies, universe)
+            for kind, seq in cars:
+                if kind == "circular":
+                    kinds["circular"] += 1
+                elif len(seq) == 1:
+                    kinds["singleton"] += 1
+                elif len(seq) >= 20:
+                    kinds["long linear"] += 1
+        assert kinds["singleton"] > 5 * kinds["circular"] > 0
+        assert kinds["long linear"] > 0
+
+    def test_error_messages_are_kept(self):
+        big = range(1, 1000)
+        reused = [Adjacency.of("1h", "2t"), Adjacency.of("3h", "4t"), Adjacency.of("2t", "3t")]
+        with pytest.raises(InputError, match="^cannot extract CARs, reused extremities: 2t$"):
+            extract_cars(reused, big)
+        # A reused extremity is reported before a marker outside the universe.
+        with pytest.raises(InputError, match="^cannot extract CARs, reused extremities: 1h$"):
+            extract_cars([Adjacency.of("1h", "2t"), Adjacency.of("1h", "2000t")], big)
+        # The first adjacency, in the given order, with a marker outside.
+        outside = [Adjacency.of(a, b) for a, b in (("5h", "6t"), ("7h", "1200t"), ("1100h", "8t"))]
+        message = "^adjacency 7h-1200t uses marker 1200 outside the universe$"
+        with pytest.raises(InputError, match=message):
+            extract_cars(outside, big)
+        for markers, least in (([3, 0, 5], 0), ((m for m in (4, -2, 9, -7)), -7)):
+            with pytest.raises(InputError, match=f"^marker ids are positive, got {least}$"):
+                extract_cars(outside, markers)
 
     def test_inconsistent_input_is_rejected(self):
         bad = [Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")]

@@ -198,6 +198,30 @@ class TestParseGenomes:
             with pytest.raises(InputError, match=message):
                 parse_genomes(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["a\tL\t1 0 x"], ":1: marker ids must be non-zero"),
+        (["a\tL\t1 x 0"], ":1: bad marker id 'x'"),
+        (["a\tL\t1 2 x3 y"], ":1: bad marker id 'x3'"),
+        (["# comment", "a\tL\t2 1 -2 3"], ":2: marker 2 repeats in genome a"),
+        (["a\tL\t1 2", "b\tL\t1 2", "", "a\tL\t3 4 3 -2"], ":4: marker 3 repeats in genome a"),
+        (["a\tL\t1 2", "a\tL\t3 -1 -1"], ":2: marker 1 repeats in genome a"),
+        (["a\tL\t1 2 3", "b\tL\t1 2", "b\tL\t4"], ": genome b has different marker content than a"),
+        (["a\tL\t1 2", "b\tL\t1 2", "c\tL\t1"], ": genome c has different marker content than a"),
+        (["a\tL\t1", "b\tC\t1"], ": genome b: adjacency may not join two extremities of marker 1"),
+    ])
+    def test_errors_keep_their_message_and_line(self, tmp_path, rows, message):
+        path = write_text(tmp_path / "bad.tsv", *rows)
+        with pytest.raises(InputError) as info:
+            parse_genomes(path)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_genomes_share_one_universe_object(self, tmp_path):
+        path = write_text(tmp_path / "g.tsv", "a\tL\t1 2 3", "b\tL\t3", "b\tC\t-2 1")
+        genomes = parse_genomes(path)
+        assert genomes["a"].markers is genomes["b"].markers == frozenset({1, 2, 3})
+        assert genomes["b"].adjacencies == chromosome_adjacencies((-2, 1), circular=True)
+        assert genomes["a"].adjacencies == chromosome_adjacencies((1, 2, 3))
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = write_text(tmp_path / "g.tsv", "# nothing here")
         with pytest.raises(InputError, match="no genome rows"):
@@ -266,6 +290,20 @@ class TestParseLabeling:
         path = write_text(tmp_path / "lab.tsv", "anc2\tL\t1 5")
         with pytest.raises(InputError, match="unknown marker 5"):
             parse_labeling(path, labeled_tree())
+
+    @pytest.mark.parametrize("rows, message", [
+        (["anc2\tL\t1 2", "anc1\tL\t3 5 7"], ":2: unknown marker 5"),
+        (["anc2\tL\t1 0 x"], ":1: marker ids must be non-zero"),
+        (["anc2\tL\t1 x 0"], ":1: bad marker id 'x'"),
+        (["anc2\tL\t1 2", "# c", "s1\tL\t1 2"], ":3: s1 is a leaf, not an internal node"),
+        (["anc2\tC\t2"], ":1: adjacency may not join two extremities of marker 2"),
+        (["anc2\tL\t1 -3", "anc2\tL\t2 -3"], ": rows for anc2 reuse extremities: 3h"),
+    ])
+    def test_errors_keep_their_message_and_line(self, tmp_path, rows, message):
+        path = write_text(tmp_path / "lab.tsv", *rows)
+        with pytest.raises(InputError) as info:
+            parse_labeling(path, labeled_tree())
+        assert str(info.value) == f"{path}{message}"
 
     def test_extremity_reuse_across_rows(self, tmp_path):
         path = write_text(

@@ -105,8 +105,12 @@ class TestRunConfig:
         for n_samples in (-1, 1.5, True):
             with pytest.raises(InputError, match="sample count"):
                 RunConfig(n_samples=n_samples)
-        with pytest.raises(InputError, match="capacity"):
-            RunConfig(explosion_cap=0)
+        for seed in (1.5, "x", True, None):
+            with pytest.raises(InputError, match="^seed must be an integer"):
+                RunConfig(seed=seed)
+        for cap in (0, 2.5, True, "4"):
+            with pytest.raises(InputError, match="^capacity must be an integer of at least 1"):
+                RunConfig(explosion_cap=cap)
         with pytest.raises(InputError, match="thread count"):
             RunConfig(threads=0)
         with pytest.raises(InputError, match="one weight source"):
