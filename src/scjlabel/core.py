@@ -63,6 +63,15 @@ def exact_fraction(value: object) -> Fraction:
     raise InputError(f"expected a number, got {type(value).__name__}")
 
 
+def show_number(value: object) -> str:
+    """``str(value)``, or its power of ten past Python's int-to-string digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # an int or a Fraction
+        power = (abs(value.numerator).bit_length() - value.denominator.bit_length()) * 0.30103
+        return f"{'-' if value < 0 else ''}~1e{round(power)}"
+
+
 def as_alpha(value: object) -> Fraction:
     """Validate and coerce the mixing factor alpha to an exact rational.
 
@@ -72,10 +81,10 @@ def as_alpha(value: object) -> Fraction:
     """
     alpha = exact_fraction(value)
     if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
+        raise InputError(f"alpha must lie in [0, 1], got {show_number(alpha)}")
     if alpha.denominator > MAX_ALPHA_DENOMINATOR:
         raise InputError(
-            f"alpha denominator {alpha.denominator} exceeds {MAX_ALPHA_DENOMINATOR}; "
+            f"alpha denominator {show_number(alpha.denominator)} exceeds {MAX_ALPHA_DENOMINATOR}; "
             f"use a coarser rational"
         )
     return alpha
@@ -120,7 +129,7 @@ def quantize_weight(value: object) -> int:
         return int(Decimal(repr(value)).scaleb(6).quantize(_ONE, ROUND_HALF_UP))  # 6: MICRO
     w = exact_fraction(value)
     if not 0 <= w <= 1:
-        raise InputError(f"weight must lie in [0, 1], got {w}")
+        raise InputError(f"weight must lie in [0, 1], got {show_number(w)}")
     return (2 * w.numerator * MICRO + w.denominator) // (2 * w.denominator)
 
 
@@ -143,9 +152,13 @@ class Extremity:
     def parse(text: str) -> tuple[int, int]:
         """Parse the compact form ``"12h"`` / ``"3t"``."""
         text = text.strip()
-        if len(text) < 2 or text[-1] not in "ht" or not text[:-1].isdecimal():
-            raise InputError(f"bad extremity {text!r}, expected e.g. '12h' or '3t'")
-        return Extremity(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
+        try:
+            if len(text) < 2 or text[-1] not in "ht" or not text[:-1].isdecimal():
+                raise ValueError
+            return Extremity(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
+        except ValueError:  # int()'s too, past its digit limit
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            raise InputError(f"bad extremity {shown!r}, expected e.g. '12h' or '3t'") from None
 
 
 class Adjacency:

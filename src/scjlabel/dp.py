@@ -14,9 +14,11 @@ table by a two-state (absent/present) sweep, with the same tie rule.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .core import Adjacency, ObjectiveUnits, Phylogeny, WeightTable, fmt, objective_units
@@ -377,8 +379,10 @@ def sample_component(
 
     Sampling is top-down: the root label is drawn with probability
     proportional to its subtree co-optimum count, then each child's
-    argmin label likewise.  Given the same seed the byte sequence of
-    samples is identical across runs and platforms.
+    argmin label likewise.  A choice with more than one option takes one
+    ``randrange`` over its summed counts and bisects the running totals,
+    which are built once per argmin list.  Given the same seed the byte
+    sequence of samples is identical across runs and platforms.
 
     Each distinct labeling is re-checked once, and the samples that
     drew it share one :class:`ComponentSolution` object; do not mutate
@@ -391,12 +395,16 @@ def sample_component(
     cooptimal = count_cooptimal(table)
     rng = random.Random(seed)
     count = table.count
+    totals: dict[int, list[int]] = {}  # by id of an argmin list the walker keeps
 
     def draw(v: int, arg: list[int]) -> int:
         # A single option is taken without touching the RNG.
         if len(arg) == 1:
             return arg[0]
-        return arg[_weighted_index(rng, [count[v][j] for j in arg])]
+        running = totals.get(id(arg))
+        if running is None:
+            running = totals[id(arg)] = list(accumulate([count[v][j] for j in arg]))
+        return arg[bisect_right(running, rng.randrange(running[-1]))]
 
     walk = _walker(table)
     if cooptimal == 1:
@@ -411,18 +419,6 @@ def sample_component(
             solution = finished[key] = _finish_solution(table, chosen, cooptimal)
         samples.append(solution)
     return samples
-
-
-def _weighted_index(rng: random.Random, weights: Sequence[int]) -> int:
-    """Index drawn proportionally to exact integer weights."""
-    total = sum(weights)
-    r = rng.randrange(total)
-    acc = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    raise InternalInvariantError("weighted draw fell off the end")
 
 
 def evaluate_component_labeling(

@@ -35,6 +35,7 @@ from .core import (
     fmt,
     labeling_objective,
     objective_units,
+    show_number,
 )
 from .dp import (
     DEFAULT_EXPLOSION_CAP,
@@ -76,7 +77,7 @@ class RunConfig:
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
         x = exact_fraction(self.threshold_x)
         if not 0 <= x <= 1:
-            raise InputError(f"threshold must lie in [0, 1], got {self.threshold_x}")
+            raise InputError(f"threshold must lie in [0, 1], got {show_number(self.threshold_x)}")
         object.__setattr__(self, "threshold_x", x)
         check_kt(self.kt)
         if type(self.n_samples) is not int or self.n_samples < 0:  # bool too
@@ -206,20 +207,57 @@ def _solve_one(
 def _assemble(
     internal: list[int],
     parts: Iterable[tuple[tuple[Adjacency, ...] | None, ComponentSolution]],
+    base: Labeling | None = None,
 ) -> Labeling:
-    """Union of the part labels at every internal node.
+    """Union of the part labels at every internal node, over ``base``'s
+    labels, whose objects stay wherever the parts add nothing.
 
     A part is ``(names, solution)``.  With ``names`` None the solution's
     own labels go in.  Otherwise ``names`` are the adjacencies of a
     signature class, and all of them go wherever the class solution
     holds its one adjacency.
     """
-    labels: dict[int, set[Adjacency]] = {v: set() for v in internal}
+    labels: dict[int, set[Adjacency]] = {}
     for names, solution in parts:
         for v, label in solution.node_labels.items():
             if label:
-                labels[v].update(label if names is None else names)
-    return {v: frozenset(label) for v, label in labels.items()}
+                labels.setdefault(v, set()).update(label if names is None else names)
+    base = base or dict.fromkeys(internal, frozenset())
+    return {v: base[v].union(labels[v]) if v in labels else base[v] for v in internal}
+
+
+def _draw_labelings(
+    internal: list[int],
+    parts: list[tuple[tuple[Adjacency, ...] | None, list[ComponentSolution]]],
+    n_samples: int,
+) -> tuple[list[Labeling], dict[tuple[int, Adjacency], Fraction]]:
+    """The samples and their frequencies, from each ``(names, draws)`` part.
+
+    Parts with one co-optimum drew one solution object each time: they
+    form one base labeling, tallied once at ``n_samples``.  Samples that
+    drew the same solutions of the varying parts share one labeling, the
+    base plus their labels.  Parts hold disjoint adjacencies, so tallies add.
+    """
+    varying = [(names, drawn) for names, drawn in parts if drawn[0].cooptimal_count != 1]
+    base = _assemble(internal, [(n, d[0]) for n, d in parts if d[0].cooptimal_count == 1])
+    tally = dict.fromkeys([(v, a) for v in internal for a in base[v]], n_samples)
+    for names, drawn in varying:
+        draws: dict[int, list] = {}  # by id: [solution, times drawn]
+        for solution in drawn:
+            draws.setdefault(id(solution), [solution, 0])[1] += 1
+        for solution, n in draws.values():
+            for v, label in solution.node_labels.items():
+                for a in (label if names is None else names) if label else ():
+                    tally[(v, a)] = tally.get((v, a), 0) + n
+    labeled: dict[tuple[int, ...], Labeling] = {}
+    samples = []
+    for s in range(n_samples):
+        picks = [(names, drawn[s]) for names, drawn in varying]
+        key = tuple([id(solution) for _, solution in picks])
+        if key not in labeled:
+            labeled[key] = _assemble(internal, picks, base)
+        samples.append(labeled[key])
+    return samples, {key: Fraction(n, n_samples) for key, n in tally.items()}
 
 
 def solve_instance(
@@ -269,8 +307,7 @@ def solve_instance(
     parts: list[tuple[tuple[Adjacency, ...] | None, ComponentSolution]] = []
     # When sampling, every component's draws, each under its own name: a
     # class member's is its own adjacency.
-    own: list[tuple[Adjacency, ...] | None] = []
-    per_component: list[list[ComponentSolution]] = []
+    drawn: list[tuple[tuple[Adjacency, ...] | None, list[ComponentSolution]]] = []
     scaled_sum = discarded_micro = annotated_micro = 0
     cooptimal: int | None = 1
     for component, members in solves:
@@ -282,8 +319,8 @@ def solve_instance(
         names = None if k == 1 else tuple([a for i in members for a in components[i].edges])
         parts.append((names, solution))
         if per_member:
-            own.extend([None] if k == 1 else [tuple(components[i].edges) for i in members])
-            per_component.extend(per_member)
+            own = [None] if k == 1 else [tuple(components[i].edges) for i in members]
+            drawn.extend(zip(own, per_member))
         scaled_sum += k * solution.objective_scaled
         discarded_micro += k * solution.discarded_micro
         for a, nodes in component.edges.items():
@@ -317,31 +354,7 @@ def solve_instance(
             f"{direct.total}"
         )
 
-    samples: tuple[Labeling, ...] = ()
-    frequencies: dict[tuple[int, Adjacency], Fraction] = {}
-    if config.n_samples > 0:
-        # Samples that drew the same solution of every component share
-        # one assembled labeling; the sampler shares the solution objects.
-        assembled: dict[tuple[int, ...], Labeling] = {}
-        drawn: dict[tuple[int, ...], int] = {}
-        picked = []
-        for s in range(config.n_samples):
-            picks = [sampled[s] for sampled in per_component]
-            key = tuple(map(id, picks))
-            if key not in assembled:
-                assembled[key] = _assemble(internal, zip(own, picks))
-            drawn[key] = drawn.get(key, 0) + 1
-            picked.append(assembled[key])
-        samples = tuple(picked)
-        tally: dict[tuple[int, Adjacency], int] = {}
-        for key, merged in assembled.items():
-            for v in internal:
-                for a in merged[v]:
-                    tally[(v, a)] = tally.get((v, a), 0) + drawn[key]
-        frequencies = {
-            key: Fraction(count, config.n_samples)
-            for key, count in tally.items()
-        }
+    samples, frequencies = _draw_labelings(internal, drawn, config.n_samples)
 
     return SolveReport(
         alpha=alpha,
@@ -358,7 +371,7 @@ def solve_instance(
         filtered_weight_micro=filtered_micro,
         components=tuple(reports),
         labeling=labeling,
-        samples=samples,
+        samples=tuple(samples),
         sample_frequencies=frequencies,
     )
 
@@ -408,10 +421,10 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
     equal sample files share one inode (copy one before editing it in
     place).  Where a link fails (no hard links on the filesystem, or the
     per-inode link limit reached) the repeat is written in full and
-    becomes the file later repeats link to.  Every sample path is
-    unlinked before it is made, and the sample files, ``frequency.tsv``
-    and ``samples/`` that an earlier run into the same directory left
-    beyond this run's samples are removed.
+    becomes the file later repeats link to.  In a ``samples/`` that an
+    earlier run made, every sample path is unlinked before it is made,
+    and the sample files, ``frequency.tsv`` and ``samples/`` that such a
+    run left beyond this run's samples are removed.
     """
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -423,13 +436,14 @@ def write_outputs(report: SolveReport, tree: Phylogeny, config: RunConfig) -> No
     if report.samples:
         _write_frequency(out / "frequency.tsv", report, tree)
         samples_dir = out / "samples"
+        reused = samples_dir.is_dir()
         samples_dir.mkdir(exist_ok=True)
         # Equal samples are one shared labeling object (see SolveReport).
-        written: dict[int, Path] = {}
+        written: dict[int, str] = {}
         for i, sample in enumerate(report.samples):
-            path = samples_dir / f"sample_{i:04d}.tsv"
-            # A stale file here may share its inode with one written above.
-            path.unlink(missing_ok=True)
+            path = f"{samples_dir}{os.sep}sample_{i:04d}.tsv"
+            if reused:  # a stale file here may share its inode with one written above
+                Path(path).unlink(missing_ok=True)
             source = written.get(id(sample))
             if source is not None:
                 try:

@@ -46,8 +46,8 @@ class SimConfig:
             raise InputError(f"death rate must lie in [0, {BIRTH_RATE}], the birth rate")
         if not 0 <= self.p_inversion <= 1:
             raise InputError("inversion probability must lie in [0, 1]")
-        if self.diameter_factor <= 0:
-            raise InputError("diameter factor must be positive")
+        if not (0 < self.diameter_factor and math.isfinite(self.diameter_factor * self.n_markers)):
+            raise InputError("diameter factor must be positive, and finite times the marker count")
 
 
 @dataclass(frozen=True)

@@ -645,6 +645,48 @@ def reference_extract_cars(adjacencies, markers) -> list[tuple[str, tuple[int, .
 
 
 # ---------------------------------------------------------------------------
+# Sampled labelings, assembled one sample at a time
+
+
+def per_sample_labelings(
+    internal, parts, n_samples: int
+) -> tuple[list[dict[int, frozenset[Adjacency]]], dict[tuple[int, Adjacency], Fraction]]:
+    """Samples and their frequencies, assembled and tallied per sample.
+
+    ``parts`` are ``(names, draws)`` per component: ``draws`` holds the
+    component's ``n_samples`` sampled solutions, and its labels go in
+    under ``names`` wherever a solution holds its one adjacency, or as
+    they are when ``names`` is None.  Every sample unions the draw of
+    every part at every internal node.  Samples that drew the same
+    solution object of every part share one labeling object, and each
+    (node, adjacency) is counted once per sample whose labeling holds
+    it.  This is the pipeline's first sampling loop, kept as the
+    reference for its per-component form.
+    """
+    assembled: dict[tuple[int, ...], dict[int, frozenset[Adjacency]]] = {}
+    times: dict[tuple[int, ...], int] = {}
+    samples = []
+    for s in range(n_samples):
+        picks = [draws[s] for _, draws in parts]
+        key = tuple(map(id, picks))
+        if key not in assembled:
+            labels: dict[int, set[Adjacency]] = {v: set() for v in internal}
+            for (names, _), solution in zip(parts, picks):
+                for v, label in solution.node_labels.items():
+                    if label:
+                        labels[v].update(label if names is None else names)
+            assembled[key] = {v: frozenset(label) for v, label in labels.items()}
+        times[key] = times.get(key, 0) + 1
+        samples.append(assembled[key])
+    tally: dict[tuple[int, Adjacency], int] = {}
+    for key, labeling in assembled.items():
+        for v in internal:
+            for a in labeling[v]:
+                tally[(v, a)] = tally.get((v, a), 0) + times[key]
+    return samples, {key: Fraction(n, n_samples) for key, n in tally.items()}
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 
 

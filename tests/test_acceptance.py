@@ -449,8 +449,18 @@ def _digest_tree(root: Path) -> str:
     return digest.hexdigest()
 
 
+def _sample_links(root: Path) -> tuple[tuple[str, ...], ...]:
+    """The sample files of an output directory, grouped by shared inode."""
+    groups: dict[int, list[str]] = {}
+    for path in sorted((root / "samples").iterdir()):
+        groups.setdefault(path.stat().st_ino, []).append(path.name)
+    return tuple(sorted(map(tuple, groups.values())))
+
+
 def test_criterion_09_deterministic_outputs(capsys):
-    """Three repeats at two thread settings produce byte-identical outputs."""
+    """Three repeats at two values of ``threads`` (a field with no effect),
+    and runs into reused directories that hold stale samples, produce
+    byte-identical outputs."""
     result = evolve(SimConfig(n_markers=30, n_leaves=4, seed=5))
     tree = result.tree
     with tempfile.TemporaryDirectory() as scratch:
@@ -462,32 +472,50 @@ def test_criterion_09_deterministic_outputs(capsys):
             genomes_path,
             {tree.name_of(v): tree.leaf_genomes[v] for v in tree.leaves()},
         )
+
+        def run(out_dir, threads=1, alpha="1/2", n_samples=5, seed=11):
+            run_solve(RunConfig(
+                alpha=alpha,
+                threshold_x="0.6",
+                boltzmann=True,
+                kt=0.1,
+                n_samples=n_samples,
+                seed=seed,
+                threads=threads,
+                tree_path=str(tree_path),
+                genomes_path=str(genomes_path),
+                out_dir=str(out_dir),
+            ))
+            return _digest_tree(out_dir), _sample_links(out_dir)
+
         digests = set()
         n_files = 0
         for repeat in range(3):
             for threads in (1, 4):
                 out_dir = base / f"out_{repeat}_{threads}"
-                config = RunConfig(
-                    alpha="1/2",
-                    threshold_x="0.6",
-                    boltzmann=True,
-                    kt=0.1,
-                    n_samples=5,
-                    seed=11,
-                    threads=threads,
-                    tree_path=str(tree_path),
-                    genomes_path=str(genomes_path),
-                    out_dir=str(out_dir),
-                )
-                run_solve(config)
+                digests.add(run(out_dir, threads))
                 files = [p for p in out_dir.rglob("*") if p.is_file()]
                 n_files = len(files)
                 assert n_files >= 3
-                digests.add(_digest_tree(out_dir))
-    ok = len(digests) == 1
+        # Alpha 0 has 8 co-optima here, so its samples differ.  A reused
+        # directory holds an earlier alpha-0 run's samples, some of them
+        # hard links to one another; each run into it must equal a fresh
+        # run of its own config, shared inodes included.
+        fresh = {"1/2": digests, "0": {run(base / "fresh_alpha_0", alpha="0")}}
+        reused = stale_links = 0
+        for n_stale, stale_seed in ((12, 3), (40, 1)):
+            for alpha in fresh:
+                out_dir = base / f"reused_{n_stale}_{alpha[-1]}"
+                run(out_dir, alpha="0", n_samples=n_stale, seed=stale_seed)
+                stale_links += n_stale - len(_sample_links(out_dir))
+                fresh[alpha].add(run(out_dir, alpha=alpha))
+                reused += 1
+    ok = all(len(found) == 1 for found in fresh.values()) and stale_links > 0
     _verdict(
         capsys,
         ok,
-        "criterion 9: six runs (3 repeats x 2 thread settings) produced "
-        f"byte-identical output directories ({n_files} files each)",
+        "criterion 9: six fresh runs (3 repeats x 2 values of threads, a field "
+        f"with no effect) produced byte-identical output directories ({n_files} "
+        f"files each), and {reused} runs into directories holding stale samples "
+        "matched a fresh run of their config, hard links included",
     )

@@ -354,6 +354,48 @@ class TestFileErrors:
         assert calls == []
 
 
+class TestOversizedNumbers:
+    """Numbers whose exact value has more digits than ``str`` and ``int``
+    convert end in exit 1 with one ``error:`` line, not a traceback."""
+
+    def error(self, argv, capsys) -> str:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        return err
+
+    def test_alpha(self, instance, tmp_path, capsys):
+        tree, genomes = instance
+        err = self.error([
+            "solve", "--tree", tree, "--genomes", genomes,
+            "--alpha", "1e5000", "--out", str(tmp_path / "run"),
+        ], capsys)
+        assert "alpha must lie in [0, 1], got ~1e5000" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("anc1\t1h\t2t\t1e5000", "weight must lie in [0, 1], got ~1e5000"),
+        ("anc1\t" + "9" * 5000 + "h\t2t\t0.5", "bad extremity '9999"),
+    ], ids=["weight", "extremity"])
+    def test_weights_row(self, instance, tmp_path, capsys, row, message):
+        tree, genomes = instance
+        weights = tmp_path / "weights.tsv"
+        weights.write_text("anc2\t1h\t2t\t0.5\n" + row + "\n", encoding="utf-8")
+        err = self.error([
+            "solve", "--tree", tree, "--genomes", genomes, "--weights", str(weights),
+            "--out", str(tmp_path / "run"),
+        ], capsys)
+        assert f"{weights}:2: {message}" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "1e308"])
+    def test_diameter_factor(self, tmp_path, capsys, factor):
+        err = self.error([
+            "simulate", "--markers", "10", "--diameter-factor", factor,
+            "--out", str(tmp_path / "sim"),
+        ], capsys)
+        assert "diameter factor" in err
+
+
 class TestSample:
     def test_writes_samples_and_frequencies(self, instance, tmp_path, capsys):
         tree, genomes = instance

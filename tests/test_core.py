@@ -35,6 +35,7 @@ from scjlabel.core import (
     objective_units,
     quantize_weight,
     scj_distance,
+    show_number,
 )
 from scjlabel.errors import InputError
 from scjlabel.formats import parse_newick
@@ -122,6 +123,23 @@ class TestExactNumbers:
         with pytest.raises(InputError):
             quantize_weight(-0.5)
 
+    def test_out_of_range_messages_survive_huge_values(self):
+        # Past Python's 4,300-digit limit str() of the exact value fails.
+        huge = Fraction(10**5000)
+        with pytest.raises(InputError, match=r"alpha must lie in \[0, 1\], got ~1e5000$"):
+            as_alpha(huge)
+        with pytest.raises(InputError, match=r"alpha denominator ~1e5000 exceeds"):
+            as_alpha(1 / huge)
+        with pytest.raises(InputError, match=r"weight must lie in \[0, 1\], got -~1e5000$"):
+            quantize_weight(-huge)
+        # Values that print stay as they were.
+        with pytest.raises(InputError, match=r"got 3/2$"):
+            quantize_weight("1.5")
+        assert [show_number(x) for x in (Fraction(3, 2), 10**20, "1e5000", 0.5)] == [
+            "3/2", str(10**20), "1e5000", "0.5"
+        ]
+        assert show_number(Fraction(10**5000 + 1, 10**4990)) == "~1e10"
+
     def test_objective_units_mix_changes_and_discarded_weight(self):
         units = objective_units("1/2")
         assert units == (MICRO, 1, 2 * MICRO)
@@ -161,6 +179,17 @@ class TestExtremity:
             Extremity.parse("5")
         with pytest.raises(InputError):
             Adjacency.of("\u00b2h", "2t")  # a digit, but not a decimal one
+
+    def test_a_marker_past_the_int_digit_limit_is_bad_input(self):
+        text = "9" * 5000 + "h"
+        with pytest.raises(InputError) as caught:
+            Extremity.parse(text)
+        message = str(caught.value)
+        assert message.startswith("bad extremity '999") and len(message) < 100
+        assert "...'" in message
+        # A short bad token is quoted whole, as before.
+        with pytest.raises(InputError, match=r"^bad extremity '12x', expected"):
+            Extremity.parse("12x")
 
 
 class TestAdjacency:

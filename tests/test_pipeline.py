@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     brute_instance_optimum,
     joint_assignment_count,
+    per_sample_labelings,
     random_genome,
     random_instance,
     random_topology,
@@ -115,6 +116,14 @@ class TestRunConfig:
             RunConfig(threads=0)
         with pytest.raises(InputError, match="one weight source"):
             RunConfig(weights_path="w.tsv", boltzmann=True)
+
+    def test_a_huge_threshold_is_bad_input(self):
+        # Its exact value has too many digits for str().
+        for value in (10**5000, Fraction(10**5000, 3)):
+            with pytest.raises(InputError, match=r"threshold must lie in \[0, 1\], got ~1e"):
+                RunConfig(threshold_x=value)
+        with pytest.raises(InputError, match=r"got 1.5$"):
+            RunConfig(threshold_x="1.5")
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +441,110 @@ class TestSampling:
         first = solve_instance(tree, WeightTable(), RunConfig(n_samples=6, seed=3))
         second = solve_instance(tree, WeightTable(), RunConfig(n_samples=6, seed=3))
         assert first.samples == second.samples
+
+
+def sharing(samples):
+    """The indices of ``samples``, grouped by shared labeling object."""
+    groups = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault(id(sample), []).append(i)
+    return sorted(groups.values())
+
+
+class TestPerSampleReference:
+    """``report.samples`` and ``sample_frequencies`` equal what
+    :func:`oracles.per_sample_labelings` assembles and tallies sample by
+    sample from every component solved and sampled on its own, with its
+    own seed stream: the labelings by value, which samples share one
+    labeling object, and the frequencies."""
+
+    def check(self, tree, weights, config):
+        """Compare one run; return the kinds of solve it held, or None
+        where a component is too large to sample (the run must refuse)."""
+        graph = build_global_graph(
+            tree, candidate_adjacencies(tree), weights, config.threshold_x
+        )
+        components = connected_components(graph)
+        if any(c.label_space_bound ** 2 > config.explosion_cap for c in components):
+            with pytest.raises(CapacityExceeded, match="cannot sample"):
+                solve_instance(tree, weights, config)
+            return None
+        report = solve_instance(tree, weights, config)
+        parts = []
+        for i, component in enumerate(components):
+            _, table = solve_component(component, tree, weights, config.alpha)
+            seed = derive_seed(config.seed, "component", i)
+            parts.append((None, sample_component(table, config.n_samples, seed)))
+        samples, frequencies = per_sample_labelings(
+            tree.internal_ids(), parts, config.n_samples
+        )
+        assert isinstance(report.samples, tuple)
+        assert list(report.samples) == samples
+        assert sharing(report.samples) == sharing(samples)
+        assert report.sample_frequencies == frequencies
+        kinds = set()
+        for c in report.components:
+            if c.solution.cooptimal_count == 1:
+                kinds.add("one co-optimum")
+            elif len(c.indices) > 1:
+                kinds.add("varying class")
+            elif len(c.component.edges) > 1:
+                kinds.add("varying joint")
+        return kinds
+
+    def test_instances_that_mix_every_kind_of_part(self):
+        rng = random.Random(26)
+        compared = mixed = 0
+        seen = set()
+        for _ in range(30):
+            tree = derived_instance(rng)
+            # Sparse weights of one value, so that signatures repeat.
+            weights = WeightTable({
+                a: {v: rng.choice((0, 0, 800_000)) for v in tree.internal_ids()}
+                for a in candidate_adjacencies(tree)
+            })
+            config = RunConfig(
+                alpha=rng.choice(("0", "1/2")), threshold_x="0.5",
+                n_samples=rng.choice((1, 7, 40)), seed=rng.randrange(100),
+            )
+            kinds = self.check(tree, weights, config)
+            if kinds is not None:
+                compared += 1
+                seen |= kinds
+                mixed += len(kinds) == 3
+        assert seen == {"one co-optimum", "varying class", "varying joint"}
+        assert mixed > 0 and compared >= 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_generator_sweep(self, seed):
+        rng = random.Random(seed)
+        compared = 0
+        for _ in range(8):
+            tree = random_instance(
+                rng, n_leaves=rng.randint(3, 6), n_markers=rng.randint(3, 5),
+                non_binary=rng.random() < 0.3,
+            )
+            config = RunConfig(
+                alpha=rng.choice(("0", "1/4", "1/2", "1")),
+                threshold_x=rng.choice(("0.6", "0.8")),
+                n_samples=rng.randint(1, 25), seed=rng.randrange(1000),
+            )
+            compared += self.check(tree, random_weights(rng, tree), config) is not None
+        assert compared >= 5
+
+    def test_samples_without_components(self):
+        tree = parse_newick("((s1,s2)anc2,s3)anc1;")
+        markers = {1, 2}
+        tree = tree.with_genomes({
+            name: genome_of(markers, (1,), (2,)) for name in ("s1", "s2", "s3")
+        })
+        config = RunConfig(n_samples=4, seed=2)
+        assert self.check(tree, WeightTable(), config) == set()
+        report = solve_instance(tree, WeightTable(), config)
+        assert report.components == ()
+        assert sharing(report.samples) == [[0, 1, 2, 3]]
+        assert report.samples[0] == {v: frozenset() for v in tree.internal_ids()}
+        assert report.sample_frequencies == {}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(diameter_factor=0.0)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 1e308])
+    def test_a_non_finite_diameter_is_bad_input(self, factor):
+        # 1e308 is finite, but times 100 markers it is not.
+        with pytest.raises(InputError, match="diameter factor"):
+            SimConfig(diameter_factor=factor)
+
 
 # ---------------------------------------------------------------------------
 # Tree growth
