@@ -33,13 +33,23 @@ HEAD = 1
 
 _ONE = Decimal(1)
 
+#: Decimal exponents of more digits are refused: the exact value of
+#: "1e9999" takes 0.2 ms to build, that of "1e10000000" over 8 s.
+MAX_EXPONENT_DIGITS = 4
+
+
+def quoted(text: str) -> str:
+    """``repr(text)`` of at most 40 characters, with ``...`` marking a cut."""
+    return repr(text if len(text) <= 40 else text[:37] + "...")
+
 
 def exact_fraction(value: object) -> Fraction:
     """Coerce a number to an exact :class:`Fraction`.
 
     Floats are read through their shortest decimal representation
     (``str(value)``), so ``0.25`` means exactly 1/4 and ``0.1`` exactly
-    1/10.  Strings accept both decimal ("0.5") and ratio ("1/3") forms.
+    1/10.  Strings accept both decimal ("0.5") and ratio ("1/3") forms,
+    with an exponent of at most :data:`MAX_EXPONENT_DIGITS` digits.
     NaN, infinities and other non-numbers raise :class:`InputError`.
     """
     if isinstance(value, Fraction):
@@ -56,10 +66,14 @@ def exact_fraction(value: object) -> Fraction:
         except (ValueError, OverflowError) as exc:
             raise InputError(f"not a finite number: {value!r}") from exc
     if isinstance(value, str):
+        _, e, power = value.lower().rpartition("e")
+        digits = power.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and len(digits) > MAX_EXPONENT_DIGITS:
+            raise InputError(f"exponent of {quoted(value)} has over {MAX_EXPONENT_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a finite number: {value!r}") from exc
+            raise InputError(f"not a finite number: {quoted(value)}") from exc
     raise InputError(f"expected a number, got {type(value).__name__}")
 
 
@@ -157,8 +171,7 @@ class Extremity:
                 raise ValueError
             return Extremity(int(text[:-1]), HEAD if text[-1] == "h" else TAIL)
         except ValueError:  # int()'s too, past its digit limit
-            shown = text if len(text) <= 40 else text[:37] + "..."
-            raise InputError(f"bad extremity {shown!r}, expected e.g. '12h' or '3t'") from None
+            raise InputError(f"bad extremity {quoted(text)}, expected e.g. '12h' or '3t'") from None
 
 
 class Adjacency:
@@ -468,6 +481,12 @@ class Phylogeny:
         object.__setattr__(self, "_postorder_items", tuple(
             (v, self.nodes[v].children, bit_of[v]) for v in reversed(order)
         ))
+        position = {v: p for p, v in enumerate(self._internal)}
+        object.__setattr__(self, "_internal_items", tuple(
+            (tuple([position[c] for c in self.nodes[v].children if c in position]),
+             sum([masks[c] for c in self.nodes[v].children if c not in position]))
+            for v in self._internal
+        ))
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -492,6 +511,11 @@ class Phylogeny:
         """``(node, children, leaf bit)`` in postorder; the bit is the node's
         in :meth:`subtree_masks`, and 0 at an internal node."""
         return self._postorder_items
+
+    def internal_items(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per internal node, in :meth:`internal_ids` order: the positions there
+        of its internal children, and the :meth:`subtree_masks` of its leaf children."""
+        return self._internal_items
 
     def subtree_masks(self) -> tuple[int, ...]:
         """Per node id, the bitmask of the leaves of its subtree, in

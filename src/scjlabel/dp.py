@@ -8,7 +8,8 @@ component edges annotated at that node.  Costs combine per edge as
 weight, all on an exact integer grid scaled by ``alpha.denominator *
 1e6``.  The same table supports counting co-optimal labelings exactly
 and sampling them uniformly.  A one-adjacency component fills the same
-table by a two-state (absent/present) sweep, with the same tie rule.
+table by the two-state (absent/present) presence sweep, with the same
+tie rule; branch and bound bounds with that sweep too.
 """
 
 from __future__ import annotations
@@ -150,9 +151,7 @@ def _solve_joint(
     count: dict[int, list[int]] = {}
     for v, children, leaf_bit in tree.postorder_items():
         if not children:
-            labels[v] = [sum([bit for mask, bit in held if mask & leaf_bit])]
-            cost[v] = [0]
-            count[v] = [1]
+            labels[v], cost[v], count[v] = [sum([b for m, b in held if m & leaf_bit])], [0], [1]
             continue
         here = annotated[v]
         node_labels = _matching_masks([i for i, _ in here], conflicts)
@@ -183,16 +182,7 @@ def _solve_joint(
         cost[v] = node_cost
         count[v] = node_count
 
-    table = DpTable(
-        component=component,
-        tree=tree,
-        weights=weights,
-        units=units,
-        edge_order=edges,
-        labels=labels,
-        cost=cost,
-        count=count,
-    )
+    table = DpTable(component, tree, weights, units, edges, labels, cost, count)
     chosen = _walker(table)(lambda v, arg: arg[0])
     return _finish_solution(table, chosen, count_cooptimal(table)), table
 
@@ -203,44 +193,79 @@ def _sweep(
     """:func:`_solve_joint`'s table and labeling of one adjacency: absent (0) or present (1)."""
     ((adjacency, annotating),) = component.edges.items()
     unit, row = units.change_unit, weights.row(adjacency)
+    items, internal = tree.internal_items(), tree.internal_ids()
     held = tree.candidates().get(adjacency, 0)
+    own = [(c0 + units.weight_unit * row.get(v, 0), c1) if v in annotating else (c0, FORBIDDEN)
+           for v, (c0, c1) in zip(internal, leaf_costs(items, held, unit))]
+    down = presence_sweep(items, own, unit)
     zero, one = [0], [1]  # a leaf's label, cost and count; shared by the leaves
-    labels, cost, count = {}, {}, {}  # as in DpTable
-    for v, children, bit in tree.postorder_items():
-        if not children:
-            labels[v], cost[v], count[v] = one if held & bit else zero, zero, one
-            continue
-        cost0 = cost1 = 0  # subtree cost, v absent then present
-        ways0 = ways1 = 1  # its co-optima
-        for c in children:
-            child_cost, child_count = cost[c], count[c]
-            if len(child_cost) == 1:  # a fixed state
-                k, n, state = child_cost[0], child_count[0], labels[c][0]
-                cost0 += k + unit * state
-                cost1 += k + unit * (1 - state)
-                ways0 *= n
-                ways1 *= n
-                continue
-            # Each parent state takes the cheaper child state, absent on a tie.
-            (off, on), (n_off, n_on) = child_cost, child_count
-            changed = on + unit
-            cost0 += off if off <= changed else changed
-            ways0 *= n_off if off < changed else n_on if changed < off else n_off + n_on
-            changed = off + unit
-            cost1 += on if on <= changed else changed
-            ways1 *= n_on if on < changed else n_off if changed < on else n_off + n_on
+    labels = {v: one if held & bit else zero for v, kids, bit in tree.postorder_items() if not kids}
+    cost, count = dict.fromkeys(labels, zero), dict.fromkeys(labels, one)  # as in DpTable
+    for v, (c0, c1), (n0, n1) in zip(internal, down, presence_counts(items, down, unit)):
         if v in annotating:
-            cost0 += units.weight_unit * row.get(v, 0)
-            labels[v], cost[v], count[v] = [0, 1], [cost0, cost1], [ways0, ways1]
-        else:
-            labels[v], cost[v], count[v] = [0], [cost0], [ways0]
-    chosen: dict[int, int] = {}
-    for v in reversed(tree.internal_ids()):  # preorder
-        c, up = cost[v], chosen.get(tree.nodes[v].parent)  # None at the root
-        extra = 0 if up is None else unit * (1 - 2 * up)  # present's change cost over absent's
-        chosen[v] = int(len(c) == 2 and c[1] + extra < c[0])
+            labels[v], cost[v], count[v] = [0, 1], [c0, c1], [n0, n1]
+        else:  # held absent
+            labels[v], cost[v], count[v] = zero, [c0], [n0]
+    chosen = dict(zip(internal, presence_states(items, down, unit)))
     table = DpTable(component, tree, weights, units, (adjacency,), labels, cost, count)
     return _finish_solution(table, chosen, count_cooptimal(table)), table
+
+
+# ---------------------------------------------------------------------------
+# The presence sweep of one adjacency, absent (0) or present (1), over
+# ``Phylogeny.internal_items()``; own costs hold the leaf children's changes.
+
+#: An own cost that forbids its state; above every cost a state can reach.
+FORBIDDEN = 1 << 62
+
+Items = Sequence[tuple[tuple[int, ...], int]]
+Pairs = list[tuple[int, int]]
+
+
+def leaf_costs(items: Items, held: int, unit: int) -> Pairs:
+    """Each node's changes to its leaf children, absent and present, given
+    the bitmask ``held`` of the leaves that hold the adjacency."""
+    return [(unit * (held & m).bit_count(), unit * (m & ~held).bit_count()) for _, m in items]
+
+
+def presence_sweep(items: Items, own: Sequence[tuple[int, int]], unit: int) -> Pairs:
+    """Each node's cheapest subtree cost, absent and present, from the own
+    costs of its subtree; a change costs ``unit``.  A :data:`FORBIDDEN` own
+    cost forbids its state, as long as every node allows one."""
+    down: Pairs = []
+    for (children, _), (c0, c1) in zip(items, own):
+        for c in children:
+            b0, b1 = down[c]
+            c0 += b0 if b0 <= b1 + unit else b1 + unit
+            c1 += b1 if b1 <= b0 + unit else b0 + unit
+        down.append((c0, c1))
+    return down
+
+
+def presence_counts(items: Items, down: Pairs, unit: int) -> Pairs:
+    """The number of cheapest histories behind each of :func:`presence_sweep`'s costs."""
+    ways: Pairs = []
+    for children, _ in items:
+        n0 = n1 = 1
+        for c in children:
+            (b0, b1), (m0, m1) = down[c], ways[c]
+            n0 *= m0 if b0 < b1 + unit else m1 if b1 + unit < b0 else m0 + m1
+            n1 *= m1 if b1 < b0 + unit else m0 if b0 + unit < b1 else m0 + m1
+        ways.append((n0, n1))
+    return ways
+
+
+def presence_states(items: Items, down: Pairs, unit: int) -> list[int]:
+    """Each node's cheapest state given its parent's, root first; absent on every tie."""
+    b0, b1 = down[-1]
+    states = [0] * len(down)
+    states[-1] = int(b1 < b0)
+    for p in range(len(down) - 1, -1, -1):  # parents before children
+        up = states[p]
+        for c in items[p][0]:
+            b0, b1 = down[c]
+            states[c] = int(b1 + unit * (1 - up) < b0 + unit * up)
+    return states
 
 
 def _evaluate_one(table: DpTable, chosen: Mapping[int, int]) -> tuple[int, int]:

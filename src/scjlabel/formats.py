@@ -21,6 +21,7 @@ from .core import (
     chromosome_adjacencies,
     extract_cars,
     fmt,
+    quoted,
 )
 from .errors import InputError
 
@@ -62,17 +63,12 @@ class _NewickScanner:
 
     def number(self) -> float:
         start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _NAME_STOP or ch.isspace():
-                break
-            self.pos += 1
-        token = self.text[start : self.pos]
+        token = self.name()  # the same stops end a number
         try:
             return float(token)
         except ValueError:
             self.pos = start
-            self.fail(f"bad branch length {token!r}")
+            self.fail(f"bad branch length {quoted(token)}")
             raise AssertionError  # unreachable
 
 
@@ -210,7 +206,7 @@ def _parse_marker_row(path, lineno: int, row: str) -> tuple[str, bool, tuple[int
     if not name:
         raise InputError(f"{path}:{lineno}: empty name column")
     if kind not in _KINDS:
-        raise InputError(f"{path}:{lineno}: chromosome kind must be L or C, got {kind!r}")
+        raise InputError(f"{path}:{lineno}: chromosome kind must be L or C, got {quoted(kind)}")
     if not order:
         raise InputError(f"{path}:{lineno}: empty marker order")
     tokens = order.split()
@@ -223,7 +219,7 @@ def _parse_marker_row(path, lineno: int, row: str) -> tuple[str, bool, tuple[int
             try:
                 value = int(token)
             except ValueError:
-                raise InputError(f"{path}:{lineno}: bad marker id {token!r}") from None
+                raise InputError(f"{path}:{lineno}: bad marker id {quoted(token)}") from None
             if value == 0:
                 raise InputError(f"{path}:{lineno}: marker ids must be non-zero")
     return name, _KINDS[kind], markers

@@ -7,17 +7,12 @@ packing groups keep every node's choice a matching, so the feasible
 points are exactly the consistent labelings, valued by the component
 objective of :func:`scjlabel.dp.evaluate_component_labeling`.
 
-Branch and bound works on the presence variables only.  Its bound is a
-Lagrangian relaxation of the matching constraints (Held, Wolfe &
-Crowder 1974; Fisher 1981): each packing group has an integer
-multiplier, fitted once at the root by subgradient steps, that every
-presence of the group pays while the group can still be violated.  The
-rest splits into one exact presence problem per adjacency on the tree.
-The search branches only inside packing groups that can still be
-violated, absence branch first, with conflicting variables fixed
-eagerly; a group that can no longer be violated drops its multiplier,
-and where no group can be, the bound is exact.  A search that visits
-more than ``NODE_BUDGET`` nodes is refused.
+Branch and bound (:func:`solve_bb`) works on the presence variables
+only.  Its bound, a Lagrangian relaxation of the packing groups (Held,
+Wolfe & Crowder 1974; Fisher 1981), splits into one presence problem
+per adjacency, each solved by the DP's presence sweep
+(:func:`scjlabel.dp.presence_sweep`) with the fixings and prices as own
+costs.
 """
 
 from __future__ import annotations
@@ -39,7 +34,8 @@ from .core import (
 )
 from .errors import CapacityExceeded, InputError, InternalInvariantError
 from .graph import Component
-from .dp import ComponentSolution, evaluate_component_labeling
+from .dp import FORBIDDEN, ComponentSolution, evaluate_component_labeling, leaf_costs
+from .dp import presence_states, presence_sweep
 
 
 @dataclass(frozen=True)
@@ -171,8 +167,8 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     constraints: packing group ``g`` has an integer multiplier
     ``lam[g] >= 0``, and a presence pays the multipliers of its open
     groups.  The component then splits into one independent
-    presence/absence problem per adjacency, each solved exactly on the
-    tree by a two-state scan that honors the variables fixed so far, and
+    presence/absence problem per adjacency, each solved exactly by the
+    presence sweep, with the fixed variables and prices as own costs, and
     the bound is their sum less the multipliers of the open groups.  It
     is a valid lower bound for any non-negative multipliers and is
     computed in integers throughout.  Fixing a variable re-solves only
@@ -217,7 +213,6 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
 
     units = model.units
     unit = units.change_unit
-    weight_cost = [units.weight_unit * var.weight_micro for var in model.variables]
     assignment = [-1] * n
     # Multipliers, the presence price each variable pays for its open
     # groups, and each group's count of variables not fixed absent.
@@ -226,82 +221,41 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
     live = [len(group) for group in groups]
 
     tree = model.tree
-    root = tree.root
-    n_nodes = len(tree.nodes)
-    internal_postorder = tree.internal_ids()
-    internal_preorder = internal_postorder[::-1]
-    node_parent = [tree.nodes[v].parent for v in range(n_nodes)]
-    internal_children = [
-        [c for c in tree.nodes[v].children if not tree.is_leaf(c)]
-        for v in range(n_nodes)
-    ]
-    n_adjacencies = len(model.adjacencies)
-    var_at = model.var_at
+    items = tree.internal_items()
+    position = {v: p for p, v in enumerate(tree.internal_ids())}
     adjacency_of_var = model.adjacency_of_var
-    # A leaf's state is fixed, so each leaf child adds one change to the
-    # state of its parent that differs from it.  Per adjacency, in
-    # ``internal_postorder``: the changes to a node's leaf children (a
-    # leaf bitmask) when it is absent and when present.
-    masks, candidates = tree.subtree_masks(), tree.candidates()
-    leaf_children = [
-        sum([masks[c] for c in tree.nodes[v].children if tree.is_leaf(c)])
-        for v in internal_postorder
+    # Per adjacency, the own (absent, present) costs of the internal nodes
+    # for the presence sweep: the changes to their leaf children, and at a
+    # variable its weight, its price and its fixing (see ``refresh``).
+    costs = [leaf_costs(items, tree.candidates().get(a, 0), unit) for a in model.adjacencies]
+    own = [[(c0, FORBIDDEN) for c0, _ in row] for row in costs]
+    own_of = [own[ai] for ai in adjacency_of_var]  # per variable, its adjacency's row
+    place = [position[var.node_id] for var in model.variables]  # and its node's place
+    # A variable's own costs unfixed and unpriced, and fixed absent and present.
+    free = [
+        (costs[ai][p][0] + units.weight_unit * var.weight_micro, costs[ai][p][1])
+        for var, ai, p in zip(model.variables, adjacency_of_var, place)
     ]
-    leaf_changes = [
-        [(unit * (held & leaves).bit_count(), unit * (leaves & ~held).bit_count())
-         for leaves in leaf_children]
-        for held in [candidates.get(a, 0) for a in model.adjacencies]
-    ]
+    fixed_own = [((c0, FORBIDDEN), (FORBIDDEN, c1)) for c0, c1 in free]
 
-    BIG = 1 << 62
-    down0 = [0] * n_nodes
-    down1 = [0] * n_nodes
-    state = [0] * n_nodes
+    def refresh(j: int) -> None:
+        """Set variable ``j``'s own costs from its fixing and price."""
+        (c0, c1), fixed = free[j], assignment[j]
+        own_of[j][place[j]] = fixed_own[j][fixed] if fixed >= 0 else (c0, c1 + price[j])
 
-    def adjacency_bound(ai: int) -> int:
-        """Cheapest priced presence history of one adjacency given the
-        fixed variables; absent everywhere scores 0 plus leaf mismatches."""
-        vars_here = var_at[ai]
-        for v, (c0, c1) in zip(internal_postorder, leaf_changes[ai]):
-            j = vars_here.get(v)
-            if j is None:
-                c1 = BIG
-            elif assignment[j] == -1:
-                c0 += weight_cost[j]
-                c1 += price[j]
-            elif assignment[j] == 0:
-                c0 += weight_cost[j]
-                c1 = BIG
-            else:
-                c0 = BIG
-            for c in internal_children[v]:
-                b0, b1 = down0[c], down1[c]
-                c0 += b0 if b0 <= b1 + unit else b1 + unit
-                c1 += b1 if b1 <= b0 + unit else b0 + unit
-            down0[v] = c0 if c0 < BIG else BIG
-            down1[v] = c1 if c1 < BIG else BIG
-        return min(down0[root], down1[root])
+    for j in range(n):
+        refresh(j)
 
-    def relaxed_states(ai: int) -> tuple[int, dict[int, int]]:
-        """Bound and arg-min variable states of one adjacency's priced
-        relaxation, absence on ties."""
-        bound = adjacency_bound(ai)
-        vars_here = var_at[ai]
-        chosen: dict[int, int] = {}
-        for v in internal_preorder:
-            if v == root:
-                s = 0 if down0[v] <= down1[v] else 1
-            else:
-                p = state[node_parent[v]]
-                s = 0 if down0[v] + unit * p <= down1[v] + unit * (1 - p) else 1
-            state[v] = s
-            j = vars_here.get(v)
-            if j is not None:
-                chosen[j] = s
-        return bound, chosen
-
-    bounds = [adjacency_bound(ai) for ai in range(n_adjacencies)]
-    future = sum(bounds)
+    def relaxed() -> tuple[int, list[int]]:
+        """The total bound of the adjacencies' priced relaxations, and each
+        variable's arg-min state in them, absence on ties; a fixed
+        variable's own costs allow its value alone."""
+        total, states = 0, []
+        for row in own:
+            down = presence_sweep(items, row, unit)
+            total += min(down[-1])
+            states.append(presence_states(items, down, unit))
+        return total, [states[ai][p] for ai, p in zip(adjacency_of_var, place)]
 
     def settle(i: int, value: int):
         """Fix one variable plus consequences; None signals a conflict.
@@ -322,6 +276,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                     return None
                 continue
             assignment[j] = b
+            own_of[j][place[j]] = fixed_own[j][b]  # refresh(j), inlined in the hot path
             trail.append(("fix", j))
             touched.add(adjacency_of_var[j])
             if b == 1:
@@ -336,10 +291,11 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                     future += lam[g]
                     for k in groups[g]:
                         price[k] -= lam[g]
-                        if assignment[k] != 0:
+                        if assignment[k] != 0:  # a price that counts
+                            refresh(k)
                             touched.add(adjacency_of_var[k])
         for ai in sorted(touched):
-            updated = adjacency_bound(ai)
+            updated = min(presence_sweep(items, own[ai], unit)[-1])
             if updated != bounds[ai]:
                 trail.append(("bound", ai, bounds[ai]))
                 future += updated - bounds[ai]
@@ -355,24 +311,18 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
                     for g in groups_of[j]:
                         live[g] += 1
                 assignment[j] = -1
+                refresh(j)
             elif entry[0] == "close":
                 g = entry[1]
                 future -= lam[g]
                 for k in groups[g]:
                     price[k] += lam[g]
+                    if assignment[k] != 0:
+                        refresh(k)
             else:
                 _, ai, previous = entry
                 future += previous - bounds[ai]
                 bounds[ai] = previous
-
-    def relaxed_completion() -> list[int]:
-        """The fixed values, with every unfixed variable set to its
-        adjacency's relaxed arg-min state."""
-        vector = [0] * n
-        for ai in range(n_adjacencies):
-            for j, s in relaxed_states(ai)[1].items():
-                vector[j] = s if assignment[j] == -1 else assignment[j]
-        return vector
 
     def open_variable() -> int | None:
         """First unfixed variable of the first packing group with two or
@@ -391,8 +341,9 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         ))
 
     def price_all() -> None:
-        for j, own in groups_of.items():
-            price[j] = sum(lam[g] for g in own)
+        for j, in_groups in groups_of.items():
+            price[j] = sum(lam[g] for g in in_groups)
+            refresh(j)
 
     def fit_multipliers() -> list[int]:
         """Root multipliers with the highest bound found by projected
@@ -401,15 +352,13 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
         theta, stale = 1.0, 0  # the share of the gap to the incumbent to step
         for _ in range(FIT_ITERATIONS):
             price_all()
-            value = -sum(lam)
+            bound, vector = relaxed()
+            value = bound - sum(lam)
             slope = [-1] * len(groups)
-            for ai in range(n_adjacencies):
-                bound, chosen = relaxed_states(ai)
-                value += bound
-                for j, s in chosen.items():
-                    if s:
-                        for g in groups_of.get(j, ()):
-                            slope[g] += 1
+            for j, in_groups in groups_of.items():
+                if vector[j]:
+                    for g in in_groups:
+                        slope[g] += 1
             if value > best_bound:
                 best_lam, best_bound, stale = lam[:], value, 0
             else:
@@ -431,7 +380,8 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
             lam[:] = moved
         return best_lam
 
-    repaired = _repair_conflicts(model, conflicts, relaxed_completion())
+    future, relaxed_optimum = relaxed()  # unpriced
+    repaired = _repair_conflicts(model, conflicts, relaxed_optimum)
     best_vector = [0] * n
     best = objective(best_vector)
     repaired_value = objective(repaired)
@@ -440,7 +390,9 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
 
     lam[:] = fit_multipliers()
     price_all()
-    bounds[:] = [adjacency_bound(ai) for ai in range(n_adjacencies)]
+    # Each adjacency's cheapest priced presence history given the fixings:
+    # the cheaper root state of its sweep.
+    bounds = [min(presence_sweep(items, row, unit)[-1]) for row in own]
     future = sum(bounds) - sum(lam)
     explored = 0
 
@@ -480,7 +432,7 @@ def solve_bb(model: IlpModel) -> ComponentSolution:
             # completion is feasible and each adjacency's relaxed optimum
             # is exact.
             best = future
-            best_vector = relaxed_completion()
+            best_vector = relaxed()[1]
             continue
         stack.append(("branch", j, 1))
         stack.append(("branch", j, 0))

@@ -9,7 +9,6 @@ gain/loss histories.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -19,8 +18,10 @@ from .core import (
     Extremity,
     Phylogeny,
     WeightTable,
+    exact_fraction,
     fmt,
     quantize_weight,
+    quoted,
 )
 from .errors import InputError
 from .graph import candidate_adjacencies
@@ -219,9 +220,9 @@ def load_weight_table(path: str | Path, tree: Phylogeny) -> WeightTable:
             micro = micro_of.get(weight_text)
             if micro is None:
                 try:
-                    weight = Fraction(weight_text.strip())
-                except (ValueError, ZeroDivisionError):
-                    raise InputError(f"bad weight {weight_text.strip()!r}") from None
+                    weight = exact_fraction(weight_text.strip())
+                except InputError:
+                    raise InputError(f"bad weight {quoted(weight_text.strip())}") from None
             if node in row:
                 adjacency = Adjacency.of(ext_a, ext_b)
                 raise InputError(f"duplicate weight for {name.strip()} {fmt(adjacency)}")

@@ -405,6 +405,40 @@ def brute_min_changes(tree: Phylogeny, adjacency: Adjacency) -> int:
     return best
 
 
+def brute_presence_history(
+    tree: Phylogeny,
+    own: dict[int, tuple[int | None, int | None]],
+    leaf_state: dict[int, int],
+    unit: int,
+) -> tuple[int, int, dict[int, int]]:
+    """Every absent (0) / present (1) history of the internal nodes, listed.
+
+    A history costs each internal node's own cost of its state, where
+    ``own[v]`` is (absent, present) and None forbids a state, plus
+    ``unit`` per tree edge whose ends differ; the leaves keep
+    ``leaf_state``.  Returns the optimum, the number of histories that
+    reach it, and the first of those with the internal nodes' states
+    listed in preorder, absent before present.
+    """
+    internal = [v for v in tree.preorder() if not tree.is_leaf(v)]
+    assert len(internal) <= 12, f"oracle guard: {len(internal)} internal nodes"
+    tree_edges = list(tree.edges())
+    state = dict(leaf_state)
+    best, count, first = None, 0, None
+    for bits in itertools.product((0, 1), repeat=len(internal)):
+        state.update(zip(internal, bits))
+        costs = [own[v][state[v]] for v in internal]
+        if None in costs:
+            continue
+        cost = sum(costs) + unit * sum(state[u] != state[v] for u, v in tree_edges)
+        if best is None or cost < best:
+            best, count, first = cost, 1, dict(zip(internal, bits))
+        elif cost == best:
+            count += 1
+    assert best is not None
+    return best, count, first
+
+
 def brute_boltzmann(
     tree: Phylogeny, adjacency: Adjacency, kt: float
 ) -> dict[int, float]:

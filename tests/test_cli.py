@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,7 +143,7 @@ class TestLineBudget:
         # Lines as ``wc -l src/scjlabel/*.py`` counts them: newlines.
         package = Path(scjlabel.__file__).resolve().parent
         lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
-        cap = 3_819
+        cap = 3_817
         assert lines <= cap, f"src/scjlabel has {lines:,} lines, over the cap of {cap:,}"
 
 
@@ -386,6 +387,38 @@ class TestOversizedNumbers:
         ], capsys)
         assert f"{weights}:2: {message}" in err
         assert len(err) < 200
+
+    def test_genome_row(self, tmp_path, capsys):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(TREE_TEXT + "\n", encoding="utf-8")
+        genomes = tmp_path / "genomes.tsv"
+        rows = GENOME_ROWS[:2] + ["s2\tL\t1 " + "9" * 5000 + "x"] + GENOME_ROWS[3:]
+        genomes.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        err = self.error([
+            "solve", "--tree", str(tree), "--genomes", str(genomes),
+            "--out", str(tmp_path / "run"),
+        ], capsys)
+        assert f"{genomes}:3: bad marker id '{'9' * 37}...'" in err
+        assert len(err) < 200
+
+    # Each of these took over 8 s to build as an exact value.
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "1E+1_0000000"])
+    @pytest.mark.parametrize("where", ["--alpha", "--threshold", "weights"])
+    def test_huge_exponents_are_refused_at_once(self, instance, tmp_path, capsys, where, text):
+        tree, genomes = instance
+        argv = ["solve", "--tree", tree, "--genomes", genomes, "--out", str(tmp_path / "run")]
+        if where == "weights":
+            weights = tmp_path / "weights.tsv"
+            weights.write_text(f"anc2\t1h\t2t\t0.5\nanc1\t1h\t2t\t{text}\n", encoding="utf-8")
+            argv += ["--weights", str(weights)]
+            message = f"{weights}:2: bad weight '{text}'"
+        else:
+            argv += [where, text]
+            message = f"exponent of '{text}' has over 4 digits"
+        started = time.perf_counter()
+        err = self.error(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert message in err
 
     @pytest.mark.parametrize("factor", ["nan", "inf", "1e308"])
     def test_diameter_factor(self, tmp_path, capsys, factor):

@@ -34,6 +34,7 @@ from scjlabel.core import (
     labeling_objective,
     objective_units,
     quantize_weight,
+    quoted,
     scj_distance,
     show_number,
 )
@@ -75,6 +76,19 @@ class TestExactNumbers:
                 exact_fraction(value)
         with pytest.raises(InputError, match="not a finite number"):
             quantize_weight(float("nan"))
+
+    def test_exponents_of_over_four_digits_are_refused_before_the_value_is_built(self):
+        assert exact_fraction("1e9999") == 10**9999
+        assert exact_fraction(" 2.5E-0_0_9999 ") == Fraction(5, 2 * 10**9999)
+        assert exact_fraction("1e00000000004") == 10**4
+        for text in ("1e10000", "1e-10000", "1E+1_0000", "1e10000000 ", "0.5e-10000000"):
+            with pytest.raises(InputError, match=r"^exponent of '.*' has over 4 digits$"):
+                exact_fraction(text)
+        long_text = "1" * 3000 + "e" + "9" * 3000
+        with pytest.raises(InputError) as caught:
+            exact_fraction(long_text)
+        assert str(caught.value) == f"exponent of {quoted(long_text)} has over 4 digits"
+        assert len(quoted(long_text)) == 42 and quoted("1/3") == "'1/3'"
 
     def test_alpha_bounds(self):
         assert as_alpha("1/2") == Fraction(1, 2)

@@ -10,11 +10,13 @@ from types import MappingProxyType
 import pytest
 
 from oracles import (
+    brute_presence_history,
     component_profile,
     consistent_subsets,
     joint_assignment_count,
     profile_optimum,
     random_instance,
+    random_topology,
     random_weights,
     union_components,
 )
@@ -28,8 +30,13 @@ from scjlabel.core import (
     objective_units,
 )
 from scjlabel.dp import (
+    FORBIDDEN,
     count_cooptimal,
     evaluate_component_labeling,
+    leaf_costs,
+    presence_counts,
+    presence_states,
+    presence_sweep,
     sample_component,
     solve_component,
 )
@@ -438,6 +445,43 @@ def assert_same_table(table, reference):
     assert table.labels == reference.labels
     assert table.cost == reference.cost
     assert table.count == reference.count
+
+
+class TestPresenceSweep:
+    """The presence sweep, its counts and its arg-min states against every
+    presence history, listed outright."""
+
+    def test_matches_enumeration(self):
+        rng = random.Random(113)
+        seen = {"tie": 0, "unique": 0, "unary": 0, "multifurcation": 0}
+        for trial in range(400):
+            tree = random_topology(rng, rng.randint(2, 6), non_binary=trial % 2 == 1)
+            internal, items = tree.internal_ids(), tree.internal_items()
+            unit = rng.choice((0, 1, 2, 3, 1_000_000))
+            leaf_state = {v: rng.randint(0, 1) for v in tree.leaves()}
+            held = sum(tree.subtree_masks()[v] for v, s in leaf_state.items() if s)
+            own = {}
+            for v in internal:
+                a0, a1 = rng.randint(0, 5), rng.randint(0, 5)
+                kind = rng.random()  # free, present forbidden, or fixed present
+                own[v] = (a0, None) if kind < 0.25 else (None, a1) if kind < 0.4 else (a0, a1)
+            costs = [
+                tuple(FORBIDDEN if a is None else a + c for a, c in zip(own[v], changes))
+                for v, changes in zip(internal, leaf_costs(items, held, unit))
+            ]
+            down = presence_sweep(items, costs, unit)
+            ways = presence_counts(items, down, unit)
+            optimum = min(down[-1])
+            count = sum(n for c, n in zip(down[-1], ways[-1]) if c == optimum)
+            states = dict(zip(internal, presence_states(items, down, unit)))
+            assert (optimum, count, states) == brute_presence_history(
+                tree, own, leaf_state, unit
+            )
+            seen["tie" if count > 1 else "unique"] += 1
+            degrees = {len(tree.nodes[v].children) for v in internal}
+            seen["unary"] += 1 in degrees
+            seen["multifurcation"] += max(degrees) > 2
+        assert min(seen.values()) >= 20, seen
 
 
 class TestSweep:

@@ -243,12 +243,13 @@ class TestSolveBb:
     def test_branches_only_where_a_packing_group_is_open(self):
         # Its largest union component has 617 presences, 40 of them in packing
         # groups; branching on every presence explored 236,239 nodes, and
-        # branching only in open groups under the unpriced bound 2,571.
+        # branching only in open groups under the unpriced bound 2,571.  The
+        # exact count pins the search order and the priced bound.
         tree, weights = simulated_instance(200, 12, seed=1)
         model = largest_model(tree, weights, "1/3", "1/2")
         assert len(model.variables) == 617
         solution = solve_bb(model)
-        assert solution.nodes_explored <= 2_597
+        assert solution.nodes_explored == 169
         scj, discarded = evaluate_component_labeling(
             model.component, tree, weights, solution.node_labels
         )
@@ -304,6 +305,16 @@ class TestSolveBb:
             model = largest_model(tree, weights, "0", alpha)
             assert (len(model.variables), len(model.packing_groups)) == (623, 385)
             assert solve_bb(model).objective_scaled == milp_optimum(model)
+
+    def test_the_dense_component_keeps_its_node_counts(self):
+        # The component of the test above, from ``simulate --markers 30
+        # --leaves 8 --diameter-factor 0.5 --seed 2`` with Boltzmann weights
+        # at kT 1 and threshold 0.  Every bound of the search is a presence
+        # sweep, so these counts pin the sweep's values and tie rule.
+        tree, weights = simulated_instance(30, 8, seed=2, kt=1)
+        for alpha, nodes, optimum in (("9/10", 9_347, 826_658_793), ("1", 3_609, 77_334_049)):
+            solution = solve_bb(largest_model(tree, weights, "0", alpha))
+            assert (solution.nodes_explored, solution.objective_scaled) == (nodes, optimum)
 
     def test_a_search_past_the_node_budget_is_refused(self, monkeypatch):
         tree, weights = simulated_instance(200, 12, seed=1)
