@@ -183,7 +183,7 @@ def _solve_joint(
         count[v] = node_count
 
     table = DpTable(component, tree, weights, units, edges, labels, cost, count)
-    chosen = _walker(table)(lambda v, arg: arg[0])
+    chosen = _walker(table)(lambda v, arg, *_: arg[0])
     return _finish_solution(table, chosen, count_cooptimal(table)), table
 
 
@@ -323,31 +323,27 @@ def _child_argmin(table: DpTable, child: int, parent_mask: int) -> list[int]:
     return arg
 
 
-def _walker(
-    table: DpTable,
-) -> Callable[[Callable[[int, list[int]], int]], dict[int, int]]:
-    """A function ``walk(pick)`` that chooses a label mask per internal
-    node, root first, then down the tree edges; ``pick(v, arg)`` selects
-    one of the co-optimal label indices ``arg`` at node ``v``.  The walks
-    of one walker share their argmin lists, each computed at its first
-    (node, parent label)."""
-    tree = table.tree
-    root = tree.root
-    labels = table.labels
-    root_costs = table.cost[root]
+def _walker(table: DpTable) -> Callable[..., dict[int, int]]:
+    """A function ``walk(pick, chosen=None, k=0)`` that fills ``chosen``, a
+    label mask per internal node, from step ``k`` on: the root, then down
+    the tree edges.  A step with one co-optimal label takes it; at any
+    other, ``pick(v, arg, k, chosen)`` picks one of node ``v``'s co-optimal
+    label indices ``arg``.  The walks of one walker share their argmin
+    lists, each computed at its first (node, parent label)."""
+    tree, labels = table.tree, table.labels
+    root_costs = table.cost[tree.root]
     best = min(root_costs)
-    root_arg = [i for i, c in enumerate(root_costs) if c == best]
-    steps = [(u, v) for u, v in tree.edges() if not tree.is_leaf(v)]
-    argmins: dict[tuple[int, int], list[int]] = {}
+    steps = [(None, tree.root)] + [(u, v) for u, v in tree.edges() if not tree.is_leaf(v)]
+    argmins = {(tree.root, None): [i for i, c in enumerate(root_costs) if c == best]}
 
-    def walk(pick: Callable[[int, list[int]], int]) -> dict[int, int]:
-        chosen = {root: labels[root][pick(root, root_arg)]}
-        for u, v in steps:
-            key = (v, chosen[u])
-            arg = argmins.get(key)
+    def walk(pick: Callable, chosen: dict | None = None, k: int = 0) -> dict[int, int]:
+        chosen = {} if chosen is None else chosen
+        for k in range(k, len(steps)):
+            u, v = steps[k]
+            arg = argmins.get(key := (v, chosen.get(u)))
             if arg is None:
                 arg = argmins[key] = _child_argmin(table, v, chosen[u])
-            chosen[v] = labels[v][pick(v, arg)]
+            chosen[v] = labels[v][arg[0] if len(arg) == 1 else pick(v, arg, k, chosen)]
         return chosen
 
     return walk
@@ -404,45 +400,49 @@ def sample_component(
 
     Sampling is top-down: the root label is drawn with probability
     proportional to its subtree co-optimum count, then each child's
-    argmin label likewise.  A choice with more than one option takes one
-    ``randrange`` over its summed counts and bisects the running totals,
-    which are built once per argmin list.  Given the same seed the byte
-    sequence of samples is identical across runs and platforms.
+    argmin label likewise; a choice with more than one option takes one
+    ``randrange`` over its summed counts and bisects the running totals.
+    Given the same seed the byte sequence of samples is identical across
+    runs and platforms.
 
-    Each distinct labeling is re-checked once, and the samples that
-    drew it share one :class:`ComponentSolution` object; do not mutate
-    it.  A component with a single co-optimum is walked once, whatever
-    ``n_samples`` is, and makes no draws, since every choice it meets
-    has one option.
+    The draws so far form a trie: an inner node is a choice point, with
+    its running totals and one child per drawn position; a leaf is one
+    finished, re-checked labeling, shared by the samples that reach it
+    (do not mutate it).  A sample draws down the trie and, where it
+    leaves it, walks on from that choice point, so it costs its draws and
+    at most one walk.  A single co-optimum is walked once and drawn never.
     """
     if n_samples < 0:
         raise InputError(f"n_samples must be non-negative, got {n_samples}")
     cooptimal = count_cooptimal(table)
     rng = random.Random(seed)
-    count = table.count
-    totals: dict[int, list[int]] = {}  # by id of an argmin list the walker keeps
+    count, labels, walk = table.count, table.labels, _walker(table)
+    at: list = [top := [None], 0]  # the slot a walk fills next; top holds the trie
 
-    def draw(v: int, arg: list[int]) -> int:
-        # A single option is taken without touching the RNG.
-        if len(arg) == 1:
-            return arg[0]
-        running = totals.get(id(arg))
-        if running is None:
-            running = totals[id(arg)] = list(accumulate([count[v][j] for j in arg]))
-        return arg[bisect_right(running, rng.randrange(running[-1]))]
+    def grow(v: int, arg: list[int], k: int, chosen: dict[int, int]) -> int:
+        # A new choice point, put in the slot and drawn from.  A walk on from it
+        # keeps this walk's ``chosen`` before step k, and rewrites the rest.
+        totals = list(accumulate([count[v][j] for j in arg]))
+        choice = at[0][at[1]] = (totals, [None] * len(arg), v, arg, k, chosen)
+        at[:] = choice[1], bisect_right(totals, rng.randrange(totals[-1]))
+        return arg[at[1]]
 
-    walk = _walker(table)
-    if cooptimal == 1:
-        return [_finish_solution(table, walk(draw), 1)] * n_samples if n_samples else []
-    finished: dict[tuple[int, ...], ComponentSolution] = {}
     samples = []
     for _ in range(n_samples):
-        chosen = walk(draw)
-        key = tuple(chosen.values())
-        solution = finished.get(key)
-        if solution is None:
-            solution = finished[key] = _finish_solution(table, chosen, cooptimal)
-        samples.append(solution)
+        children, i, node = top, 0, top[0]
+        while type(node) is tuple:  # a choice point
+            choice, children = node, node[1]
+            i = bisect_right(node[0], rng.randrange(node[0][-1]))
+            node = children[i]
+        if node is None:  # new draws: walk on from where the trie ends
+            at[:] = children, i
+            if children is top:
+                chosen = walk(grow)
+            else:
+                _, _, v, arg, k, above = choice
+                chosen = walk(grow, {**above, v: labels[v][arg[i]]}, k + 1)
+            node = at[0][at[1]] = _finish_solution(table, chosen, cooptimal)
+        samples.append(node)
     return samples
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction, fmt
+from .core import MICRO, Adjacency, Extremity, Phylogeny, WeightTable, exact_fraction, fmt, show_number
 from .errors import InputError
 
 
@@ -22,7 +22,7 @@ def threshold_cutoff(threshold_x: object) -> int:
     """Smallest micro weight that passes the threshold ``w >= x``."""
     x = exact_fraction(threshold_x)
     if not 0 <= x <= 1:
-        raise InputError(f"threshold must lie in [0, 1], got {x}")
+        raise InputError(f"threshold must lie in [0, 1], got {show_number(x)}")
     return -((-x.numerator * MICRO) // x.denominator)
 
 

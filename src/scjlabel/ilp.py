@@ -51,11 +51,10 @@ class PresenceVar:
 class IlpModel:
     """Scaled-integer presence model of one component at a fixed alpha.
 
-    ``adjacencies`` are the component's edges in sorted order.  For the
-    adjacency at index ``ai``, ``var_at[ai]`` maps each internal node
-    where it is annotated to its variable's index; the leaves that hold
-    it are those of ``tree.candidates()``.  Variable ``j`` belongs to
-    adjacency ``adjacency_of_var[j]``.
+    ``adjacencies`` are the component's edges in sorted order; the
+    leaves that hold each are those of ``tree.candidates()``.  Variable
+    ``j`` belongs to adjacency ``adjacency_of_var[j]``, at the internal
+    node ``variables[j].node_id``.
     """
 
     component: Component
@@ -65,7 +64,6 @@ class IlpModel:
     variables: tuple[PresenceVar, ...]
     packing_groups: tuple[tuple[int, ...], ...]
     adjacencies: tuple[Adjacency, ...]
-    var_at: tuple[dict[int, int], ...]
     adjacency_of_var: tuple[int, ...]
 
     def node_labels(self, vector: Sequence[int]) -> dict[int, frozenset[Adjacency]]:
@@ -100,7 +98,6 @@ def build_model(
             annotated[v].append(ai)
 
     variables: list[PresenceVar] = []
-    var_at: list[dict[int, int]] = [{} for _ in adjacencies]
     adjacency_of_var: list[int] = []
     groups: list[tuple[int, ...]] = []
     for v in sorted(annotated, key=lambda v: (depths[v], v)):
@@ -109,7 +106,6 @@ def build_model(
             adjacency = adjacencies[ai]
             j = len(variables)
             variables.append(PresenceVar(v, adjacency, weights.get_micro(v, adjacency)))
-            var_at[ai][v] = j
             adjacency_of_var.append(ai)
             for x in adjacency:
                 incident.setdefault(x, []).append(j)
@@ -125,7 +121,6 @@ def build_model(
         variables=tuple(variables),
         packing_groups=tuple(groups),
         adjacencies=adjacencies,
-        var_at=tuple(var_at),
         adjacency_of_var=tuple(adjacency_of_var),
     )
 

@@ -170,7 +170,8 @@ def _solve_one(
     stands for: itself, or its whole signature class.  Each member draws
     its samples from the class table with its own seed stream, so it
     gets the labelings its own table would give, under the class's
-    adjacency.
+    adjacency.  A solve with one co-optimum gives each member its own
+    solution instead: no walk can return another, and none draws.
     """
     started = time.perf_counter()
     samples = []
@@ -184,7 +185,7 @@ def _solve_one(
             samples = [
                 sample_component(
                     table, config.n_samples, derive_seed(config.seed, "component", i)
-                )
+                ) if solution.cooptimal_count > 1 else [solution] * config.n_samples
                 for i in members
             ]
     else:

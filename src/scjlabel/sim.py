@@ -11,6 +11,7 @@ truth for scoring reconstructions.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -21,6 +22,8 @@ from .rng import derive_seed
 #: Birth rate of the tree's lineages.  The tree is rescaled to its target
 #: diameter, so only the death rate's share of events changes it.
 BIRTH_RATE = 0.001
+#: The largest tree diameter, in events, so that a simulation ends in bounded time.
+MAX_DIAMETER = 10**6
 
 Chromosome = tuple[int, ...]
 MultiChromosome = tuple[Chromosome, ...]
@@ -46,8 +49,8 @@ class SimConfig:
             raise InputError(f"death rate must lie in [0, {BIRTH_RATE}], the birth rate")
         if not 0 <= self.p_inversion <= 1:
             raise InputError("inversion probability must lie in [0, 1]")
-        if not (0 < self.diameter_factor and math.isfinite(self.diameter_factor * self.n_markers)):
-            raise InputError("diameter factor must be positive, and finite times the marker count")
+        if not 0 < self.diameter_factor * self.n_markers <= MAX_DIAMETER:  # NaN fails too
+            raise InputError(f"diameter factor times the marker count must lie in (0, {MAX_DIAMETER}]")
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def apply_inversion(
         raise InputError(
             f"segment [{i}..{j}] out of range for {len(markers)} markers"
         )
-    flipped = tuple(-m for m in reversed(markers[i - 1 : j]))
+    flipped = tuple(map(operator.neg, reversed(markers[i - 1 : j])))  # negated in C
     replaced = markers[: i - 1] + flipped + markers[j:]
     return genome[:chromosome] + (replaced,) + genome[chromosome + 1 :]
 

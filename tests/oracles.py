@@ -15,8 +15,10 @@ an oversized test input fails loudly instead of hanging.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -718,6 +720,49 @@ def per_sample_labelings(
             for a in labeling[v]:
                 tally[(v, a)] = tally.get((v, a), 0) + times[key]
     return samples, {key: Fraction(n, n_samples) for key, n in tally.items()}
+
+
+# ---------------------------------------------------------------------------
+# Co-optimal sampling, one full walk per sample
+
+
+def per_walk_samples(table, n_samples: int, seed: int) -> list[dict[int, frozenset[Adjacency]]]:
+    """The node labels of ``n_samples`` co-optimal labelings drawn from a
+    solved DP table, one full top-down walk per sample.
+
+    A walk visits the root, then the internal nodes in ``tree.edges()``
+    order.  A node's options are its labels of least subtree cost, plus
+    the changes to its parent's chosen label below the root.  More than
+    one option takes one ``randrange`` over their summed subtree counts,
+    and the running totals are bisected.  Nothing is cached between
+    walks or samples.  This is the package's sampler before its draws
+    formed a trie, kept as the reference for what it draws and in
+    which order.
+    """
+    rng = random.Random(seed)
+    tree, labels, cost, count = table.tree, table.labels, table.cost, table.count
+    unit, edges = table.units.change_unit, table.edge_order
+
+    def pick(v: int, totals: list[int]) -> int:
+        best = min(totals)
+        options = [(mask, n) for mask, t, n in zip(labels[v], totals, count[v]) if t == best]
+        if len(options) == 1:
+            return options[0][0]
+        running = list(itertools.accumulate(n for _, n in options))
+        return options[bisect.bisect_right(running, rng.randrange(running[-1]))][0]
+
+    samples = []
+    for _ in range(n_samples):
+        chosen = {tree.root: pick(tree.root, cost[tree.root])}
+        for u, v in tree.edges():
+            if not tree.is_leaf(v):
+                up = chosen[u]
+                chosen[v] = pick(v, [c + unit * (up ^ m).bit_count() for m, c in zip(labels[v], cost[v])])
+        samples.append({
+            v: frozenset(e for i, e in enumerate(edges) if chosen[v] >> i & 1)
+            for v in tree.internal_ids()
+        })
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,17 @@ class TestOversizedNumbers:
         ], capsys)
         assert "diameter factor" in err
 
+    def test_a_finite_but_huge_diameter_factor_is_refused_at_once(self, tmp_path, capsys):
+        # Its simulation would not end: 1e301 events on the longest path.
+        started = time.perf_counter()
+        err = self.error([
+            "simulate", "--markers", "10", "--leaves", "4", "--diameter-factor", "1e300",
+            "--out", str(tmp_path / "sim"),
+        ], capsys)
+        assert time.perf_counter() - started < 1
+        assert "diameter factor times the marker count must lie in (0, 1000000]" in err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestSample:
     def test_writes_samples_and_frequencies(self, instance, tmp_path, capsys):

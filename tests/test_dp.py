@@ -14,6 +14,7 @@ from oracles import (
     component_profile,
     consistent_subsets,
     joint_assignment_count,
+    per_walk_samples,
     profile_optimum,
     random_instance,
     random_topology,
@@ -44,6 +45,8 @@ from scjlabel.errors import CapacityExceeded, InputError, InternalInvariantError
 from scjlabel.formats import parse_newick
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
 from scjlabel.ilp import build_model, solve_bb
+from scjlabel.sim import SimConfig, evolve
+from scjlabel.weights import boltzmann_weight_table
 
 
 def genome_of(markers, *chromosomes):
@@ -400,6 +403,87 @@ class TestCountingAndSampling:
             sample_component(table, -1, seed=1)
 
 
+def many_cooptima_tables():
+    """Tables of the components with 30 or more co-optima (39 and 34) in
+    ``simulate --markers 200 --leaves 12 --diameter-factor 0.5 --seed 1``
+    with Boltzmann weights at kT 0.1, threshold 0.1 and alpha 0."""
+    tree = evolve(SimConfig(n_markers=200, n_leaves=12, diameter_factor=0.5, seed=1)).tree
+    weights = boltzmann_weight_table(tree, 0.1)
+    tables = []
+    for component in components_of(tree, weights, "0.1"):
+        solution, table = solve_component(component, tree, weights, 0)
+        if solution.cooptimal_count >= 30:
+            tables.append(table)
+    assert sorted(count_cooptimal(t) for t in tables) == [34, 39]
+    return tables
+
+
+class TestSamplerReference:
+    """``sample_component`` draws what one full walk per sample draws
+    (:func:`oracles.per_walk_samples`), draw for draw, at the cost of
+    its draws."""
+
+    def test_matches_the_per_walk_reference(self):
+        tables = list(many_cooptima_tables())
+        tree, component = eight_leaf_gadget()
+        tables += [solve_component(component, tree, WeightTable(), a)[1] for a in ("0", "1/2")]
+        rng = random.Random(127)
+        for trial in range(120):
+            tree = random_instance(
+                rng, n_leaves=rng.randint(2, 7), n_markers=rng.randint(3, 5),
+                non_binary=trial % 3 == 0,
+            )
+            # Mostly zero weights, so that ties, and co-optima, are common.
+            weights = random_weights(rng, tree, zero_rate=0.8)
+            for component in components_of(tree, weights, "0"):
+                if component.label_space_bound <= 300:
+                    alpha = rng.choice(("0", "1/2", "1"))
+                    tables.append(solve_component(component, tree, weights, alpha)[1])
+        varying = [t for t in tables if count_cooptimal(t) > 1]
+        assert len(varying) >= 40
+        assert sum(len(t.edge_order) > 1 for t in varying) >= 20  # the joint DP's
+        for table in tables:
+            for seed in (1, 2, 3):
+                drawn = sample_component(table, 30, seed)
+                assert [s.node_labels for s in drawn] == per_walk_samples(table, 30, seed)
+
+    def test_a_sample_costs_at_most_one_walk(self, monkeypatch):
+        # Steps walked, not argmin lists computed: the walker caches those.
+        walked = []
+        walker = dp._walker
+
+        def counted_walker(table):
+            walk, n_steps = walker(table), len(table.tree.internal_ids())
+
+            def counted(pick, chosen=None, k=0):
+                # a walk on from a choice point also takes that point's step
+                walked.append(n_steps - k + (chosen is not None))
+                return walk(pick, chosen, k)
+
+            return counted
+
+        monkeypatch.setattr(dp, "_walker", counted_walker)
+        for table in many_cooptima_tables():
+            n_steps = len(table.tree.internal_ids())
+            seen, new, totals = set(), 0, [0]
+            # The first n samples of a seed are the same for every count
+            # n, so the n-th sample costs what n samples cost over n - 1.
+            for n in range(1, 61):
+                walked.clear()
+                last = sample_component(table, n, seed=4)[-1]
+                totals.append(sum(walked))
+                cost = totals[-1] - totals[-2]
+                key = frozenset(last.node_labels.items())
+                if key in seen:
+                    assert cost == 0
+                else:
+                    assert 1 <= cost <= n_steps
+                    new += 1
+                seen.add(key)
+            assert new >= 20
+            assert totals[-1] < 60 * n_steps / 2
+
+
 # ---------------------------------------------------------------------------
 # The two-state sweep of one-adjacency components
 
@@ -438,6 +522,20 @@ def tie_gadget():
     })
     weights = WeightTable({Adjacency.of("1h", "2t"): {tree.id_of("anc2"): 1_000_000}})
     return tree, weights, components_of(tree, weights)[0]
+
+
+def eight_leaf_gadget():
+    """One adjacency on eight leaves with four co-optima at alpha 0 and
+    1/2, the most any pattern of one candidate has there."""
+    markers = {1, 2}
+    held, lost = genome_of(markers, (1, 2)), genome_of(markers, (1,), (2,))
+    tree = parse_newick(
+        "(((s1,s2)a4,(s3,s4)a5)a2,((s5,s6)a6,(s7,s8)a7)a3)a1;"
+    ).with_genomes({
+        f"s{i}": held if i in (2, 6, 7, 8) else lost for i in range(1, 9)
+    })
+    (component,) = components_of(tree)
+    return tree, component
 
 
 def assert_same_table(table, reference):
@@ -545,15 +643,7 @@ class TestSweep:
                 for s in drawn} == {(False, False), (False, True), (True, True)}
 
     def test_samples_match_the_joint_dp_on_eight_leaves(self):
-        # Four co-optima, the most any pattern of one candidate has here.
-        markers = {1, 2}
-        held, lost = genome_of(markers, (1, 2)), genome_of(markers, (1,), (2,))
-        tree = parse_newick(
-            "(((s1,s2)a4,(s3,s4)a5)a2,((s5,s6)a6,(s7,s8)a7)a3)a1;"
-        ).with_genomes({
-            f"s{i}": held if i in (2, 6, 7, 8) else lost for i in range(1, 9)
-        })
-        (component,) = components_of(tree)
+        tree, component = eight_leaf_gadget()
         for alpha in ("0", "1/2"):
             _, table = solve_component(component, tree, WeightTable(), alpha)
             _, reference = joint_reference(component, tree, WeightTable(), alpha)

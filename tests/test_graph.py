@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from collections import Counter
 
 import pytest
@@ -62,6 +63,11 @@ class TestThreshold:
             threshold_cutoff("-0.1")
         with pytest.raises(InputError):
             threshold_cutoff("1.01")
+
+    def test_a_huge_threshold_is_named_by_its_power_of_ten(self):
+        # Past the int-to-string digit limit, formatting the value itself fails.
+        with pytest.raises(InputError, match=r"got ~1e5000$"):
+            threshold_cutoff(Fraction(10**5000))
 
     def test_comparison_is_non_strict(self):
         tree = two_leaf_instance()

@@ -132,15 +132,28 @@ class TestBuildModel:
         assert model.units.weight_unit == 1
 
     def test_per_adjacency_index(self):
+        # What solve_bb reads: each variable's adjacency index, its node's
+        # place in internal_ids(), and the leaves' candidate masks.
         model = fork_model()
         tree = model.tree
         anc1, s1, s2 = (tree.id_of(name) for name in ("anc1", "s1", "s2"))
         a, b = Adjacency.of("1h", "2t"), Adjacency.of("1h", "3t")
         assert model.adjacencies == model.component.sorted_edges == (a, b)
-        assert model.var_at == ({anc1: 0}, {anc1: 1})
+        assert model.adjacency_of_var == (0, 1)
+        assert [v.node_id for v in model.variables] == [anc1, anc1]
         masks = tree.subtree_masks()
         assert [tree.candidates()[x] for x in model.adjacencies] == [masks[s1], masks[s2]]
-        assert model.adjacency_of_var == (0, 1)
+        for model in (fork_model(), three_leaf_model()):
+            place = {v: p for p, v in enumerate(model.tree.internal_ids())}
+            pairs = [
+                (model.adjacencies[ai], place[var.node_id])
+                for var, ai in zip(model.variables, model.adjacency_of_var)
+            ]
+            assert pairs == [(var.adjacency, place[var.node_id]) for var in model.variables]
+            # one variable per annotated (adjacency, node), and no other
+            assert sorted(pairs) == sorted(
+                (x, place[v]) for x, nodes in model.component.edges.items() for v in nodes
+            )
 
     def test_packing_groups_only_for_shared_extremities(self):
         assert three_leaf_model().packing_groups == ()

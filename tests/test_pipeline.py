@@ -7,8 +7,10 @@ import importlib.util
 import json
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from oracles import (
     brute_instance_optimum,
     joint_assignment_count,
     per_sample_labelings,
+    per_walk_samples,
     random_genome,
     random_instance,
     random_topology,
@@ -30,7 +33,7 @@ from scjlabel.core import (
     fmt,
     labeling_objective,
 )
-from scjlabel.dp import sample_component, solve_component
+from scjlabel.dp import count_cooptimal, sample_component, solve_component
 from scjlabel.errors import CapacityExceeded, InputError
 from scjlabel.formats import parse_labeling, parse_newick, write_labeling
 from scjlabel.graph import build_global_graph, candidate_adjacencies, connected_components
@@ -868,3 +871,64 @@ class TestSharedRendering:
             for v in internal
         }
         return report, out
+
+
+def link_groups(out):
+    """The sample files of ``out``, grouped by inode."""
+    groups = {}
+    for path in sorted((out / "samples").iterdir()):
+        groups.setdefault(path.stat().st_ino, []).append(path.name)
+    return sorted(groups.values())
+
+
+class TestSingleCooptimumSolves:
+    # At threshold 0.5, 30 of the 47 components have several co-optima
+    # (see TestSignatureMemo), and the 20 samples are distinct.  At 0.6,
+    # 3 do, one-co-optimum classes of 14 and 3 components do not, and
+    # the 20 samples hold 7 labelings.
+    @pytest.mark.parametrize("threshold, varying, distinct", [("0.5", 30, 20), ("0.6", 3, 7)])
+    def test_no_sampler_call_and_the_same_files(
+        self, tmp_path, monkeypatch, threshold, varying, distinct
+    ):
+        tree = evolve(SimConfig(n_markers=30, n_leaves=5, seed=2)).tree
+        weights = boltzmann_weight_table(tree, 0.1)
+        n = 20
+        config = RunConfig(
+            alpha=0, threshold_x=threshold, n_samples=n, seed=5, out_dir=str(tmp_path / "run")
+        )
+        sampled = []
+        original = pipeline.sample_component
+
+        def counted(table, *args):
+            sampled.append(count_cooptimal(table))
+            return original(table, *args)
+
+        monkeypatch.setattr(pipeline, "sample_component", counted)
+        report = solve_instance(tree, weights, config)
+        write_outputs(report, tree, config)
+        single = [c for c in report.components if c.solution.cooptimal_count == 1]
+        assert any(len(c.indices) > 1 for c in single)
+        assert min(sampled) > 1
+        assert len(sampled) == varying == sum(
+            len(c.indices) for c in report.components if c.solution.cooptimal_count > 1
+        )
+
+        # The same files as when every component, one co-optimum or
+        # not, drew its samples by one walk per sample.
+        graph = build_global_graph(tree, candidate_adjacencies(tree), weights, config.threshold_x)
+        parts = []
+        for i, component in enumerate(connected_components(graph)):
+            _, table = solve_component(component, tree, weights, config.alpha)
+            shared = {}  # equal draws are one solution object, as the sampler's
+            parts.append((None, [
+                shared.setdefault(frozenset(labels.items()), SimpleNamespace(node_labels=labels))
+                for labels in per_walk_samples(table, n, derive_seed(config.seed, "component", i))
+            ]))
+        samples, frequencies = per_sample_labelings(tree.internal_ids(), parts, n)
+        before = replace(config, out_dir=str(tmp_path / "before"))
+        write_outputs(
+            replace(report, samples=tuple(samples), sample_frequencies=frequencies), tree, before
+        )
+        assert output_files(tmp_path / "run") == output_files(tmp_path / "before")
+        assert link_groups(tmp_path / "run") == link_groups(tmp_path / "before")
+        assert len(link_groups(tmp_path / "run")) == distinct

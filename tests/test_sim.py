@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from scjlabel.core import chromosome_adjacencies
 from scjlabel.errors import InputError
 from scjlabel.sim import (
+    MAX_DIAMETER,
     Metrics,
     SimConfig,
     apply_inversion,
@@ -41,6 +43,23 @@ class TestApplyInversion:
     def test_other_chromosomes_untouched(self):
         genome = ((1, 2), (3, 4))
         assert apply_inversion(genome, 0, 1, 2)[1] == (3, 4)
+
+    def test_matches_the_generator_formula(self):
+        # The segment is negated through a generator there; every segment
+        # start, 1 included, and both ends of the chromosome occur.
+        rng = random.Random(5)
+        cases = set()
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            markers = tuple(rng.choice((1, -1)) * m for m in rng.sample(range(1, 50), n))
+            genome = ((7, -8), markers)
+            i = rng.randint(1, n)
+            j = rng.randint(i, n)
+            flipped = tuple(-m for m in reversed(markers[i - 1 : j]))
+            want = ((7, -8), markers[: i - 1] + flipped + markers[j:])
+            assert apply_inversion(genome, 1, i, j) == want
+            cases.add((i == 1, j == n))
+        assert cases == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_rejects_bad_coordinates(self):
         genome = ((1, 2, 3),)
@@ -103,6 +122,13 @@ class TestSimConfig:
             SimConfig(p_inversion=1.5)
         with pytest.raises(InputError):
             SimConfig(diameter_factor=0.0)
+
+    def test_the_diameter_is_bounded_in_events(self):
+        # The target diameter, in events, is the factor times the markers.
+        assert SimConfig(n_markers=10, diameter_factor=MAX_DIAMETER / 10).diameter_factor
+        for factor in (MAX_DIAMETER / 10 * 1.0001, 1e300):
+            with pytest.raises(InputError, match="diameter factor"):
+                SimConfig(n_markers=10, diameter_factor=factor)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 1e308])
     def test_a_non_finite_diameter_is_bad_input(self, factor):
